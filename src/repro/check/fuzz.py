@@ -14,9 +14,9 @@ simulator under the full correctness harness:
 * **checked == unchecked** -- a plain re-run must be bit-identical in
   every counter (the check layer only observes);
 * **typed == interp** -- when the plain run took the typed flat kernel
-  (:mod:`repro.core.typed`), a forced-interpreted re-run must be
-  bit-identical in every counter (the typed kernel is an optimisation,
-  never a semantic change);
+  (:mod:`repro.core.typed`), a re-run on the interpreted reference
+  kernel must be bit-identical in every counter (the typed kernel is an
+  optimisation, never a semantic change);
 * **batched == scalar** -- a two-instance lockstep batch
   (:mod:`repro.core.batch`) must reproduce the plain scalar run
   bit-identically, instance by instance;
@@ -332,18 +332,17 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
         )
 
     # Property 8 (ordering: needs `plain` from property 2): when the
-    # plain run took the typed flat kernel, a forced-interpreted re-run
-    # must be bit-identical -- the typed backend is an optimisation,
-    # never a semantic change.  (When the trial draws a real prefetcher
-    # the plain run is already interpreted and this property is vacuous;
-    # the checked-vs-unchecked comparison above still crosses backends
-    # on typed-eligible trials, so both directions stay covered.)
+    # plain run took the typed flat kernel, a re-run on the interpreted
+    # reference kernel must be bit-identical -- the typed backend is an
+    # optimisation, never a semantic change.  (When the trial draws a
+    # real prefetcher the plain run is already interpreted and this
+    # property is vacuous; the checked-vs-unchecked comparison above
+    # still crosses backends on typed-eligible trials, so both
+    # directions stay covered.)
     if plain_sim.kernel_backend != "interp":
-        interp, _ = _run(
-            trial.params.replace(check_invariants=False, kernel="interp"),
-            program,
-            stream,
-        )
+        interp = Simulator(
+            trial.params.replace(check_invariants=False), program, stream
+        ).run(reference=True)
         if (
             interp.cycles != plain.cycles
             or interp.instructions != plain.instructions

@@ -10,7 +10,7 @@ Twelve subcommands::
     python -m repro trace --workload ...  # telemetry run -> JSONL + report
     python -m repro profile --workload .. # per-stage self-time profile
     python -m repro check [--fuzz N]      # correctness harness (docs/TESTING.md)
-    python -m repro kernel [--dump]       # cycle-kernel backend resolution/source
+    python -m repro kernel [--dump]       # cycle-kernel backend and its source
     python -m repro cache info|clear      # persistent result cache
     python -m repro sweep spec.yaml       # declarative sweep (--shard k/N, --resume)
     python -m repro sweep-report [LEDGER] # sweep progress/summary from a run ledger
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 from pathlib import Path
 
 from repro.common.log import configure as configure_logging
@@ -90,12 +89,6 @@ def _add_sim_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--max-taken", type=int, default=1)
     cmd.add_argument("--perfect-btb", action="store_true")
     cmd.add_argument("--perfect-direction", action="store_true")
-    cmd.add_argument(
-        "--kernel",
-        choices=["auto", "typed", "interp"],
-        default="auto",
-        help="cycle-kernel backend (mirrors REPRO_KERNEL; default auto)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,12 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="instances per lockstep batch for --batched (default 4)",
-    )
-    bench.add_argument(
-        "--kernel",
-        choices=["auto", "typed", "interp"],
-        default="auto",
-        help="cycle-kernel backend to benchmark (mirrors REPRO_KERNEL)",
     )
     bench.add_argument(
         "--no-history",
@@ -391,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     kernel = sub.add_parser(
-        "kernel", help="show cycle-kernel backend resolution; dump generated source"
+        "kernel", help="show the cycle-kernel backend; dump generated source"
     )
     kernel.add_argument(
         "--dump",
@@ -435,7 +422,6 @@ def _params_from_args(args: argparse.Namespace) -> SimParams:
         warmup_instructions=args.warmup,
         sim_instructions=args.instructions,
         prefetcher=args.prefetcher,
-        kernel=getattr(args, "kernel", "auto"),
     )
     params = params.with_frontend(
         ftq_entries=args.ftq,
@@ -531,7 +517,7 @@ def _write_stats_json(result, output: str) -> Path:
     scalar kernel -- so a stats dump is comparable across PRs without
     guessing which defaults were in force.
     """
-    from repro.core.typed import kernel_backend_for_params, resolve_kernel_mode
+    from repro.core.typed import kernel_backend_for_params
     from repro.experiments.cache import SIM_SCHEMA_VERSION
 
     path = Path(output)
@@ -539,7 +525,6 @@ def _write_stats_json(result, output: str) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
     params = result.params
     warmup_mode = params.warmup_mode
-    kernel = resolve_kernel_mode(params.kernel)
     payload = {
         "schema": SIM_SCHEMA_VERSION,
         "workload": result.workload,
@@ -550,8 +535,7 @@ def _write_stats_json(result, output: str) -> Path:
         "modes": {
             "warmup_mode": "cycle" if warmup_mode == "auto" else warmup_mode,
             "check_invariants": params.check_invariants,
-            "kernel": kernel,
-            "kernel_backend": kernel_backend_for_params(params.replace(kernel=kernel)),
+            "kernel_backend": kernel_backend_for_params(params),
             "batch": "scalar",
         },
         "counters": {name: result.stats.get(name) for name in result.stats.names()},
@@ -731,7 +715,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         fast_warmup=args.fast_warmup,
         batched=args.batched,
         batch_width=args.batch_width or DEFAULT_BENCH_BATCH_WIDTH,
-        kernel=args.kernel,
     )
     path = write_bench(payload, args.output or _BENCH_OUTPUT)
     for name, row in payload["workloads"].items():
@@ -1215,30 +1198,26 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    """Show cycle-kernel backend resolution; optionally dump source.
+    """Show which cycle-kernel backend runs on this host; optionally dump source.
 
-    The resolution summary answers "which kernel would a default run
-    use on this host?" -- the ``auto`` mode resolved through
-    ``REPRO_KERNEL``, the concrete typed backend (compiled ``.so``
-    shadowing :mod:`repro.core.typedkern` vs its pure-Python form),
-    and the module file that answer came from.  ``--dump`` prints the
-    schedule-generated *interpreted* kernel source for a feature set;
-    the typed kernel is hand-flattened (not generated), so its source
-    is the :mod:`repro.core.typedkern` file itself.
+    The summary answers "which kernel would a run use here?" -- the
+    concrete typed backend (compiled ``.so`` shadowing
+    :mod:`repro.core.typedkern` vs its pure-Python form), the module
+    file that answer came from, and the rule that picks between it and
+    the interpreted kernel.  ``--dump`` prints the schedule-generated
+    *interpreted* kernel source for a feature set; the typed kernel is
+    hand-flattened (not generated), so its source is the
+    :mod:`repro.core.typedkern` file itself.
     """
     from repro.core import typedkern
     from repro.core.schedule import FEATURES, kernel_source
-    from repro.core.typed import backend_name, resolve_kernel_mode
+    from repro.core.typed import backend_name
 
-    resolved = resolve_kernel_mode("auto")
-    backend = backend_name() if resolved != "interp" else "interp"
-    env = os.environ.get("REPRO_KERNEL", "")
-    print(f"auto resolves to: {resolved} (REPRO_KERNEL={env!r})")
     print(f"typed backend:    {backend_name()}")
     print(f"typedkern module: {typedkern.__file__}")
     print(
-        f"default run uses: {backend} "
-        "(feature-empty configs only; featured configs fall back to interp)"
+        f"a run uses:       {backend_name()} when no feature is active; "
+        f"interp under {', '.join(FEATURES)}"
     )
     if args.dump:
         features = frozenset(

@@ -254,24 +254,6 @@ WARMUP_MODES = ("auto", "cycle", "functional")
 """
 
 
-KERNEL_MODES = ("auto", "typed", "interp")
-"""Valid :attr:`SimParams.kernel` values.
-
-* ``typed``  -- prefer the flat typed cycle kernel
-  (:mod:`repro.core.typedkern`; mypyc-compiled when a toolchain built
-  it, pure-Python otherwise).  Runs whose feature set the typed kernel
-  does not cover (telemetry / checker / dedicated prefetcher /
-  profiler) fall back to the interpreted kernel automatically -- both
-  backends are bit-identical, so the fallback is invisible in results.
-* ``interp`` -- force the schedule-generated interpreted kernel
-  (:func:`repro.core.schedule.build_kernel`).
-* ``auto``   -- defer to the ``REPRO_KERNEL`` environment variable,
-  defaulting to ``typed`` (see :func:`repro.core.typed.resolve_kernel_mode`).
-  The sweep runner resolves ``auto`` *before* computing cache keys, so
-  recorded runs always name a concrete backend.
-"""
-
-
 @dataclass(frozen=True)
 class SimParams:
     """Top-level bundle for one simulation run."""
@@ -292,10 +274,6 @@ class SimParams:
     bit-identical to an unchecked run -- but the per-cycle sweep costs
     simulation speed, so it defaults off; ``repro check`` and the fuzzer
     turn it on, and ``REPRO_CHECK=1`` enables it for sweep runs."""
-    kernel: str = "auto"
-    """Which cycle-kernel backend runs the loop (see :data:`KERNEL_MODES`).
-    Bit-identical either way; recorded in cache keys, manifests and
-    bench history so every number names the backend that produced it."""
 
     def __post_init__(self) -> None:
         if self.warmup_instructions < 0 or self.sim_instructions <= 0:
@@ -303,10 +281,6 @@ class SimParams:
         if self.warmup_mode not in WARMUP_MODES:
             raise ValueError(
                 f"warmup_mode must be one of {WARMUP_MODES}, got {self.warmup_mode!r}"
-            )
-        if self.kernel not in KERNEL_MODES:
-            raise ValueError(
-                f"kernel must be one of {KERNEL_MODES}, got {self.kernel!r}"
             )
 
     def replace(self, **kwargs) -> "SimParams":

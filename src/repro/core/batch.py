@@ -29,11 +29,11 @@ sweep runner checks :func:`batchable` per point and falls back to the
 scalar path for the rest; mixed feature sets within one batch are fine
 because every instance steps its own specialized kernel.
 
-Batching always drives the *interpreted* stepping kernels regardless of
-``SimParams.kernel``: the flat typed kernel (:mod:`repro.core.typed`)
-has no stepping form, and the sweep runner prefers the typed scalar
-path for typed-eligible points anyway (``_plan_batches``), so batches
-are formed only from points the typed backend would not take.  A
+Batching always drives the *interpreted* stepping kernels: the flat
+typed kernel (:mod:`repro.core.typed`) has no stepping form, and the
+sweep runner prefers the typed scalar path for typed-eligible points
+anyway (``_plan_batches``), so batches are formed only from points the
+typed backend would not take.  A
 batched run therefore leaves each instance's ``kernel_backend`` at
 ``interp``, and stays bit-identical to scalar runs of either backend.
 """

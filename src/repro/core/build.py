@@ -163,6 +163,19 @@ def resolve_btb_variant(branch: BranchPredictorParams) -> str:
 
 
 # ----------------------------------------------------------------------
+# Prefetcher names
+# ----------------------------------------------------------------------
+def builds_prefetcher(name: str) -> bool:
+    """Whether prefetcher ``name`` builds a dedicated prefetcher component.
+
+    ``none`` attaches nothing and ``perfect`` only flags the memory
+    hierarchy (every L1I access hits); every other name is a
+    :data:`repro.prefetch.prefetchers` registry entry.
+    """
+    return name not in ("none", "perfect")
+
+
+# ----------------------------------------------------------------------
 # Component resolution (fail-fast validation)
 # ----------------------------------------------------------------------
 def resolve_components(params: SimParams) -> dict[str, str]:
@@ -182,7 +195,7 @@ def resolve_components(params: SimParams) -> dict[str, str]:
     variant = resolve_btb_variant(params.branch)
     btb_variants.get(variant)
     prefetcher = params.prefetcher
-    if prefetcher not in ("none", "perfect"):
+    if builds_prefetcher(prefetcher):
         prefetchers.get(prefetcher)
     return {
         "direction": direction,
@@ -302,10 +315,9 @@ class SimBuilder:
         )
         sim.bpu.loop = sim.loop
 
+        sim.memory.perfect = params.prefetcher == "perfect"
         sim.prefetcher = None
-        if params.prefetcher == "perfect":
-            sim.memory.perfect = True
-        elif params.prefetcher != "none":
+        if builds_prefetcher(params.prefetcher):
             sim.prefetcher = prefetchers.create(
                 params.prefetcher, params, sim.memory, sim.btb, program, sim.stats
             )

@@ -22,12 +22,13 @@ plain runs (pinned by the fuzzer's bit-identity properties).
 
 from __future__ import annotations
 
+from repro.common.log import get_logger
 from repro.common.params import SimParams
 from repro.common.stats import StatSet
 from repro.core.build import SimBuilder, resolve_btb_variant
 from repro.core.metrics import RunResult
 from repro.core.schedule import build_kernel
-from repro.core.typed import backend_name, resolve_kernel_mode, supported, typed_kernel
+from repro.core.typed import backend_name, supported, typed_kernel
 from repro.core.warmup import functional_warmup
 from repro.trace.cfg import Program
 from repro.trace.oracle import OracleStream
@@ -36,6 +37,8 @@ from repro.trace.workloads import WorkloadSpec, make_trace
 
 _CYCLE_GUARD_FACTOR = 400
 """A run exceeding this many cycles per instruction indicates a livelock."""
+
+log = get_logger("core.simulator")
 
 
 class Simulator:
@@ -282,7 +285,7 @@ class Simulator:
             self.profiler.finalize(self, result)
         return result
 
-    def run(self, workload_name: str = "") -> RunResult:
+    def run(self, workload_name: str = "", *, reference: bool = False) -> RunResult:
         """Simulate warmup + measurement windows; return the result.
 
         ``params.warmup_mode == "functional"`` fast-forwards the warmup
@@ -291,14 +294,28 @@ class Simulator:
         ``"cycle"`` (and ``"auto"``, for this direct API) warms through
         the full pipeline as before.
 
-        The cycle loop is either the flat typed kernel
-        (:mod:`repro.core.typedkern`, bit-identical by contract) or the
+        The cycle loop is the flat typed kernel
+        (:mod:`repro.core.typedkern`, bit-identical by contract) whenever
+        :func:`repro.core.typed.supported` holds, and otherwise the
         schedule-specialized interpreted kernel for this simulator's
-        :meth:`active_features` -- selected by ``params.kernel`` /
-        ``REPRO_KERNEL`` and recorded in :attr:`kernel_backend`.
+        :meth:`active_features` (the reason is logged at debug level).
+        ``reference=True`` forces the interpreted kernel: it is the
+        reference path the correctness harness compares the typed
+        kernel against.  The backend that ran is recorded in
+        :attr:`kernel_backend`.
         """
         target, warmup, guard = self._prepare_run(workload_name)
-        if resolve_kernel_mode(self.params.kernel) != "interp" and supported(self)[0]:
+        ok = False
+        if not reference:
+            ok, reason = supported(self)
+            if not ok:
+                log.debug(
+                    "kernel fallback for %s [%s]: %s",
+                    self.workload_name or "<unnamed>",
+                    self.params.label(),
+                    reason,
+                )
+        if ok:
             self.kernel_backend = backend_name()
             typed_kernel(self, target, warmup, guard)
         else:

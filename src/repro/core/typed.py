@@ -1,4 +1,4 @@
-"""Typed-kernel backend selection (``REPRO_KERNEL`` / ``SimParams.kernel``).
+"""Typed-kernel backend selection.
 
 The simulator has two cycle-loop backends:
 
@@ -17,58 +17,30 @@ The simulator has two cycle-loop backends:
     ``typed-compiled``; otherwise the pure-Python module runs as-is and
     reports ``typed-python``.
 
-Selection is three-valued (:data:`KERNEL_MODES`): ``SimParams.kernel``
-is ``auto`` (defer to the ``REPRO_KERNEL`` environment variable,
-defaulting to ``typed``), ``typed`` (prefer the typed kernel, falling
-back to ``interp`` per-run when the simulator carries features the
-typed kernel does not support), or ``interp`` (force the interpreted
-kernel).  Because both backends are bit-identical, the choice never
-changes results -- it is still resolved into cache keys, manifests,
-``--stats-json`` and bench history lines so every recorded number
-names the backend that produced it.
+The backend is derived, never configured: :meth:`Simulator.run
+<repro.core.simulator.Simulator.run>` takes the typed kernel whenever
+:func:`supported` holds and the interpreted kernel otherwise.  Because
+both backends are bit-identical, the backend is not part of a result's
+identity (cache keys hash content only); it is recorded as
+``kernel_backend`` in manifests, ``--stats-json`` and bench history
+lines so every number names the backend that produced it.  The
+interpreted kernel stays the reference path the correctness harness
+compares against, reached through ``Simulator.run(reference=True)``.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.common.params import KERNEL_MODES, SimParams
+from repro.common.params import SimParams
+from repro.core.build import builds_prefetcher
 from repro.core.typedkern import typed_kernel
 
 __all__ = [
-    "KERNEL_MODES",
     "backend_name",
     "kernel_backend_for_params",
-    "resolve_kernel_mode",
     "supported",
     "typed_eligible",
     "typed_kernel",
 ]
-
-_ENV_VAR = "REPRO_KERNEL"
-
-
-def resolve_kernel_mode(mode: str) -> str:
-    """Resolve a :data:`KERNEL_MODES` value to ``typed`` or ``interp``.
-
-    Explicit modes pass through; ``auto`` reads ``REPRO_KERNEL``
-    (itself allowed to say ``auto``) and defaults to ``typed`` -- the
-    typed backend is always importable (pure-Python fallback), so auto
-    only ever needs the interpreted kernel for unsupported feature
-    sets, which :func:`supported` handles per-run.
-    """
-    if mode != "auto":
-        if mode not in KERNEL_MODES:
-            raise ValueError(f"kernel mode must be one of {KERNEL_MODES}, got {mode!r}")
-        return mode
-    raw = os.environ.get(_ENV_VAR, "").strip().lower()
-    if not raw or raw == "auto":
-        return "typed"
-    if raw not in KERNEL_MODES:
-        raise ValueError(
-            f"{_ENV_VAR} must be one of {KERNEL_MODES}, got {raw!r}"
-        )
-    return raw
 
 
 def supported(sim) -> tuple[bool, str]:
@@ -98,20 +70,16 @@ def backend_name() -> str:
 
 def typed_eligible(params: SimParams) -> bool:
     """Would a scalar run of ``params`` (no telemetry/profiler attached)
-    select the typed kernel?
+    take the typed kernel?
 
     Mirrors :func:`supported` from params alone: the checker feature
     comes from ``check_invariants`` and the prefetcher feature from any
-    dedicated prefetcher (``perfect`` is a memory flag, not a
-    component).  The sweep runner uses this to prefer the typed scalar
-    path over interpreted lockstep batching, and the cache layer to
-    derive the recorded backend from resolved params.
+    prefetcher name that builds a component
+    (:func:`repro.core.build.builds_prefetcher`).  The sweep runner uses
+    this to prefer the typed scalar path over interpreted lockstep
+    batching, and the cache layer to derive the recorded backend.
     """
-    if resolve_kernel_mode(params.kernel) == "interp":
-        return False
-    if params.check_invariants:
-        return False
-    return params.prefetcher in ("none", "perfect")
+    return not params.check_invariants and not builds_prefetcher(params.prefetcher)
 
 
 def kernel_backend_for_params(params: SimParams) -> str:

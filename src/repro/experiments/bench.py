@@ -42,7 +42,7 @@ from repro.common.params import SimParams
 from repro.common.stats import geomean
 from repro.core.batch import run_batch
 from repro.core.simulator import Simulator
-from repro.core.typed import kernel_backend_for_params, resolve_kernel_mode
+from repro.core.typed import kernel_backend_for_params
 from repro.experiments.configs import QUICK_WORKLOADS, default_params
 from repro.trace.workloads import make_trace
 
@@ -126,7 +126,6 @@ def run_bench(
     fast_warmup: bool = False,
     batched: bool = False,
     batch_width: int = DEFAULT_BENCH_BATCH_WIDTH,
-    kernel: str | None = None,
 ) -> dict:
     """Benchmark the cycle loop; returns the BENCH_core payload.
 
@@ -136,10 +135,8 @@ def run_bench(
     so the speedup from skipping cycle-accurate warmup shows up in
     ``instructions_per_second`` directly.  ``batched`` benchmarks the
     lockstep batch path instead of one scalar instance per workload.
-    ``kernel`` overrides the cycle-kernel mode (mirrors
-    ``REPRO_KERNEL``); the *resolved* mode and the concrete backend the
-    scalar runs select (``typed-compiled`` / ``typed-python`` /
-    ``interp``) are recorded in the payload's config, so benchmark
+    The backend the runs take (``typed-compiled`` / ``typed-python`` /
+    ``interp``) is recorded in the payload's config, so benchmark
     numbers from different backends are never mistaken for the same
     series (batched runs always drive the interpreted stepping
     kernels).
@@ -148,9 +145,6 @@ def run_bench(
     params = params or default_params()
     if fast_warmup:
         params = params.replace(warmup_mode="functional")
-    if kernel is not None:
-        params = params.replace(kernel=kernel)
-    params = params.replace(kernel=resolve_kernel_mode(params.kernel))
     kernel_backend = "interp" if batched else kernel_backend_for_params(params)
     per_workload: dict[str, dict] = {}
     for wl in workloads:
@@ -167,7 +161,6 @@ def run_bench(
         "warmup_instructions": params.warmup_instructions,
         "sim_instructions": params.sim_instructions,
         "warmup_mode": params.warmup_mode,
-        "kernel": params.kernel,
         "kernel_backend": kernel_backend,
         "label": params.label(),
         "repeats": repeats,
@@ -228,7 +221,6 @@ def append_history(payload: dict, path: str | Path = HISTORY_FILE) -> Path:
                 "warmup_instructions",
                 "sim_instructions",
                 "warmup_mode",
-                "kernel",
                 "kernel_backend",
                 "repeats",
                 "batch_width",
@@ -276,7 +268,7 @@ def machine_key(record: dict) -> str:
 
     Rates are only comparable within one machine, bench mode *and*
     cycle-kernel backend; the history file may interleave entries from
-    several (laptops, CI runners, typed vs forced-interp runs), so the
+    several (laptops, CI runners, typed and interpreted runs), so the
     trend table groups by this key.  Records predating the backend
     field were all interpreted runs.
     """

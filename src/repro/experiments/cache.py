@@ -43,7 +43,7 @@ from repro.core.typed import kernel_backend_for_params
 from repro.trace.source import WorkloadSource, resolve_workload
 from repro.trace.workloads import WorkloadSpec
 
-SIM_SCHEMA_VERSION = 6
+SIM_SCHEMA_VERSION = 7
 """Bump when simulator/trace/predictor changes can alter RunResults.
 
 v2: the sweep runner defaults ``SimParams.warmup_mode`` to
@@ -60,15 +60,19 @@ v4: ``BranchPredictorParams`` grew ``btb_variant`` (the registry-driven
 build layer), changing parameter fingerprints.
 
 v5: ``SimParams`` grew ``kernel`` (the typed/interpreted cycle-kernel
-backend selection), changing parameter fingerprints; ``REPRO_KERNEL``
-is resolved before keying, so typed and forced-interp results never
-share entries (bit-identical by contract, but a forced sweep must run
-the backend it names).
+backend selection), changing parameter fingerprints; the mode was
+resolved before keying, so typed and interpreted results of one config
+never shared entries.
 
 v6: the workload-source layer -- workload fingerprints now derive from
 each source's ``fingerprint_data()`` (synthetic: spec + seeds;
 ChampSim traces: file content digest + decoder version), changing
 every workload fingerprint at once.
+
+v7: ``SimParams.kernel`` is gone.  The backend is derived per run and
+is bit-identical either way, so a result's key is its content only: a
+typed and an interpreted run of one config share one entry (manifests
+still record the ``kernel_backend`` that ran).
 """
 
 _ENV_DIR = "REPRO_CACHE_DIR"
@@ -216,7 +220,6 @@ def build_manifest(key: str, result: RunResult, meta: dict | None = None) -> dic
         "params_fingerprint": params_fingerprint(params),
         "warmup_mode": params.warmup_mode,
         "check_invariants": params.check_invariants,
-        "kernel": params.kernel,
         "kernel_backend": kernel_backend_for_params(params),
         "prefetcher": params.prefetcher,
         "warmup_instructions": params.warmup_instructions,

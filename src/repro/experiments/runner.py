@@ -32,7 +32,6 @@ from repro.core.batch import batchable, simulate_batch
 from repro.core.build import resolve_components
 from repro.core.metrics import RunResult
 from repro.core.simulator import simulate
-from repro.core.typed import resolve_kernel_mode as _resolve_kernel_env
 from repro.core.typed import typed_eligible
 from repro.experiments.cache import CACHE_STATS, ResultCache, cache_enabled, run_key
 from repro.experiments.configs import repro_jobs
@@ -165,23 +164,6 @@ def resolve_check_mode(params: SimParams) -> SimParams:
     return params.replace(check_invariants=True)
 
 
-def resolve_kernel_mode(params: SimParams) -> SimParams:
-    """Resolve ``kernel="auto"`` for sweep execution.
-
-    ``auto`` defers to the ``REPRO_KERNEL`` environment variable and
-    defaults to ``typed`` (:func:`repro.core.typed.resolve_kernel_mode`).
-    Like warmup-mode and check-mode resolution this happens *before*
-    cache keys are computed, so every cached result is tagged with the
-    concrete backend choice that produced it -- the two backends are
-    bit-identical by contract, but a forced ``interp`` sweep must
-    actually run the interpreted kernel.  Explicit modes pass through.
-    """
-    resolved = _resolve_kernel_env(params.kernel)
-    if resolved == params.kernel:
-        return params
-    return params.replace(kernel=resolved)
-
-
 def _resolve(params: SimParams) -> SimParams:
     """All environment overrides, in cache-key order.
 
@@ -190,7 +172,7 @@ def _resolve(params: SimParams) -> SimParams:
     submitting process instead of inside a sweep worker.
     """
     resolve_components(params)
-    return resolve_kernel_mode(resolve_check_mode(resolve_warmup_mode(params)))
+    return resolve_check_mode(resolve_warmup_mode(params))
 
 
 def run_config(workload: str, params: SimParams) -> RunResult:

@@ -5,20 +5,11 @@ stage's PFC pre-decoder both walk a fetch block 4 bytes at a time,
 asking the program image "is there a branch here, and what shape is
 it?" on every visit.  The static image never changes, so this module
 compiles it once per :class:`~repro.trace.cfg.Program` into immutable
-flat parallel arrays sorted by address; consumers replace the per-slot
-walk with one ``bisect`` per block and a contiguous slice/range over
-the arrays.
-
-The compiled layout is two-layer:
-
-* **tuples** (``addrs``/``kinds``/``targets``/``pd_class``/``triples``)
-  serve the scalar hot paths -- CPython indexes a small tuple slice
-  faster than a numpy array element, and ``bisect`` works on tuples
-  directly;
-* **numpy arrays** (the ``np_*`` attributes) carry the same data
-  column-wise for whole-array consumers: batch construction, the
-  functional-warmup footprint precompute, and analysis code that wants
-  one vectorised pass instead of a Python loop.
+flat parallel tuples sorted by address (``addrs``/``kinds``/``targets``/
+``pd_class``/``triples``); consumers replace the per-slot walk with one
+``bisect`` per block and a contiguous slice/range over the tuples.
+CPython indexes a small tuple slice faster than a numpy array element,
+and ``bisect`` works on tuples directly.
 
 :class:`StreamMeta` applies the same treatment to one *dynamic* oracle
 stream: every committed branch flattened into commit order with its
@@ -53,9 +44,9 @@ PD_INDIRECT = 3
 class FetchBlockMeta:
     """Flat, address-sorted branch metadata of one static program image.
 
-    All tuples/arrays are parallel and indexed by the same branch
-    ordinal; ``addrs`` is sorted ascending, so ``bisect`` over it
-    selects the branches inside any address window in O(log n).
+    All tuples are parallel and indexed by the same branch ordinal;
+    ``addrs`` is sorted ascending, so ``bisect`` over it selects the
+    branches inside any address window in O(log n).
     """
 
     __slots__ = (
@@ -64,11 +55,6 @@ class FetchBlockMeta:
         "targets",
         "pd_class",
         "triples",
-        "np_addrs",
-        "np_kinds",
-        "np_targets",
-        "np_pd",
-        "np_fallthrough",
     )
 
     def __init__(self, program) -> None:
@@ -84,23 +70,6 @@ class FetchBlockMeta:
         )
         """(addr, kind, pc-relative target) per branch -- the exact shape
         the BPU's perfect-BTB candidate scan yields."""
-        # Column-wise mirror for vectorised consumers (read-only).
-        self.np_addrs = np.asarray(self.addrs, dtype=np.int64)
-        self.np_kinds = np.asarray(
-            [int(k) for k in self.kinds], dtype=np.int16
-        )
-        self.np_targets = np.asarray(self.targets, dtype=np.int64)
-        self.np_pd = np.asarray(self.pd_class, dtype=np.int8)
-        self.np_fallthrough = self.np_addrs + 4
-        """Fall-through address per branch (the not-taken successor)."""
-        for arr in (
-            self.np_addrs,
-            self.np_kinds,
-            self.np_targets,
-            self.np_pd,
-            self.np_fallthrough,
-        ):
-            arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.addrs)

@@ -145,17 +145,16 @@ class TestRunnerBatching:
     def test_plan_batches_groups_by_workload_and_length(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH", "1")
         monkeypatch.setenv("REPRO_BATCH_WIDTH", "2")
-        # Pin the interpreted kernel: under "auto" the typed-eligible
-        # points below would all be kept scalar (see the next test),
-        # which is not the grouping behaviour under test here.
-        monkeypatch.setenv("REPRO_KERNEL", "interp")
+        # Prefetcher configs, as real sweeps batch them: typed-eligible
+        # points would all be kept scalar (see the next test).
+        djolt = fast(prefetcher="djolt")
         pending = {
-            "a1": ("srv_web", fast()),
-            "a2": ("srv_web", fast().with_frontend(ftq_entries=4)),
-            "a3": ("srv_web", fast().with_frontend(ftq_entries=8)),
-            "b1": ("srv_db", fast()),
-            "len": ("srv_web", fast(warmup_instructions=1_000)),
-            "chk": ("srv_web", fast(check_invariants=True)),
+            "a1": ("srv_web", djolt),
+            "a2": ("srv_web", djolt.with_frontend(ftq_entries=4)),
+            "a3": ("srv_web", fast(prefetcher="fnl_mma")),
+            "b1": ("srv_db", djolt),
+            "len": ("srv_web", fast(prefetcher="djolt", warmup_instructions=1_000)),
+            "chk": ("srv_web", fast(prefetcher="djolt", check_invariants=True)),
         }
         batches, singles = _plan_batches(pending)
         # a1+a2 batch; a3 overflows width 2 into a singleton; b1 and
@@ -165,12 +164,11 @@ class TestRunnerBatching:
         assert sorted(singles) == ["a3", "b1", "chk", "len"]
 
     def test_plan_batches_prefers_typed_scalar(self, monkeypatch):
-        # Under the default "auto" kernel, typed-eligible points skip
-        # batching entirely: the typed scalar path is faster than the
-        # batched interpreted path.  Non-eligible points still batch.
+        # Typed-eligible points skip batching entirely: the typed scalar
+        # path is faster than the batched interpreted path.
+        # Non-eligible points still batch.
         monkeypatch.setenv("REPRO_BATCH", "1")
         monkeypatch.setenv("REPRO_BATCH_WIDTH", "2")
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         pending = {
             "t1": ("srv_web", fast()),
             "t2": ("srv_web", fast().with_frontend(ftq_entries=4)),

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.common.params import SimParams
+from repro.core.typed import backend_name
 from repro.experiments.bench import (
     BENCH_SCHEMA_VERSION,
     append_history,
@@ -58,7 +59,8 @@ class TestBenchLibrary:
         assert payload["schema"] == BENCH_SCHEMA_VERSION
         assert set(payload["workloads"]) == {"spc_fp", "srv_web"}
         assert payload["config"]["mode"] == "scalar"
-        assert "batch_width" not in payload["config"]
+        assert payload["config"]["kernel_backend"] == backend_name()
+        assert "batch_width" not in payload["config"] and "kernel" not in payload["config"]
         agg = payload["aggregate"]
         assert agg["total_instructions"] == 7_000
         assert agg["instructions_per_second"] > MIN_INSTRS_PER_SEC
@@ -70,6 +72,7 @@ class TestBenchLibrary:
         )
         assert payload["config"]["mode"] == "batched"
         assert payload["config"]["batch_width"] == 2
+        assert payload["config"]["kernel_backend"] == "interp"
         assert payload["aggregate"]["total_instructions"] == 7_000
         assert payload["aggregate"]["geomean_instructions_per_second"] > MIN_INSTRS_PER_SEC
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.common.params import SimParams
-from repro.core.simulator import simulate
+from repro.core.simulator import Simulator, simulate
 from repro.trace.champsim import (
     CHAMPSIM_DECODER_VERSION,
     RECORD_BYTES,
@@ -37,6 +37,7 @@ from repro.trace.source import (
     trace_name_for_path,
     unregister_workload,
 )
+from repro.trace.workloads import make_trace
 from tests.conftest import tiny_spec
 
 GOLDEN = Path(__file__).parent / "data" / "golden.champsim.xz"
@@ -316,8 +317,13 @@ class TestGoldenFixture:
         assert result.cycles > 0
 
     def test_interp_and_typed_kernels_bit_identical(self):
-        interp = simulate(str(GOLDEN), fast().replace(kernel="interp"))
-        typed = simulate(str(GOLDEN), fast().replace(kernel="typed"))
+        params = fast()
+        n = params.warmup_instructions + params.sim_instructions
+        program, stream = make_trace(str(GOLDEN), n)
+        typed_sim = Simulator(params, program, stream)
+        typed = typed_sim.run("golden")
+        interp = Simulator(params, program, stream).run("golden", reference=True)
+        assert typed_sim.kernel_backend != "interp"
         assert typed.cycles == interp.cycles
         assert typed.instructions == interp.instructions
         assert typed.stats.as_dict() == interp.stats.as_dict()

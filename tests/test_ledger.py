@@ -26,6 +26,7 @@ from repro.common.ledger import (
     summarize_ledger,
 )
 from repro.common.params import SimParams
+from repro.core.typed import backend_name
 from repro.experiments.cache import MANIFEST_SCHEMA_VERSION, ResultCache, run_key
 from repro.experiments.runner import clear_cache, run_config, run_points
 
@@ -240,6 +241,7 @@ class TestManifests:
         assert m["workload"] == "spc_fp"
         assert m["ipc"] == result.ipc
         assert m["warmup_mode"] == "functional"  # sweep default resolution
+        assert m["kernel_backend"] == backend_name() and "kernel" not in m
         assert m["batched"] is False and m["unit_size"] == 1
         assert m["wall_seconds"] > 0
         assert "worker_pid" in m and "host" in m and "repro_version" in m
@@ -253,17 +255,17 @@ class TestManifests:
         m = ResultCache().get_manifest(key)
         assert m is not None and m["key"] == key
 
-    def test_batched_sweep_manifest_marks_unit(self, tmp_path, monkeypatch):
-        # Pin the interpreted kernel: under "auto" these typed-eligible
-        # points skip batching (the typed scalar path is preferred) and
-        # no batched manifests would be written.
-        monkeypatch.setenv("REPRO_KERNEL", "interp")
-        run_points(points(), jobs=1)
+    def test_batched_sweep_manifest_marks_unit(self):
+        # Prefetcher configs take the interpreted kernel, so they batch
+        # (typed-eligible points stay on the typed scalar path).
+        prefetched = [fast().replace(prefetcher=pf) for pf in ("djolt", "fnl_mma")]
+        run_points([(wl, p) for wl in WORKLOADS for p in prefetched], jobs=1)
         cache = ResultCache()
         batched = [m for m in cache.manifests() if m["batched"]]
-        # the two same-length spc_fp/srv_web pairs batch per workload
+        # the two same-length djolt/fnl_mma pairs batch per workload
         assert batched, "expected at least one lockstep-batched manifest"
         assert all(m["unit_size"] > 1 for m in batched)
+        assert all(m["kernel_backend"] == "interp" for m in batched)
 
     def test_clear_removes_manifests(self):
         run_config("spc_fp", fast())

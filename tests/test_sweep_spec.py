@@ -101,6 +101,8 @@ class TestParse:
             {"output": {"metrics": []}},
             {"exclude": [{"core.retire_width": 4}]},  # not a matrix axis
             {"include": [{"branch.btb_entries": 1024}]},  # incomplete
+            {"base": {"kernel": "interp"}},  # the backend is derived
+            {"matrix": {"kernel": ["typed", "interp"]}},
         ],
     )
     def test_malformed_specs_rejected(self, mutation):

@@ -19,6 +19,7 @@ from repro.common.telemetry import (
     _STATE_AWAIT_FILL,
 )
 from repro.core.simulator import simulate
+from repro.core.typed import backend_name
 from repro.frontend import ftq as ftq_mod
 from repro.trace.workloads import default_workloads
 
@@ -266,6 +267,8 @@ class TestCliObservability:
         assert payload["workload"] == "spc_fp"
         assert payload["cycles"] > 0
         assert "l1i_miss" in payload["counters"]
+        assert payload["modes"]["kernel_backend"] == backend_name()
+        assert "kernel" not in payload["modes"]
 
     def test_cache_info_reports_session_counters(self, capsys):
         from repro.cli import main

@@ -1,23 +1,26 @@
-"""Typed flat cycle kernel: resolution, eligibility, and bit-identity.
+"""Typed flat cycle kernel: eligibility, fallback, and bit-identity.
 
 The typed kernel (:mod:`repro.core.typedkern`) is a hand-flattened
 lowering of the schedule-composed interpreted loop for the
 uninstrumented feature set.  Its whole contract is *bit-identity*: a
-typed run must reproduce the interpreted run counter-for-counter, so
-these tests pin that claim across every registered prefetcher and
-direction predictor, through the idle-skip drain extension, and for
-both warmup modes -- plus the mode-resolution plumbing that records
+typed run must reproduce the interpreted reference run
+(``Simulator.run(reference=True)``) counter-for-counter, so these tests
+pin that claim across every registered prefetcher and direction
+predictor, through the idle-skip drain extension, and for both warmup
+modes -- plus the derived backend choice and the label that records
 which backend produced a number.
 """
 
+import logging
+
 import pytest
 
-from repro.common.params import KERNEL_MODES, SimParams
+import repro.core.simulator as simulator
+from repro.common.params import SimParams
 from repro.core.simulator import Simulator, simulate
 from repro.core.typed import (
     backend_name,
     kernel_backend_for_params,
-    resolve_kernel_mode,
     supported,
     typed_eligible,
 )
@@ -42,46 +45,23 @@ def identity(a, b):
 
 
 def run_pair(params, workload=WORKLOAD):
-    """(typed result, interp result, typed sim) on one shared trace."""
+    """(derived-backend result, reference result, derived sim) on one
+    shared trace."""
     n = params.warmup_instructions + params.sim_instructions
     program, stream = make_trace(workload, n)
-    typed_sim = Simulator(params.replace(kernel="typed"), program, stream)
+    typed_sim = Simulator(params, program, stream)
     typed = typed_sim.run(workload)
-    interp_sim = Simulator(params.replace(kernel="interp"), program, stream)
-    interp = interp_sim.run(workload)
+    interp_sim = Simulator(params, program, stream)
+    interp = interp_sim.run(workload, reference=True)
     assert interp_sim.kernel_backend == "interp"
     return typed, interp, typed_sim
 
 
 class TestResolution:
-    def test_explicit_modes_pass_through(self):
-        assert resolve_kernel_mode("typed") == "typed"
-        assert resolve_kernel_mode("interp") == "interp"
-
-    def test_auto_defaults_to_typed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel_mode("auto") == "typed"
-        monkeypatch.setenv("REPRO_KERNEL", "auto")
-        assert resolve_kernel_mode("auto") == "typed"
-
-    def test_auto_follows_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "interp")
-        assert resolve_kernel_mode("auto") == "interp"
-        monkeypatch.setenv("REPRO_KERNEL", "typed")
-        assert resolve_kernel_mode("auto") == "typed"
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="kernel mode"):
-            resolve_kernel_mode("jit")
-        monkeypatch.setenv("REPRO_KERNEL", "fastest")
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            resolve_kernel_mode("auto")
-
     def test_params_validate_kernel(self):
-        with pytest.raises(ValueError, match="kernel"):
+        # The backend is derived per run: SimParams has no field for it.
+        with pytest.raises(TypeError, match="kernel"):
             SimParams(kernel="jit")
-        for mode in KERNEL_MODES:
-            assert SimParams(kernel=mode).kernel == mode
 
     def test_backend_name_is_python_here(self):
         # The test container has no mypyc toolchain, so typedkern runs
@@ -95,20 +75,12 @@ class TestEligibility:
         assert typed_eligible(fast())
         assert typed_eligible(fast(prefetcher="perfect"))
 
-    def test_interp_mode_disables(self):
-        assert not typed_eligible(fast(kernel="interp"))
-
     def test_checker_disables(self):
         assert not typed_eligible(fast(check_invariants=True))
 
     @pytest.mark.parametrize("prefetcher", prefetcher_names())
     def test_dedicated_prefetcher_disables(self, prefetcher):
         assert not typed_eligible(fast(prefetcher=prefetcher))
-
-    def test_env_interp_disables_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "interp")
-        assert not typed_eligible(fast())
-        assert kernel_backend_for_params(fast()) == "interp"
 
     def test_backend_label_matches_eligibility(self):
         assert kernel_backend_for_params(fast()) == backend_name()
@@ -131,17 +103,27 @@ class TestTypedInterpIdentity:
         assert sim.kernel_backend == backend_name()
         identity(typed, interp)
 
-    def test_simulate_uses_typed_by_default(self):
-        # SimParams defaults kernel="auto" -> typed, so the public
-        # entry point exercises the typed backend without opt-in.
+    def test_simulate_uses_typed_by_default(self, monkeypatch):
+        # The backend is derived, so the public entry point exercises
+        # the typed backend without opt-in.
+        ran = []
+        real = simulator.typed_kernel
+
+        def spy(sim, *args):
+            ran.append(sim)
+            real(sim, *args)
+
+        monkeypatch.setattr(simulator, "typed_kernel", spy)
         result = simulate(WORKLOAD, fast())
-        identity(result, simulate(WORKLOAD, fast(kernel="interp")))
+        assert len(ran) == 1 and ran[0].kernel_backend == backend_name()
+        program, stream = make_trace(WORKLOAD, 2_500)
+        identity(result, Simulator(fast(), program, stream).run(WORKLOAD, reference=True))
 
     @pytest.mark.parametrize("prefetcher", ["none", "perfect", *prefetcher_names()])
     def test_every_prefetcher(self, prefetcher):
         # Dedicated prefetchers compose a feature into the schedule, so
-        # typed mode must *fall back* to interp (still bit-identical --
-        # trivially, but the backend label must say so).
+        # the derived backend *falls back* to interp (still bit-identical
+        # -- trivially, but the backend label must say so).
         typed, interp, sim = run_pair(fast(prefetcher=prefetcher))
         if prefetcher in ("none", "perfect"):
             assert sim.kernel_backend == backend_name()
@@ -201,13 +183,38 @@ class TestRunRecordsBackend:
     def test_interp_run_records_interp(self):
         n = 2_500
         program, stream = make_trace(WORKLOAD, n)
-        sim = Simulator(fast(kernel="interp"), program, stream)
-        sim.run(WORKLOAD)
+        sim = Simulator(fast(), program, stream)
+        sim.run(WORKLOAD, reference=True)
         assert sim.kernel_backend == "interp"
 
     def test_featured_run_falls_back(self):
         n = 2_500
         program, stream = make_trace(WORKLOAD, n)
-        sim = Simulator(fast(kernel="typed", check_invariants=True), program, stream)
+        sim = Simulator(fast(check_invariants=True), program, stream)
         sim.run(WORKLOAD)
         assert sim.kernel_backend == "interp"
+
+    def test_fallback_reason_logged(self, caplog, monkeypatch):
+        # configure() stops the repro logger propagating to the root,
+        # where caplog listens; let records through for this test.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        program, stream = make_trace(WORKLOAD, 2_500)
+        sim = Simulator(fast(prefetcher="djolt"), program, stream)
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            sim.run(WORKLOAD)
+        assert sim.kernel_backend == "interp"
+        [record] = [r for r in caplog.records if r.name == "repro.core.simulator"]
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert WORKLOAD in message and "djolt" in message
+        assert supported(sim)[1] in message
+
+    def test_typed_and_reference_runs_log_nothing(self, caplog, monkeypatch):
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        program, stream = make_trace(WORKLOAD, 2_500)
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            Simulator(fast(), program, stream).run(WORKLOAD)
+            Simulator(fast(prefetcher="djolt"), program, stream).run(
+                WORKLOAD, reference=True
+            )
+        assert not [r for r in caplog.records if r.name == "repro.core.simulator"]
