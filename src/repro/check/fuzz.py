@@ -334,11 +334,12 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
     # Property 8 (ordering: needs `plain` from property 2): when the
     # plain run took the typed flat kernel, a re-run on the interpreted
     # reference kernel must be bit-identical -- the typed backend is an
-    # optimisation, never a semantic change.  (When the trial draws a
-    # real prefetcher the plain run is already interpreted and this
-    # property is vacuous; the checked-vs-unchecked comparison above
-    # still crosses backends on typed-eligible trials, so both
-    # directions stay covered.)
+    # optimisation, never a semantic change.  Every plain trial takes
+    # the typed kernel, dedicated prefetchers included, and under a
+    # prefetcher the reference kernel runs without an idle skip, so
+    # this also pins the typed skip's empty-queue guard and its drain
+    # stop.  (The checked-vs-unchecked comparison above crosses
+    # backends too.)
     if plain_sim.kernel_backend != "interp":
         interp = Simulator(
             trial.params.replace(check_invariants=False), program, stream

@@ -1211,13 +1211,13 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     """
     from repro.core import typedkern
     from repro.core.schedule import FEATURES, kernel_source
-    from repro.core.typed import backend_name
+    from repro.core.typed import INTERP_ONLY_FEATURES, backend_name
 
     print(f"typed backend:    {backend_name()}")
     print(f"typedkern module: {typedkern.__file__}")
     print(
-        f"a run uses:       {backend_name()} when no feature is active; "
-        f"interp under {', '.join(FEATURES)}"
+        f"a run uses:       {backend_name()} unless an observer is active; "
+        f"interp under {', '.join(sorted(INTERP_ONLY_FEATURES))}"
     )
     if args.dump:
         features = frozenset(

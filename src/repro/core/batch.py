@@ -32,10 +32,13 @@ because every instance steps its own specialized kernel.
 Batching always drives the *interpreted* stepping kernels: the flat
 typed kernel (:mod:`repro.core.typed`) has no stepping form, and the
 sweep runner prefers the typed scalar path for typed-eligible points
-anyway (``_plan_batches``), so batches are formed only from points the
-typed backend would not take.  A
-batched run therefore leaves each instance's ``kernel_backend`` at
-``interp``, and stays bit-identical to scalar runs of either backend.
+(``_plan_batches``).  Every config without the invariant checker is
+typed-eligible, dedicated prefetchers included, and checked configs
+are not batchable, so sweeps form no batches: lockstep batching
+runs only when called directly (``simulate_batch``, ``repro check
+--batched``, ``repro bench --batched``).  A batched run leaves each
+instance's ``kernel_backend`` at ``interp``, and stays bit-identical
+to scalar runs of either backend.
 """
 
 from __future__ import annotations

@@ -228,7 +228,11 @@ CYCLE_SCHEDULE: tuple[SchedulePoint, ...] = (
     # to see every cycle (telemetry ticks, the invariant checker, a
     # prefetcher that may act on any cycle) suppresses it, which is
     # also what lets the fuzzer's bit-identity properties pin the
-    # skipped path against the cycle-by-cycle one.
+    # skipped path against the cycle-by-cycle one.  Under a prefetcher
+    # this interpreted kernel stays cycle-by-cycle as the reference;
+    # its typed twin (repro.core.typedkern) instead skips only while
+    # the prefetch queue is empty, and stops its drain at the first
+    # cycle whose commits enqueue a prefetch.
     _hook(
         "idle_skip",
         excludes=("telemetry", "checker", "prefetcher", "profile"),

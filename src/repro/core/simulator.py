@@ -75,9 +75,11 @@ class Simulator:
         ``profile`` kernel feature (per-stage self-time accumulation)."""
         self.kernel_backend = "interp"
         """Which cycle-loop backend the last :meth:`run` selected:
-        ``typed-compiled`` / ``typed-python`` / ``interp``.  Stays
-        ``interp`` until a run decides otherwise (the batched lockstep
-        driver always steps the interpreted kernels)."""
+        ``typed-compiled`` / ``typed-python`` / ``interp``.  A run takes
+        ``interp`` only under an observer (telemetry, checker, profiler)
+        or as the ``reference=True`` run; the value stays ``interp``
+        until a run decides otherwise (the batched lockstep driver
+        always steps the interpreted kernels)."""
         SimBuilder(params, program, stream).wire(self, telemetry)
         if profiler is not None:
             profiler.bind_to(self)

@@ -8,11 +8,12 @@ The simulator has two cycle-loop backends:
     :data:`~repro.core.schedule.CYCLE_SCHEDULE` for any feature set.
 
 ``typed``
-    The hand-lowered flat kernel (:mod:`repro.core.typedkern`) for the
-    *uninstrumented* feature set only.  It is bit-identical to the
-    interpreted kernel by contract (pinned by ``tests/test_typed.py``
-    and the ``typed_interp_identity`` fuzz property) and exists purely
-    for speed.  When the optional mypyc toolchain has compiled
+    The hand-lowered flat kernel (:mod:`repro.core.typedkern`) for every
+    run without an observer (:data:`INTERP_ONLY_FEATURES`); dedicated
+    prefetchers included.  It is bit-identical to the interpreted
+    kernel by contract (pinned by ``tests/test_typed.py`` and the
+    ``typed_interp_identity`` fuzz property) and exists purely for
+    speed.  When the optional mypyc toolchain has compiled
     ``typedkern`` into an extension module the backend reports
     ``typed-compiled``; otherwise the pure-Python module runs as-is and
     reports ``typed-python``.
@@ -31,10 +32,10 @@ compares against, reached through ``Simulator.run(reference=True)``.
 from __future__ import annotations
 
 from repro.common.params import SimParams
-from repro.core.build import builds_prefetcher
 from repro.core.typedkern import typed_kernel
 
 __all__ = [
+    "INTERP_ONLY_FEATURES",
     "backend_name",
     "kernel_backend_for_params",
     "supported",
@@ -43,18 +44,18 @@ __all__ = [
 ]
 
 
-def supported(sim) -> tuple[bool, str]:
-    """Can ``sim`` run on the typed kernel?  Returns ``(ok, reason)``.
+INTERP_ONLY_FEATURES = frozenset({"telemetry", "checker", "profile"})
+"""Schedule features the typed kernel does not lower: the observers,
+which want to see every cycle of the loop they observe.  A run with any
+of them active takes the interpreted kernel."""
 
-    The typed kernel lowers only the uninstrumented schedule: any
-    active feature (telemetry, checker, dedicated prefetcher,
-    profiler) composes extra hook points into the loop, so those runs
-    use the interpreted kernel.
-    """
-    features = sim.active_features()
-    if features:
+
+def supported(sim) -> tuple[bool, str]:
+    """Can ``sim`` run on the typed kernel?  Returns ``(ok, reason)``."""
+    observers = sim.active_features() & INTERP_ONLY_FEATURES
+    if observers:
         return False, (
-            f"active features {sorted(features)} require the interpreted kernel"
+            f"active features {sorted(observers)} require the interpreted kernel"
         )
     return True, ""
 
@@ -72,14 +73,13 @@ def typed_eligible(params: SimParams) -> bool:
     """Would a scalar run of ``params`` (no telemetry/profiler attached)
     take the typed kernel?
 
-    Mirrors :func:`supported` from params alone: the checker feature
-    comes from ``check_invariants`` and the prefetcher feature from any
-    prefetcher name that builds a component
-    (:func:`repro.core.build.builds_prefetcher`).  The sweep runner uses
-    this to prefer the typed scalar path over interpreted lockstep
-    batching, and the cache layer to derive the recorded backend.
+    Mirrors :func:`supported` from params alone: the only observer
+    params can switch on is the checker (``check_invariants``).  The
+    sweep runner uses this to prefer the typed scalar path over
+    interpreted lockstep batching, and the cache layer to derive the
+    recorded backend.
     """
-    return not params.check_invariants and not builds_prefetcher(params.prefetcher)
+    return not params.check_invariants
 
 
 def kernel_backend_for_params(params: SimParams) -> str:

@@ -1,13 +1,24 @@
 """Flattened typed cycle kernel (the ``typed`` backend's loop body).
 
 This module is the hand-lowered counterpart of the schedule-generated
-interpreted kernel for the *uninstrumented* feature set (no telemetry,
-no checker, no dedicated prefetcher, no profiler): one flat function
-whose body inlines the five hot stage bodies -- ``memory_fill``,
-``backend_retire``, ``fetch``, ``predict``, ``probe`` -- plus the
-``measure_boundary``, ``idle_skip`` (including the fetch-bandwidth
-drain extension) and ``livelock_guard`` hooks, operating on ints and
-pre-bound component internals instead of per-cycle method dispatch.
+interpreted kernel for every non-observer feature set (no telemetry,
+no checker, no profiler; a dedicated prefetcher is fine): one flat
+function whose body inlines the five hot stage bodies --
+``memory_fill``, ``backend_retire``, ``fetch``, ``predict``, ``probe``
+-- plus the ``prefetch`` stage's hook points, the ``measure_boundary``,
+``idle_skip`` (including the fetch-bandwidth drain extension) and
+``livelock_guard`` hooks, operating on ints and pre-bound component
+internals instead of per-cycle method dispatch.
+
+A dedicated prefetcher is lowered as its three hook points only: the
+``on_fill`` / ``on_access`` calls of ``FetchUnit.complete_fills`` /
+``FetchUnit.probe_stage``, and the issue stage ``Prefetcher.cycle``,
+called only while its queue holds a request (it is a no-op otherwise).
+Under a prefetcher the interpreted kernel has no idle skip, so the
+typed skip must match plain stepping: it fires only while the queue is
+empty, and its retire-only drain stops at the first cycle whose
+committed branches enqueue a prefetch (``djolt``, ``rdip`` and
+``profile_guided`` train on commit).
 
 **Bit identity is the contract.**  Every statement here replicates the
 exact semantics (including stat-bump names and ordering-visible side
@@ -26,7 +37,8 @@ is never duplicated: ``trainer.advance`` (commit training),
 ``sim._on_flush`` (pipeline flush), ``fetch._predecode_checks`` (PFC),
 ``memory._fill_latency`` (L2/DRAM fill path), ``l1i.fill``,
 ``btb.scan_block``, ``direction.predict``, ``ittage.predict``,
-``loop.predict``, ``compute_fault`` and ``sim._begin_measurement``.
+``loop.predict``, ``compute_fault``, ``sim._begin_measurement`` and
+the prefetcher's ``on_fill`` / ``on_access`` / ``cycle``.
 
 The module is written to be **mypyc-compilable**: plain functions,
 plain annotations, no dynamic class magic.  When a toolchain is
@@ -41,6 +53,7 @@ construction and stat-bump call overhead are gone.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import deque
 
 from repro.branch.history import TARGET_SHIFT
 from repro.core.backend import _Chunk
@@ -65,7 +78,7 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
     """Run ``sim`` until ``target`` instructions commit.
 
     Drop-in replacement for the schedule-built ``_kernel(sim, target,
-    warmup, guard)`` when ``sim.active_features()`` is empty; see
+    warmup, guard)`` when no observer feature is active; see
     :func:`repro.core.typed.supported`.
     """
     # ------------------------------------------------------------------
@@ -150,6 +163,14 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
     stream = sim.stream
     program = sim.program
 
+    # Dedicated prefetcher hook points (all None / an empty queue when
+    # the config builds no prefetcher component).
+    prefetcher = sim.prefetcher
+    pf_on_fill = prefetcher.on_fill if prefetcher is not None else None
+    pf_on_access = prefetcher.on_access if prefetcher is not None else None
+    pf_cycle = prefetcher.cycle if prefetcher is not None else None
+    pf_queue = prefetcher._queue if prefetcher is not None else deque()
+
     new_entry = FTQEntry.__new__
 
     # All components share one StatSet; bind its counter dict directly
@@ -177,13 +198,16 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                     if m.is_prefetch:
                         counters["prefetch_fill"] += 1
                         prefetched_untouched.add(line)
-                # FetchUnit.complete_fills: wake waiting FTQ entries.
+                # FetchUnit.complete_fills: wake waiting FTQ entries,
+                # then tell the prefetcher about the fill.
                 for m in fills:
                     for waiter in m.waiters:
                         if waiter.state == 2:  # STATE_AWAIT_FILL
                             waiter.state = 3  # STATE_READY
                             waiter.way = 0
                             waiter.ready_cycle = cycle
+                    if pf_on_fill is not None:
+                        pf_on_fill(m.line, cycle, m.is_prefetch)
 
         # ---- stage: backend_retire (Backend.cycle inlined) -----------
         if dq.total_instrs < retire_width:
@@ -494,6 +518,9 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                             set_idx = set_shift % l1i_n_sets
                         ways = l1i_sets[set_idx]
                         way = -1
+                        # What the prefetcher's on_access sees: a miss
+                        # event once per miss transaction.
+                        access_hit = True
                         if ways:
                             if ways[0] == line:  # MRU fast path
                                 way = 0
@@ -527,11 +554,13 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                                 entry.way = 0
                                 entry.ready_cycle = cycle + tlb_lat + 1
                             else:
+                                access_hit = False
                                 inflight = by_line.get(line)
                                 if inflight is not None:
                                     # Secondary miss: merge into the
                                     # outstanding fill (MSHR allocate).
                                     primary = inflight.is_prefetch
+                                    access_hit = not primary
                                     if primary:
                                         counters["prefetch_late"] += 1
                                         counters["l1i_miss"] += 1
@@ -564,15 +593,22 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                                     entry.state = 2  # STATE_AWAIT_FILL
                                     entry.missed = True
                                     entry.miss_issued_at_head = idx == 0
+                        if pf_on_access is not None:
+                            pf_on_access(line, access_hit, cycle)
                 idx += 1
+
+        # ---- stage: prefetch (Prefetcher.cycle: drains the queue) ----
+        if pf_queue:
+            pf_cycle(cycle)
 
         # ---- hook: idle_skip + fetch-bandwidth drain -----------------
         # Mirrors the schedule's idle_skip hook exactly (see
         # repro.core.schedule), including the drain extension: when the
         # earliest wake event is known and the decode queue still holds
         # fault-free chunks, the retire-only cycles in between are
-        # compressed (Simulator._drain_to inlined).
-        if committed < target:
+        # compressed (Simulator._drain_to inlined).  A queued prefetch
+        # issues next cycle, so the skip waits for an empty queue.
+        if committed < target and not pf_queue:
             head_entry = entries[0] if entries else None
             wake = 0
             if head_entry is None:
@@ -653,6 +689,12 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                                 and dq.total_instrs < fetch_width
                             ):
                                 head_entry.starved_while_head = True
+                            if pf_queue:
+                                # A committed branch enqueued a prefetch:
+                                # issue it this cycle, as the prefetch
+                                # stage would, and go back to stepping.
+                                pf_cycle(c)
+                                break
                             if committed >= target:
                                 break
                             if not chunks:

@@ -425,7 +425,9 @@ def _plan_batches(
     Typed-kernel-eligible points (:func:`repro.core.typed.typed_eligible`)
     also stay scalar: lockstep batching interleaves the interpreted
     stepping kernels, and the typed scalar path is faster than the
-    batching win, so batching them would be a de-optimisation.
+    batching win, so batching them would be a de-optimisation.  Every
+    point without the invariant checker is typed-eligible, and checked
+    points are not batchable, so sweeps get no batches from this.
     """
     if not batching_enabled():
         return [], list(pending)

@@ -14,6 +14,7 @@ from repro.common.params import SimParams
 from repro.common.telemetry import Telemetry, TelemetryConfig
 from repro.core.batch import batchable, run_batch, simulate_batch
 from repro.core.simulator import Simulator, simulate
+from repro.experiments import runner
 from repro.experiments.runner import (
     _plan_batches,
     batch_width,
@@ -145,8 +146,9 @@ class TestRunnerBatching:
     def test_plan_batches_groups_by_workload_and_length(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH", "1")
         monkeypatch.setenv("REPRO_BATCH_WIDTH", "2")
-        # Prefetcher configs, as real sweeps batch them: typed-eligible
-        # points would all be kept scalar (see the next test).
+        # Every unchecked point is typed-eligible and kept scalar (see
+        # the next test); pretend none is, to reach the grouping.
+        monkeypatch.setattr(runner, "typed_eligible", lambda params: False)
         djolt = fast(prefetcher="djolt")
         pending = {
             "a1": ("srv_web", djolt),
@@ -165,19 +167,19 @@ class TestRunnerBatching:
 
     def test_plan_batches_prefers_typed_scalar(self, monkeypatch):
         # Typed-eligible points skip batching entirely: the typed scalar
-        # path is faster than the batched interpreted path.
-        # Non-eligible points still batch.
+        # path is faster than the batched interpreted path.  Dedicated
+        # prefetchers run on the typed kernel too, so no point batches.
         monkeypatch.setenv("REPRO_BATCH", "1")
         monkeypatch.setenv("REPRO_BATCH_WIDTH", "2")
         pending = {
             "t1": ("srv_web", fast()),
             "t2": ("srv_web", fast().with_frontend(ftq_entries=4)),
-            "p1": ("srv_web", fast(prefetcher="djolt")),
-            "p2": ("srv_web", fast(prefetcher="fnl_mma")),
         }
+        for name in prefetcher_names():
+            pending[name] = ("srv_web", fast(prefetcher=name))
         batches, singles = _plan_batches(pending)
-        assert batches == [["p1", "p2"]]
-        assert sorted(singles) == ["t1", "t2"]
+        assert batches == []
+        assert sorted(singles) == sorted(pending)
 
     def test_plan_batches_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH", "0")

@@ -256,16 +256,15 @@ class TestManifests:
         assert m is not None and m["key"] == key
 
     def test_batched_sweep_manifest_marks_unit(self):
-        # Prefetcher configs take the interpreted kernel, so they batch
-        # (typed-eligible points stay on the typed scalar path).
+        # Prefetcher configs take the typed kernel, so a prefetcher
+        # sweep runs one scalar unit per point and never batches.
         prefetched = [fast().replace(prefetcher=pf) for pf in ("djolt", "fnl_mma")]
         run_points([(wl, p) for wl in WORKLOADS for p in prefetched], jobs=1)
-        cache = ResultCache()
-        batched = [m for m in cache.manifests() if m["batched"]]
-        # the two same-length djolt/fnl_mma pairs batch per workload
-        assert batched, "expected at least one lockstep-batched manifest"
-        assert all(m["unit_size"] > 1 for m in batched)
-        assert all(m["kernel_backend"] == "interp" for m in batched)
+        manifests = ResultCache().manifests()
+        assert len(manifests) == len(WORKLOADS) * len(prefetched)
+        assert all(m["batched"] is False for m in manifests)
+        assert all(m["unit_size"] == 1 for m in manifests)
+        assert all(m["kernel_backend"] == backend_name() for m in manifests)
 
     def test_clear_removes_manifests(self):
         run_config("spc_fp", fast())

@@ -1,14 +1,15 @@
 """Typed flat cycle kernel: eligibility, fallback, and bit-identity.
 
 The typed kernel (:mod:`repro.core.typedkern`) is a hand-flattened
-lowering of the schedule-composed interpreted loop for the
-uninstrumented feature set.  Its whole contract is *bit-identity*: a
-typed run must reproduce the interpreted reference run
-(``Simulator.run(reference=True)``) counter-for-counter, so these tests
-pin that claim across every registered prefetcher and direction
-predictor, through the idle-skip drain extension, and for both warmup
-modes -- plus the derived backend choice and the label that records
-which backend produced a number.
+lowering of the schedule-composed interpreted loop for every run
+without an observer, dedicated prefetchers included.  Its whole
+contract is *bit-identity*: a typed run must reproduce the interpreted
+reference run (``Simulator.run(reference=True)``) counter-for-counter,
+so these tests pin that claim across every registered prefetcher and
+direction predictor, through the idle-skip drain extension (including
+its stop for prefetchers that train on committed branches), and for
+both warmup modes -- plus the derived backend choice and the label
+that records which backend produced a number.
 """
 
 import logging
@@ -17,6 +18,7 @@ import pytest
 
 import repro.core.simulator as simulator
 from repro.common.params import SimParams
+from repro.cli import main
 from repro.core.simulator import Simulator, simulate
 from repro.core.typed import (
     backend_name,
@@ -24,6 +26,7 @@ from repro.core.typed import (
     supported,
     typed_eligible,
 )
+from repro.experiments.configs import QUICK_WORKLOADS
 from repro.prefetch import prefetcher_names
 from repro.trace.workloads import make_trace
 
@@ -80,10 +83,13 @@ class TestEligibility:
 
     @pytest.mark.parametrize("prefetcher", prefetcher_names())
     def test_dedicated_prefetcher_disables(self, prefetcher):
-        assert not typed_eligible(fast(prefetcher=prefetcher))
+        # It does not: the typed kernel lowers the prefetcher's hook
+        # points, so only observers force the interpreted kernel.
+        assert typed_eligible(fast(prefetcher=prefetcher))
 
     def test_backend_label_matches_eligibility(self):
         assert kernel_backend_for_params(fast()) == backend_name()
+        assert kernel_backend_for_params(fast(prefetcher="djolt")) == backend_name()
         assert kernel_backend_for_params(fast(check_invariants=True)) == "interp"
 
     def test_supported_mirrors_features(self):
@@ -92,9 +98,20 @@ class TestEligibility:
         plain = Simulator(fast(), program, stream)
         ok, reason = supported(plain)
         assert ok and reason == ""
+        prefetched = Simulator(fast(prefetcher="eip128"), program, stream)
+        assert "prefetcher" in prefetched.active_features()
+        assert supported(prefetched) == (True, "")
         checked = Simulator(fast(check_invariants=True), program, stream)
         ok, reason = supported(checked)
         assert not ok and "interpreted" in reason
+
+    def test_kernel_command_names_the_observers(self, capsys):
+        assert main(["kernel"]) == 0
+        [rule] = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("a run uses:")
+        ]
+        assert rule.endswith("interp under checker, profile, telemetry")
 
 
 class TestTypedInterpIdentity:
@@ -121,14 +138,11 @@ class TestTypedInterpIdentity:
 
     @pytest.mark.parametrize("prefetcher", ["none", "perfect", *prefetcher_names()])
     def test_every_prefetcher(self, prefetcher):
-        # Dedicated prefetchers compose a feature into the schedule, so
-        # the derived backend *falls back* to interp (still bit-identical
-        # -- trivially, but the backend label must say so).
+        # Under a dedicated prefetcher the reference kernel steps every
+        # cycle, so this also pins the typed idle skip's guard: it may
+        # skip only while the prefetch queue is empty.
         typed, interp, sim = run_pair(fast(prefetcher=prefetcher))
-        if prefetcher in ("none", "perfect"):
-            assert sim.kernel_backend == backend_name()
-        else:
-            assert sim.kernel_backend == "interp"
+        assert sim.kernel_backend == backend_name()
         identity(typed, interp)
 
     @pytest.mark.parametrize("direction", ["tage", "gshare", "perceptron", "perfect"])
@@ -156,18 +170,25 @@ class TestTypedInterpIdentity:
         typed, interp, _ = run_pair(fast().with_frontend(wrong_path_fills=False))
         identity(typed, interp)
 
-    def test_idle_skip_drain_stretch(self):
+    @pytest.mark.parametrize("prefetcher", ["none", "djolt", "rdip", "profile_guided"])
+    @pytest.mark.parametrize("workload", QUICK_WORKLOADS)
+    def test_idle_skip_drain_stretch(self, workload, prefetcher):
         # A tiny FTQ with a large mispredict penalty and few MSHRs
         # produces long stalled stretches where the decode queue drains
         # while fetch is blocked -- the bandwidth-bound drain extension
         # (Simulator._drain_to and its typedkern twin) is the hot path
         # here, and starvation accounting must match cycle-for-cycle.
+        # djolt / rdip / profile_guided enqueue from committed branches,
+        # so the typed drain must also stop at the first cycle whose
+        # commits fill the prefetch queue (the reference kernel steps
+        # every cycle under a prefetcher).
         params = (
-            fast()
+            fast(prefetcher=prefetcher)
             .with_frontend(ftq_entries=2, decode_queue_size=32)
             .replace(core=fast().core.__class__(retire_width=8, mispredict_penalty=20))
         )
-        typed, interp, _ = run_pair(params)
+        typed, interp, sim = run_pair(params, workload)
+        assert sim.kernel_backend == backend_name()
         identity(typed, interp)
         assert typed.stats.get("starvation_cycles") > 0
 
@@ -199,14 +220,14 @@ class TestRunRecordsBackend:
         # where caplog listens; let records through for this test.
         monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
         program, stream = make_trace(WORKLOAD, 2_500)
-        sim = Simulator(fast(prefetcher="djolt"), program, stream)
+        sim = Simulator(fast(check_invariants=True), program, stream)
         with caplog.at_level(logging.DEBUG, logger="repro"):
             sim.run(WORKLOAD)
         assert sim.kernel_backend == "interp"
         [record] = [r for r in caplog.records if r.name == "repro.core.simulator"]
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
-        assert WORKLOAD in message and "djolt" in message
+        assert WORKLOAD in message and "checker" in message
         assert supported(sim)[1] in message
 
     def test_typed_and_reference_runs_log_nothing(self, caplog, monkeypatch):
@@ -214,6 +235,7 @@ class TestRunRecordsBackend:
         program, stream = make_trace(WORKLOAD, 2_500)
         with caplog.at_level(logging.DEBUG, logger="repro"):
             Simulator(fast(), program, stream).run(WORKLOAD)
+            Simulator(fast(prefetcher="djolt"), program, stream).run(WORKLOAD)
             Simulator(fast(prefetcher="djolt"), program, stream).run(
                 WORKLOAD, reference=True
             )
