@@ -124,7 +124,14 @@ class BTB:
     def contains(self, addr: int) -> bool:
         """Presence probe with no LRU update and no stats (commit-side
         detection checks use this so they don't perturb replacement)."""
-        return any(e.addr == addr for e in self._sets[self._set_index(addr)])
+        if self._set_mask >= 0:
+            ways = self._sets[(addr >> 4) & self._set_mask]
+        else:
+            ways = self._sets[(addr // _CHUNK_BYTES) % self.n_sets]
+        for entry in ways:
+            if entry.addr == addr:
+                return True
+        return False
 
     def was_l2_sourced(self, addr: int) -> bool:
         """Single-level BTB: every hit is first-level (see btb2l)."""

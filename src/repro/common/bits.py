@@ -41,13 +41,23 @@ def fold(value: int, out_bits: int) -> int:
     then mixed and truncated.  This stands in for the hardware's
     folded-history registers: a deterministic many-to-one hash whose
     aliasing behaviour is what branch-predictor indexing relies on.
+
+    Equal to ``mix64(v) >> (64 - out_bits)`` of the XOR-folded ``v``;
+    the finalizer is written out here because TAGE and ITTAGE index
+    hashing call this for every table.
     """
     if out_bits <= 0:
         return 0
     v = value
     while v > _MASK64:
         v = (v & _MASK64) ^ (v >> 64)
-    return mix64(v) >> (64 - out_bits)
+    v &= _MASK64
+    v ^= v >> 30
+    v = (v * _MIX_K1) & _MASK64
+    v ^= v >> 27
+    v = (v * _MIX_K2) & _MASK64
+    v ^= v >> 31
+    return v >> (64 - out_bits)
 
 
 def align_down(addr: int, size: int) -> int:

@@ -30,6 +30,13 @@ from repro.isa.instructions import BranchKind
 from repro.trace.fbmeta import stream_meta
 from repro.trace.oracle import OracleStream
 
+# Commit training dispatches on the branch kind once per committed
+# branch: identity and frozenset tests, not BranchKind property calls.
+_COND = BranchKind.COND_DIRECT
+_RETURN = BranchKind.RETURN
+_INDIRECT_KINDS = frozenset((BranchKind.INDIRECT, BranchKind.INDIRECT_CALL))
+_CALL_KINDS = frozenset((BranchKind.CALL_DIRECT, BranchKind.INDIRECT_CALL))
+
 
 @dataclass(slots=True)
 class _Chunk:
@@ -255,38 +262,40 @@ class CommitTrainer:
         self.committed = new_committed
 
     def _train(self, addr: int, kind: BranchKind, taken: bool, target: int) -> None:
-        stats = self.stats
-        stats.bump("committed_branches")
-        detected = self.btb.contains(addr)
+        counters = self.stats._counters
+        counters["committed_branches"] += 1
+        btb = self.btb
+        detected = btb.contains(addr)
         if not detected:
-            stats.bump("commit_btb_miss")
+            counters["commit_btb_miss"] += 1
 
-        if kind is BranchKind.COND_DIRECT:
-            stats.bump("committed_cond_branches")
+        if kind is _COND:
+            counters["committed_cond_branches"] += 1
             if self.train_direction and self.direction is not None:
                 self.direction.update(addr, self.arch_hist, taken)
             if self.loop is not None:
                 self.loop.train(addr, taken)
-        elif kind.is_indirect:
+        elif kind in _INDIRECT_KINDS:
             self.ittage.update(addr, self.arch_hist, target)
 
-        if kind.is_call:
+        if kind in _CALL_KINDS:
             self.arch_ras.push(addr + 4)
-        elif kind.is_return:
+        elif kind is _RETURN:
             self.arch_ras.pop()
 
-        if taken or self.mgr.allocates_all_branches:
+        mgr = self.mgr
+        if taken or mgr._alloc_all:
             stored_target = target if taken else self._static_target(kind, target)
-            self.btb.insert(addr, kind, stored_target)
+            btb.insert(addr, kind, stored_target)
             if self.btb_insert_hook is not None:
                 self.btb_insert_hook(addr, kind, stored_target, taken)
 
         if self.branch_listener is not None:
             self.branch_listener(addr, kind, taken, target)
 
-        self.arch_hist, fixup = self.mgr.commit_push(self.arch_hist, addr, taken, target, detected)
+        self.arch_hist, fixup = mgr.commit_push(self.arch_hist, addr, taken, target, detected)
         if fixup:
-            stats.bump("commit_history_fixups")
+            counters["commit_history_fixups"] += 1
 
     @staticmethod
     def _static_target(kind: BranchKind, target: int) -> int:

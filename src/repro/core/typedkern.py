@@ -10,15 +10,17 @@ function whose body inlines the five hot stage bodies --
 ``livelock_guard`` hooks, operating on ints and pre-bound component
 internals instead of per-cycle method dispatch.
 
-A dedicated prefetcher is lowered as its three hook points only: the
-``on_fill`` / ``on_access`` calls of ``FetchUnit.complete_fills`` /
-``FetchUnit.probe_stage``, and the issue stage ``Prefetcher.cycle``,
-called only while its queue holds a request (it is a no-op otherwise).
-Under a prefetcher the interpreted kernel has no idle skip, so the
-typed skip must match plain stepping: it fires only while the queue is
-empty, and its retire-only drain stops at the first cycle whose
-committed branches enqueue a prefetch (``djolt``, ``rdip`` and
-``profile_guided`` train on commit).
+A dedicated prefetcher's logic stays a call at its two event hooks,
+the ``on_fill`` / ``on_access`` calls of ``FetchUnit.complete_fills``
+/ ``FetchUnit.probe_stage``; its issue stage, ``Prefetcher.cycle``
+with ``InstructionMemory.prefetch_line``'s tag probe and MSHR
+allocation, is inlined (no registered prefetcher overrides ``cycle``,
+which ``tests/test_typed.py`` pins).  Under a prefetcher the
+interpreted kernel has no idle skip, so the typed skip must match plain
+stepping: it fires only while the queue is empty, and its retire-only
+drain stops at the first cycle whose committed branches enqueue a
+prefetch (``djolt``, ``rdip`` and ``profile_guided`` train on commit);
+that rare stop issues through a ``Prefetcher.cycle`` call.
 
 **Bit identity is the contract.**  Every statement here replicates the
 exact semantics (including stat-bump names and ordering-visible side
@@ -38,7 +40,7 @@ is never duplicated: ``trainer.advance`` (commit training),
 ``memory._fill_latency`` (L2/DRAM fill path), ``l1i.fill``,
 ``btb.scan_block``, ``direction.predict``, ``ittage.predict``,
 ``loop.predict``, ``compute_fault``, ``sim._begin_measurement`` and
-the prefetcher's ``on_fill`` / ``on_access`` / ``cycle``.
+the prefetcher's ``on_fill`` / ``on_access``.
 
 The module is written to be **mypyc-compilable**: plain functions,
 plain annotations, no dynamic class magic.  When a toolchain is
@@ -61,6 +63,7 @@ from repro.frontend.bpu import compute_fault
 from repro.frontend.ftq import FTQEntry
 from repro.isa.instructions import BranchKind
 from repro.memory.mshr import MSHREntry
+from repro.prefetch.base import MAX_ISSUE_PER_CYCLE
 
 _COND = BranchKind.COND_DIRECT
 _CALL_DIRECT = BranchKind.CALL_DIRECT
@@ -170,6 +173,7 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
     pf_on_access = prefetcher.on_access if prefetcher is not None else None
     pf_cycle = prefetcher.cycle if prefetcher is not None else None
     pf_queue = prefetcher._queue if prefetcher is not None else deque()
+    pf_queued = prefetcher._queued if prefetcher is not None else set()
 
     new_entry = FTQEntry.__new__
 
@@ -524,16 +528,10 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                         if ways:
                             if ways[0] == line:  # MRU fast path
                                 way = 0
-                            else:
-                                w = 1
-                                n_ways = len(ways)
-                                while w < n_ways:
-                                    if ways[w] == line:
-                                        way = w
-                                        del ways[w]
-                                        ways.insert(0, line)
-                                        break
-                                    w += 1
+                            elif line in ways:
+                                way = ways.index(line)
+                                del ways[way]
+                                ways.insert(0, line)
                         if way >= 0:
                             l1i.hits += 1
                             counters["l1i_hit"] += 1
@@ -597,9 +595,49 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                             pf_on_access(line, access_hit, cycle)
                 idx += 1
 
-        # ---- stage: prefetch (Prefetcher.cycle: drains the queue) ----
-        if pf_queue:
-            pf_cycle(cycle)
+        # ---- stage: prefetch (Prefetcher.cycle inlined) -------------
+        # Drain up to MAX_ISSUE_PER_CYCLE queued lines, each through
+        # InstructionMemory.prefetch_line inlined: a tag probe that
+        # counts no tag_probes (Cache.probe(count_tag_access=False)),
+        # then redundant / in-flight merge / MSHR reject / issue.
+        # Queue entries are line addresses (Prefetcher.enqueue masks).
+        issue = MAX_ISSUE_PER_CYCLE
+        while issue > 0 and pf_queue:
+            issue -= 1
+            line = pf_queue.popleft()
+            pf_queued.discard(line)
+            counters["l1i_tag_access"] += 1
+            counters["prefetch_probe"] += 1
+            set_shift = line >> l1i_line_shift
+            if l1i_set_mask >= 0:
+                set_idx = set_shift & l1i_set_mask
+            else:
+                set_idx = set_shift % l1i_n_sets
+            ways = l1i_sets[set_idx]
+            if line in ways:
+                if ways[0] != line:
+                    ways.remove(line)
+                    ways.insert(0, line)
+                l1i.hits += 1
+                counters["prefetch_redundant"] += 1
+            else:
+                l1i.misses += 1
+                if line in by_line:
+                    counters["prefetch_inflight_merge"] += 1
+                elif len(by_line) >= mshr_capacity:
+                    counters["prefetch_mshr_reject"] += 1
+                else:
+                    by_line[line] = MSHREntry(
+                        line=line,
+                        issue_cycle=cycle,
+                        ready_cycle=cycle + fill_latency(line),
+                        is_prefetch=True,
+                    )
+                    mshrs.allocations += 1
+                    occ = len(by_line)
+                    if occ > mshrs.peak_occupancy:
+                        mshrs.peak_occupancy = occ
+                    counters["prefetch_issued"] += 1
 
         # ---- hook: idle_skip + fetch-bandwidth drain -----------------
         # Mirrors the schedule's idle_skip hook exactly (see

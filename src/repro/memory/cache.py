@@ -25,6 +25,10 @@ class CacheAccess:
 
 _MISS = CacheAccess(hit=False, way=-1, victim=0)
 """Shared miss result: immutable, so one instance serves every miss."""
+_REFRESH = CacheAccess(hit=True, way=0, victim=0)
+"""Shared result of a fill that found its line resident."""
+_INSTALL = CacheAccess(hit=False, way=0, victim=0)
+"""Shared result of a fill into a set with a free way."""
 
 
 class Cache:
@@ -36,6 +40,12 @@ class Cache:
     ``probe`` sits on the per-cycle path (every FTQ entry's tag lookup
     plus every prefetcher probe), so the set index uses a mask when
     ``n_sets`` is a power of two and falls back to ``%`` otherwise.
+
+    Results are shared, never built per call: :class:`CacheAccess` is
+    frozen, so a hit returns the cache's own per-way object, a miss,
+    a refreshing fill and a fill into a free way return module
+    constants, and only a fill that evicts allocates (its victim
+    varies).
     """
 
     __slots__ = (
@@ -47,6 +57,7 @@ class Cache:
         "_line_mask",
         "_set_mask",
         "_sets",
+        "_hit_results",
         "tag_probes",
         "hits",
         "misses",
@@ -71,6 +82,7 @@ class Cache:
         self._set_mask = self.n_sets - 1 if self.n_sets & (self.n_sets - 1) == 0 else -1
         # Each set: list of line addresses, index 0 = MRU.
         self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
+        self._hit_results = tuple(CacheAccess(hit=True, way=w, victim=0) for w in range(assoc))
         self.tag_probes = 0
         self.hits = 0
         self.misses = 0
@@ -96,13 +108,13 @@ class Cache:
         if ways:
             if ways[0] == line:  # MRU fast path: the common streaming case
                 self.hits += 1
-                return CacheAccess(hit=True, way=0, victim=0)
-            for way, held in enumerate(ways):
-                if held == line:
-                    self.hits += 1
-                    ways.remove(line)
-                    ways.insert(0, line)
-                    return CacheAccess(hit=True, way=way, victim=0)
+                return self._hit_results[0]
+            if line in ways:
+                way = ways.index(line)
+                del ways[way]
+                ways.insert(0, line)
+                self.hits += 1
+                return self._hit_results[way]
         self.misses += 1
         return _MISS
 
@@ -116,16 +128,19 @@ class Cache:
 
         Filling a line already present just refreshes its LRU position.
         """
-        line = self.line_of(addr)
-        ways = self._sets[self._set_index(addr)]
+        line = addr & self._line_mask
+        idx = addr >> self._line_shift
+        ways = self._sets[idx & self._set_mask if self._set_mask >= 0 else idx % self.n_sets]
         if line in ways:
-            ways.remove(line)
+            if ways[0] != line:
+                ways.remove(line)
+                ways.insert(0, line)
+            return _REFRESH
+        if len(ways) < self.assoc:
             ways.insert(0, line)
-            return CacheAccess(hit=True, way=0, victim=0)
-        victim = 0
-        if len(ways) >= self.assoc:
-            victim = ways.pop()
-            self.evictions += 1
+            return _INSTALL
+        victim = ways.pop()
+        self.evictions += 1
         ways.insert(0, line)
         return CacheAccess(hit=False, way=0, victim=victim)
 

@@ -153,6 +153,11 @@ class InstructionMemory:
         Probes the tag array (counted -- this is the Fig 9 overhead),
         and issues a prefetch fill on a miss.  Returns True if a new
         fill was issued.
+
+        The typed cycle kernel (:mod:`repro.core.typedkern`) inlines
+        this method branch for branch as part of its lowered issue
+        stage; an edit here needs the same edit there (typed ==
+        reference identity tests catch a mismatch).
         """
         self.stats.bump("l1i_tag_access")
         self.stats.bump("prefetch_probe")
@@ -172,9 +177,6 @@ class InstructionMemory:
             ready_cycle=cycle + self._fill_latency(line),
             is_prefetch=True,
         )
-        if entry is None:
-            self.stats.bump("prefetch_mshr_reject")
-            return False
         self.stats.bump("prefetch_issued")
         if self.telemetry is not None:
             self.telemetry.event("prefetch_issue", line=line, latency=entry.ready_cycle - cycle)

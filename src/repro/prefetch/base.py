@@ -28,7 +28,14 @@ MAX_ISSUE_PER_CYCLE = 4
 
 
 class Prefetcher:
-    """Base class: subclasses override the ``on_*`` hooks."""
+    """Base class: subclasses override the ``on_*`` hooks.
+
+    The issue stage (:meth:`cycle`) is not a hook: the typed cycle
+    kernel (:mod:`repro.core.typedkern`) runs its own inlined copy of
+    it, so an override would diverge from the interpreted kernel.
+    Subclasses issue requests through :meth:`enqueue` from their
+    ``on_*`` hooks.
+    """
 
     name = "base"
 
@@ -46,6 +53,7 @@ class Prefetcher:
         self.program = program
         self.stats = stats
         self.line_bytes = params.memory.line_bytes
+        self._line_mask = ~(memory.l1i.line_bytes - 1)
         self._queue: deque[int] = deque()
         self._queued: set[int] = set()
         self.telemetry = None
@@ -70,13 +78,15 @@ class Prefetcher:
     # ------------------------------------------------------------------
     def enqueue(self, addr: int) -> None:
         """Queue a prefetch for the line holding ``addr``."""
-        line = self.memory.l1i.line_of(addr)
-        if line in self._queued:
+        line = addr & self._line_mask
+        queued = self._queued
+        if line in queued:
             return
-        self._queue.append(line)
-        self._queued.add(line)
-        if len(self._queue) > self.peak_queue:
-            self.peak_queue = len(self._queue)
+        queue = self._queue
+        queue.append(line)
+        queued.add(line)
+        if len(queue) > self.peak_queue:
+            self.peak_queue = len(queue)
         if self.telemetry is not None:
             self.telemetry.event("prefetch_enqueue", line=line, prefetcher=self.name)
 
@@ -92,7 +102,13 @@ class Prefetcher:
         self._queued.clear()
 
     def cycle(self, cycle: int) -> None:
-        """Drain up to :data:`MAX_ISSUE_PER_CYCLE` queued prefetches."""
+        """Drain up to :data:`MAX_ISSUE_PER_CYCLE` queued prefetches.
+
+        The interpreted kernel calls this every cycle; the typed kernel
+        inlines the same drain and
+        :meth:`~repro.memory.hierarchy.InstructionMemory.prefetch_line`,
+        so do not override it: customise the ``on_*`` hooks instead.
+        """
         budget = MAX_ISSUE_PER_CYCLE
         while budget > 0 and self._queue:
             line = self._queue.popleft()

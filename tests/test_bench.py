@@ -237,8 +237,18 @@ class TestBenchCli:
         out = tmp_path / "b.json"
         assert main(self._bench_args(out)) == 0
         capsys.readouterr()
-        # Compare against the run itself: every delta is exactly 0%.
-        rc = main(self._bench_args(tmp_path / "b2.json", "--baseline", str(out)))
+        # Two ~30 ms runs differ by host noise alone, which can exceed the
+        # 20% gate; a baseline 100x slower than the first run keeps this
+        # a test of the non-regressing path (the mirror of the 100x
+        # inflation in test_baseline_regression_fails).
+        slow = json.loads(out.read_text())
+        for row in slow["workloads"].values():
+            row["instructions_per_second"] *= 0.01
+        slow["aggregate"]["instructions_per_second"] *= 0.01
+        slow["aggregate"]["geomean_instructions_per_second"] *= 0.01
+        baseline = tmp_path / "slow_baseline.json"
+        baseline.write_text(json.dumps(slow))
+        rc = main(self._bench_args(tmp_path / "b2.json", "--baseline", str(baseline)))
         assert rc == 0
         text = capsys.readouterr().out
         assert "vs baseline" in text and "GEOMEAN" in text

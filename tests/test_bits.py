@@ -54,6 +54,15 @@ class TestFold:
         outs = {fold((1 << 200) + i, 10) for i in range(64)}
         assert len(outs) > 16
 
+    @given(st.integers(min_value=2**256, max_value=2**600), st.integers(min_value=1, max_value=64))
+    def test_equals_mix64_of_xor_fold(self, value, bits):
+        # fold writes the SplitMix64 finalizer out inline; it must stay
+        # mix64 of the value XOR-folded to 64 bits.
+        v = value
+        while v >= 2**64:
+            v = (v % 2**64) ^ (v >> 64)
+        assert fold(value, bits) == mix64(v) >> (64 - bits)
+
 
 class TestAlignment:
     def test_align_down(self):

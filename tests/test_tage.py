@@ -1,11 +1,13 @@
 """Tests for the TAGE direction predictor (repro.branch.tage)."""
 
 import itertools
+import random
 
 import pytest
 
 from repro.branch.history import HistoryManager
 from repro.branch.tage import TAGE, TageConfig
+from repro.common.bits import fold
 from repro.common.params import HistoryPolicy
 
 
@@ -112,3 +114,31 @@ class TestHistorySensitivity:
         for h in range(10_000):
             tage.predict(0x4000, h)
         assert len(tage._fold_cache) <= 8192
+
+
+class TestFoldMemo:
+    @staticmethod
+    def direct(tage, hist):
+        ib, tb = tage._idx_bits, tage._tag_bits
+        return [(fold(hist & m, ib), fold((hist & m) * 3, tb)) for m in tage._hist_masks]
+
+    def test_only_short_tables_memoise(self):
+        tage = TAGE(TageConfig.for_budget_kib(18))
+        assert tage.lengths == [4, 7, 13, 24, 43, 79, 143, 260]
+        memoised = [memo is not None for _, memo in tage._fold_plan]
+        assert memoised == [True, True, True] + [False] * 5
+
+    def test_folds_match_direct_formula_after_memos_fill(self):
+        tage = TAGE(TageConfig.for_budget_kib(18))
+        rng = random.Random(7)
+        # Histories sharing their low bits revisit the short tables'
+        # memos with new long-table bits, so memoised and freshly folded
+        # pairs mix in one result.
+        hists = [rng.getrandbits(260) for _ in range(300)]
+        hists += [(rng.getrandbits(250) << 10) | (h & 0x3FF) for h in hists]
+        for hist in hists:
+            assert tage._folds(hist) == self.direct(tage, hist)
+        assert all(memo for _, memo in tage._fold_plan[:3])
+        tage._fold_cache.clear()  # force the memo path, not the per-history cache
+        for hist in hists:
+            assert tage._folds(hist) == self.direct(tage, hist)

@@ -7,8 +7,9 @@ contract is *bit-identity*: a typed run must reproduce the interpreted
 reference run (``Simulator.run(reference=True)``) counter-for-counter,
 so these tests pin that claim across every registered prefetcher and
 direction predictor, through the idle-skip drain extension (including
-its stop for prefetchers that train on committed branches), and for
-both warmup modes -- plus the derived backend choice and the label
+its stop for prefetchers that train on committed branches), through
+every outcome of the inlined prefetch issue stage, and for both
+warmup modes -- plus the derived backend choice and the label
 that records which backend produced a number.
 """
 
@@ -27,7 +28,7 @@ from repro.core.typed import (
     typed_eligible,
 )
 from repro.experiments.configs import QUICK_WORKLOADS
-from repro.prefetch import prefetcher_names
+from repro.prefetch import Prefetcher, prefetcher_names
 from repro.trace.workloads import make_trace
 
 WORKLOAD = "srv_web"
@@ -45,6 +46,19 @@ def identity(a, b):
     assert a.instructions == b.instructions
     assert a.ipc == b.ipc
     assert a.stats.as_dict() == b.stats.as_dict()
+
+
+def component_counters(sim):
+    """The L1I's and MSHR file's own counters (not in the StatSet)."""
+    l1i, mshrs = sim.memory.l1i, sim.memory.mshrs
+    return {
+        "tag_probes": l1i.tag_probes,
+        "hits": l1i.hits,
+        "misses": l1i.misses,
+        "allocations": mshrs.allocations,
+        "merges": mshrs.merges,
+        "peak_occupancy": mshrs.peak_occupancy,
+    }
 
 
 def run_pair(params, workload=WORKLOAD):
@@ -198,6 +212,37 @@ class TestTypedInterpIdentity:
         )
         typed, interp, _ = run_pair(params)
         identity(typed, interp)
+
+    @pytest.mark.parametrize("prefetcher", ["nl1", "eip128", "fnl_mma"])
+    def test_small_mshr_pressure_issue_paths(self, prefetcher):
+        # The typed kernel inlines the prefetch issue stage
+        # (Prefetcher.cycle -> InstructionMemory.prefetch_line); two
+        # MSHRs and a 16 KiB L1I drive every one of its four outcomes,
+        # so a reordered or dropped branch breaks identity here.
+        params = fast(prefetcher=prefetcher).replace(
+            memory=fast().memory.__class__(mshr_entries=2, l1i_kib=16)
+        )
+        program, stream = make_trace(WORKLOAD, 2_500)
+        typed_sim = Simulator(params, program, stream)
+        typed = typed_sim.run(WORKLOAD)
+        ref_sim = Simulator(params, program, stream)
+        ref = ref_sim.run(WORKLOAD, reference=True)
+        assert typed_sim.kernel_backend == backend_name()
+        identity(typed, ref)
+        for outcome in ("redundant", "inflight_merge", "mshr_reject", "issued"):
+            assert typed.stats.get(f"prefetch_{outcome}") > 0, outcome
+        # The issue stage also updates component-level counters that a
+        # RunResult does not carry.
+        assert component_counters(typed_sim) == component_counters(ref_sim)
+
+    def test_no_prefetcher_overrides_issue_stage(self):
+        # The typed kernel inlines Prefetcher.cycle (it calls the method
+        # only at its drain's rare stop), so an override would make the
+        # two kernels diverge.
+        program, stream = make_trace(WORKLOAD, 2_500)
+        for name in prefetcher_names():
+            prefetcher = Simulator(fast(prefetcher=name), program, stream).prefetcher
+            assert type(prefetcher).cycle is Prefetcher.cycle, name
 
 
 class TestRunRecordsBackend:
