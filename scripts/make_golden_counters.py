@@ -23,12 +23,15 @@ import json
 import sys
 from pathlib import Path
 
-from repro.common.params import SimParams
+from repro.common.params import HistoryPolicy, SimParams
 from repro.core.simulator import simulate
 from repro.experiments.configs import QUICK_WORKLOADS
 
 WARMUP = 500
 SIM = 2_000
+HISTORY_WARMUP = 2_000
+HISTORY_SIM = 6_000
+"""Windows of the history-policy points (see :func:`golden_matrix`)."""
 
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "tests" / "data" / "golden_counters.json"
 
@@ -55,6 +58,19 @@ def golden_matrix() -> list[tuple[str, str, SimParams]]:
         ),
     }
     for name, params in variants.items():
+        points.append((f"srv_web/{name}", "srv_web", params))
+    # History policies other than THR, at longer windows: at the default
+    # ones every policy leaves the direction predictor's counters equal.
+    longer = base.replace(warmup_instructions=HISTORY_WARMUP, sim_instructions=HISTORY_SIM)
+    policies = {
+        "ideal": longer.with_frontend(history_policy=HistoryPolicy.IDEAL),
+        "ghr0": longer.with_frontend(history_policy=HistoryPolicy.GHR0),
+        "ghr3": longer.with_frontend(history_policy=HistoryPolicy.GHR3),
+        "ideal_tage9": longer.with_frontend(history_policy=HistoryPolicy.IDEAL).with_branch(
+            tage_storage_kib=9
+        ),
+    }
+    for name, params in policies.items():
         points.append((f"srv_web/{name}", "srv_web", params))
     return points
 

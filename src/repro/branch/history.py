@@ -138,5 +138,15 @@ class HistoryManager:
     def is_ideal(self) -> bool:
         return self._ideal
 
+    @property
+    def ignores_detection(self) -> bool:
+        """True when :meth:`commit_push` ignores ``detected`` (THR, Ideal).
+
+        The committed history is then a function of the trace alone, so
+        it can be replayed ahead of time
+        (:meth:`repro.trace.fbmeta.StreamMeta.arch_histories`).
+        """
+        return self._target_history or self._ideal
+
     def __repr__(self) -> str:
         return f"HistoryManager({self.policy.value}, bits={self.bits})"

@@ -5,6 +5,13 @@ table keyed by PC holding the last target, plus tagged tables indexed
 with increasing history lengths that capture correlated target
 sequences (e.g. round-robin dispatch).  The BTB supplies a fallback
 target when ITTAGE has nothing.
+
+Each lookup folds the history once for all tagged tables
+(:meth:`ITTAGE._folds`) and ``update`` reuses that fold for its
+re-prediction, provider walk and allocation.  Like TAGE, ITTAGE reads
+the folds of the stream's committed-path histories from bulk rows
+(:meth:`ITTAGE.use_arch_histories`) and folds only the other histories
+in software.
 """
 
 from __future__ import annotations
@@ -40,26 +47,49 @@ class ITTAGE:
         self._base: dict[int, int] = {}
         self._base_capacity = per_table
         self._tables: list[dict[int, _Entry]] = [dict() for _ in range(self.N_TAGGED)]
-        lengths = [max_history // 16, max_history // 4, max_history]
-        self._hist_masks = [(1 << length) - 1 for length in lengths]
+        self.lengths = [max_history // 16, max_history // 4, max_history]
+        self._hist_masks = [(1 << length) - 1 for length in self.lengths]
+        self._tag_bits = self.TAG_BITS
         self._tag_mask = (1 << self.TAG_BITS) - 1
+        self._arch_index: dict[int, int] = {}
+        self._arch_rows = None
         self.predictions = 0
         self.updates = 0
 
-    def _index_and_tag(self, table: int, pc: int, hist: int) -> tuple[int, int]:
-        masked = hist & self._hist_masks[table]
-        hfold = fold(masked, self._idx_bits)
-        tfold = fold(masked * 3, self.TAG_BITS)
+    def use_arch_histories(self, arch) -> None:
+        """Serve the folds of ``arch``'s histories from its bulk rows
+        (see :meth:`repro.branch.tage.TAGE.use_arch_histories`)."""
+        self._arch_index = arch.index
+        self._arch_rows = arch.fold_rows(self.lengths, self._idx_bits, self._tag_bits)
+
+    def _folds(self, hist: int) -> tuple[int, ...]:
+        """Per-table ``(index_fold, tag_fold)`` of the masked history,
+        flattened as in :meth:`repro.branch.tage.TAGE._folds`."""
+        row = self._arch_index.get(hist)
+        if row is not None:
+            return tuple(self._arch_rows[row].tolist())
+        idx_bits = self._idx_bits
+        tag_bits = self._tag_bits
+        folds: list[int] = []
+        for mask in self._hist_masks:
+            masked = hist & mask
+            folds += (fold(masked, idx_bits), fold(masked * 3, tag_bits))
+        return tuple(folds)
+
+    def _index_and_tag(self, table: int, pc: int, folds) -> tuple[int, int]:
         pc_mix = mix64(pc >> 2) ^ (table * 0x85EBCA6B)
-        idx = (hfold ^ pc_mix) & (self._table_size - 1)
-        tag = (tfold ^ (pc_mix >> 17)) & self._tag_mask
+        idx = (folds[2 * table] ^ pc_mix) & (self._table_size - 1)
+        tag = (folds[2 * table + 1] ^ (pc_mix >> 17)) & self._tag_mask
         return idx, tag
 
     def predict(self, pc: int, hist: int) -> int | None:
         """Return the predicted target, or None if nothing is known."""
         self.predictions += 1
+        return self._lookup(pc, self._folds(hist))
+
+    def _lookup(self, pc: int, folds) -> int | None:
         for table in range(self.N_TAGGED - 1, -1, -1):
-            idx, tag = self._index_and_tag(table, pc, hist)
+            idx, tag = self._index_and_tag(table, pc, folds)
             entry = self._tables[table].get(idx)
             if entry is not None and entry.tag == tag:
                 return entry.target
@@ -68,8 +98,8 @@ class ITTAGE:
     def update(self, pc: int, hist: int, target: int) -> None:
         """Train with the resolved indirect target."""
         self.updates += 1
-        predicted = self.predict(pc, hist)
-        self.predictions -= 1  # internal re-predict is not a real lookup
+        folds = self._folds(hist)
+        predicted = self._lookup(pc, folds)
         # Base table: always track the last target (bounded FIFO-ish).
         if pc not in self._base and len(self._base) >= self._base_capacity:
             self._base.pop(next(iter(self._base)))
@@ -78,7 +108,7 @@ class ITTAGE:
         # Find the provider and strengthen/correct it.
         provider_table = -1
         for table in range(self.N_TAGGED - 1, -1, -1):
-            idx, tag = self._index_and_tag(table, pc, hist)
+            idx, tag = self._index_and_tag(table, pc, folds)
             entry = self._tables[table].get(idx)
             if entry is not None and entry.tag == tag:
                 provider_table = table
@@ -94,11 +124,11 @@ class ITTAGE:
                 break
 
         if predicted != target and provider_table < self.N_TAGGED - 1:
-            self._allocate(pc, hist, target, provider_table + 1)
+            self._allocate(pc, folds, target, provider_table + 1)
 
-    def _allocate(self, pc: int, hist: int, target: int, start_table: int) -> None:
+    def _allocate(self, pc: int, folds, target: int, start_table: int) -> None:
         for table in range(start_table, self.N_TAGGED):
-            idx, tag = self._index_and_tag(table, pc, hist)
+            idx, tag = self._index_and_tag(table, pc, folds)
             entry = self._tables[table].get(idx)
             if entry is None or entry.useful == 0:
                 self._tables[table][idx] = _Entry(tag=tag, target=target, confidence=1, useful=0)

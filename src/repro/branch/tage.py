@@ -12,7 +12,18 @@ Simulation notes:
   cached per history value because between taken branches every slot
   shares the same history (paper footnote 1), so consecutive lookups
   hit the cache.
-* Below that cache, each table whose history fits in
+* A history missing from that cache is looked up next in the fold rows
+  of the stream's committed-path histories
+  (:class:`repro.trace.fbmeta.ArchHistories`, attached by
+  :meth:`TAGE.use_arch_histories`), folded in bulk once per trace.
+  Under THR and Ideal they hold every history commit training passes
+  in and every correct-path history the frontend predicts with; only
+  wrong-path histories, and the direction histories of GHR0-3, fold
+  here in software.
+* Folds are flat tuples, table ``t``'s ``(index, tag)`` pair at
+  ``[2t]`` and ``[2t + 1]``: one object per history, which the cyclic
+  GC stops tracking, so a full fold cache adds no GC work.
+* For the software folds, each table whose history fits in
   :data:`_MEMO_MAX_BITS` bits also memoises its ``(index, tag)`` fold
   pair by masked history.  A short table sees few distinct masked
   histories (at most ``2**length``, so the memo is bounded by
@@ -109,6 +120,8 @@ class TAGE:
         "_tick",
         "_fold_cache",
         "_fold_plan",
+        "_arch_index",
+        "_arch_rows",
         "_pc_mix_cache",
         "_table_salts",
         "predictions",
@@ -135,12 +148,14 @@ class TAGE:
         self._bimodal_mask = config.bimodal_entries - 1
         self._use_alt_on_na = 0  # in [-8, 7]
         self._tick = 0
-        self._fold_cache: dict[int, list[tuple[int, int]]] = {}
+        self._fold_cache: dict[int, tuple[int, ...]] = {}
         # Per table: (history mask, fold-pair memo, or None to fold directly).
         self._fold_plan: list[tuple[int, dict[int, tuple[int, int]] | None]] = [
             (mask, {} if length <= _MEMO_MAX_BITS else None)
             for mask, length in zip(self._hist_masks, self.lengths)
         ]
+        self._arch_index: dict[int, int] = {}
+        self._arch_rows = None
         self._pc_mix_cache: dict[int, list[int]] = {}
         self._table_salts = [(t * 0x9E3779B1) for t in range(n)]
         self.predictions = 0
@@ -150,27 +165,48 @@ class TAGE:
     # ------------------------------------------------------------------
     # Indexing
     # ------------------------------------------------------------------
-    def _folds(self, hist: int) -> list[tuple[int, int]]:
-        """Per-table (index_fold, tag_fold) of the masked history."""
+    def use_arch_histories(self, arch) -> None:
+        """Serve the folds of ``arch``'s histories from its bulk rows.
+
+        ``arch`` is the stream's
+        :class:`~repro.trace.fbmeta.ArchHistories`; the rows for this
+        geometry are folded on first use and shared by every TAGE of
+        the same geometry on the stream.
+        """
+        self._arch_index = arch.index
+        self._arch_rows = arch.fold_rows(self.lengths, self._idx_bits, self._tag_bits)
+
+    def _folds(self, hist: int) -> tuple[int, ...]:
+        """Per-table ``(index_fold, tag_fold)`` of the masked history,
+        flattened: table ``t``'s pair is at ``[2t]`` and ``[2t + 1]``."""
         cached = self._fold_cache.get(hist)
         if cached is not None:
             return cached
-        idx_bits = self._idx_bits
-        tag_bits = self._tag_bits
-        folds = []
-        for mask, memo in self._fold_plan:
-            masked = hist & mask
-            if memo is None:
-                folds.append((fold(masked, idx_bits), fold(masked * 3, tag_bits)))
-                continue
-            pair = memo.get(masked)
-            if pair is None:
-                pair = memo[masked] = (fold(masked, idx_bits), fold(masked * 3, tag_bits))
-            folds.append(pair)
+        row = self._arch_index.get(hist)
+        if row is not None:
+            folds = tuple(self._arch_rows[row].tolist())
+        else:
+            folds = self._scalar_folds(hist)
         if len(self._fold_cache) >= 8192:
             self._fold_cache.clear()
         self._fold_cache[hist] = folds
         return folds
+
+    def _scalar_folds(self, hist: int) -> tuple[int, ...]:
+        """:meth:`_folds` by :func:`~repro.common.bits.fold`, table by table."""
+        idx_bits = self._idx_bits
+        tag_bits = self._tag_bits
+        folds: list[int] = []
+        for mask, memo in self._fold_plan:
+            masked = hist & mask
+            if memo is None:
+                folds += (fold(masked, idx_bits), fold(masked * 3, tag_bits))
+                continue
+            pair = memo.get(masked)
+            if pair is None:
+                pair = memo[masked] = (fold(masked, idx_bits), fold(masked * 3, tag_bits))
+            folds += pair
+        return tuple(folds)
 
     def _pc_mixes(self, pc: int) -> list[int]:
         """Per-table PC hash; the branch PC working set is small, so
@@ -185,10 +221,9 @@ class TAGE:
         return mixes
 
     def _index_and_tag(self, table: int, pc: int, folds) -> tuple[int, int]:
-        hfold, tfold = folds[table]
         pc_mix = self._pc_mixes(pc)[table]
-        idx = (hfold ^ pc_mix) & self._idx_mask
-        tag = (tfold ^ (pc_mix >> 13)) & self._tag_mask
+        idx = (folds[2 * table] ^ pc_mix) & self._idx_mask
+        tag = (folds[2 * table + 1] ^ (pc_mix >> 13)) & self._tag_mask
         return idx, tag
 
     def _bimodal_index(self, pc: int) -> int:
@@ -214,10 +249,9 @@ class TAGE:
         alt = -1
         alt_idx = -1
         for table in range(self.config.n_tables - 1, -1, -1):
-            hfold, tfold = folds[table]
             pc_mix = mixes[table]
-            idx = (hfold ^ pc_mix) & idx_mask
-            if tags[table][idx] == (tfold ^ (pc_mix >> 13)) & tag_mask:
+            idx = (folds[2 * table] ^ pc_mix) & idx_mask
+            if tags[table][idx] == (folds[2 * table + 1] ^ (pc_mix >> 13)) & tag_mask:
                 if provider < 0:
                     provider, provider_idx = table, idx
                 else:

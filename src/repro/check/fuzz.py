@@ -35,6 +35,12 @@ simulator under the full correctness harness:
   (:mod:`repro.check.sweepdiff`) expands deterministically, survives a
   ``to_dict``/``parse_spec`` round trip, and shard-partitions with no
   lost, duplicated or skewed points (checked first: simulation-free).
+* **bulk folds == scalar folds** -- for every history policy, a
+  simulator built on the trial's stream gets bulk fold rows
+  (:meth:`repro.trace.fbmeta.StreamMeta.arch_histories`) exactly when
+  the policy's commit history ignores BTB detection, and every row of
+  its TAGE and ITTAGE geometry equals :func:`repro.common.bits.fold`
+  (simulation-free).
 
 Failures are minimised (greedy parameter shrinking toward defaults)
 and dumped as a JSON reproducer (:mod:`repro.check.reproducer`) so any
@@ -47,6 +53,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
+from repro.common.bits import fold
 from repro.common.params import (
     BranchPredictorParams,
     CoreParams,
@@ -265,6 +272,44 @@ def _run(params: SimParams, program, stream, telemetry=None):
     return result, sim
 
 
+def arch_fold_problem(params: SimParams, program, stream) -> str | None:
+    """Property 10: the bulk fold rows a simulator reads are the scalar folds.
+
+    Builds (never runs) one simulator per history policy on ``stream``,
+    with a TAGE direction predictor so its geometry is always covered.
+    Rows must be attached exactly when the policy's commit history
+    ignores BTB detection, and every attached row of TAGE and ITTAGE
+    must equal :func:`~repro.common.bits.fold` of the masked history
+    and of the masked history times 3.  Returns the first mismatch.
+    """
+    branch = replace(
+        params.branch, direction_kind=DirectionPredictorKind.TAGE, perfect_direction=False
+    )
+    for policy in HistoryPolicy:
+        sim = Simulator(
+            params.replace(check_invariants=False, branch=branch).with_frontend(
+                history_policy=policy
+            ),
+            program,
+            stream,
+        )
+        for predictor in (sim.direction, sim.ittage):
+            name = f"{policy.value} {type(predictor).__name__}"
+            rows = predictor._arch_rows
+            if (rows is not None) != sim.hist_mgr.ignores_detection:
+                return f"{name}: bulk rows attached={rows is not None}"
+            if rows is None:
+                continue
+            idx_bits = predictor._idx_bits
+            tag_bits = predictor._tag_bits
+            masks = predictor._hist_masks
+            for hist, row in predictor._arch_index.items():
+                want = [f for m in masks for f in (fold(hist & m, idx_bits), fold((hist & m) * 3, tag_bits))]
+                if rows[row].tolist() != want:
+                    return f"{name}: row {row} (history {hist:#x}) differs from the scalar folds"
+    return None
+
+
 def _run_worker(trial: FuzzTrial) -> tuple[int, int, dict]:
     """Process-pool entry point: regenerate and run, plain configuration."""
     program, stream = _materialize(trial)
@@ -300,6 +345,11 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
         program, stream = _materialize(trial)
     except Exception as exc:  # spec ranges are meant to be always-valid
         return FuzzFailure(trial, "generation", f"{type(exc).__name__}: {exc}")
+
+    # Property 10 (simulation-free): bulk fold rows equal scalar folds.
+    problem = arch_fold_problem(trial.params, program, stream)
+    if problem is not None:
+        return FuzzFailure(trial, "bulk_fold_identity", problem)
 
     n = trial.params.warmup_instructions + trial.params.sim_instructions
     params = trial.params.replace(check_invariants=True)

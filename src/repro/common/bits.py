@@ -4,9 +4,21 @@ All addresses are byte addresses held in plain Python ints.  The ISA is
 fixed-length 32-bit (4-byte) instructions, as assumed by the paper
 (Section IV), so instruction indices and byte addresses convert by a
 shift of 2.
+
+:func:`fold` has a bulk twin for whole history sets: :func:`to_limbs`
+splits the values into 64-bit limbs, :func:`mask_limbs` and
+:func:`triple_limbs` form the masked value and the masked value times 3
+on those limbs, and :func:`fold_limbs` folds every row at once.
+:func:`fold_pair_rows` chains them into the per-table (index, tag) fold
+pairs that TAGE and ITTAGE index with, one flat row per history.  Row for row the results equal
+:func:`fold` (``tests/test_bits.py`` pins it).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Sequence
+
+import numpy as np
 
 INSTR_BYTES = 4
 """Fixed instruction length in bytes (the paper assumes 32-bit instructions)."""
@@ -44,7 +56,11 @@ def fold(value: int, out_bits: int) -> int:
 
     Equal to ``mix64(v) >> (64 - out_bits)`` of the XOR-folded ``v``;
     the finalizer is written out here because TAGE and ITTAGE index
-    hashing call this for every table.
+    hashing call this for every table.  Histories the committed path
+    produces are folded in bulk instead (:func:`fold_pair_rows`); this
+    scalar form serves the rest (wrong-path histories, and the
+    direction histories of GHR0-3) and is the reference the bulk form
+    is tested against.
     """
     if out_bits <= 0:
         return 0
@@ -58,6 +74,108 @@ def fold(value: int, out_bits: int) -> int:
     v = (v * _MIX_K2) & _MASK64
     v ^= v >> 31
     return v >> (64 - out_bits)
+
+
+_U64_MIX_K1 = np.uint64(_MIX_K1)
+_U64_MIX_K2 = np.uint64(_MIX_K2)
+
+
+def to_limbs(values: Iterable[int], n_limbs: int) -> np.ndarray:
+    """Little-endian 64-bit limbs of non-negative ints, one row per value.
+
+    Returns a ``(len(values), n_limbs)`` ``uint64`` array; every value
+    must be below ``2 ** (64 * n_limbs)``.
+    """
+    width = 8 * n_limbs
+    buf = b"".join(v.to_bytes(width, "little") for v in values)
+    return np.frombuffer(buf, dtype="<u8").reshape(-1, n_limbs).astype(np.uint64)
+
+
+def mask_limbs(limbs: np.ndarray, length: int) -> np.ndarray:
+    """Limbs of each row's value ``& ((1 << length) - 1)``.
+
+    The result has exactly ``ceil(length / 64)`` limbs: limbs above the
+    mask are dropped, and zero limbs are appended when the mask is wider
+    than the input.
+    """
+    n_rows, have = limbs.shape
+    need = -(-length // 64)
+    out = np.zeros((n_rows, need), dtype=np.uint64)
+    keep = min(have, need)
+    out[:, :keep] = limbs[:, :keep]
+    partial = length % 64
+    if partial and need <= have:
+        out[:, need - 1] &= np.uint64((1 << partial) - 1)
+    return out
+
+
+def triple_limbs(limbs: np.ndarray) -> np.ndarray:
+    """Limbs of each row's value times 3, with one extra limb for the carry.
+
+    ``3v = v + (v << 1)``, added limb by limb with the carry propagated;
+    ``uint64`` array arithmetic wraps modulo ``2**64``, which is what
+    the per-limb sum needs.
+    """
+    n_rows, n = limbs.shape
+    out = np.empty((n_rows, n + 1), dtype=np.uint64)
+    carry = np.zeros(n_rows, dtype=np.uint64)
+    spill = np.zeros(n_rows, dtype=np.uint64)  # top bit of the limb below, for v << 1
+    one, top = np.uint64(1), np.uint64(63)
+    for i in range(n):
+        low = limbs[:, i]
+        doubled = (low << one) | spill
+        spill = low >> top
+        partial = low + doubled
+        total = partial + carry
+        out[:, i] = total
+        carry = ((partial < low) | (total < partial)).astype(np.uint64)
+    out[:, n] = spill + carry
+    return out
+
+
+def fold_limbs(limbs: np.ndarray, out_bits: int) -> np.ndarray:
+    """:func:`fold` of every row's value, as a ``uint64`` array.
+
+    The row's limbs are XOR-folded to 64 bits (which is what the scalar
+    loop's repeated ``(v & mask) ^ (v >> 64)`` amounts to), then mixed
+    by the SplitMix64 finalizer and truncated to ``out_bits``.
+    """
+    if out_bits > 64:
+        raise ValueError(f"cannot fold to {out_bits} bits (at most 64)")
+    n_rows = limbs.shape[0]
+    if out_bits <= 0:
+        # fold() returns 0 here; a uint64 shift by 64 would not.
+        return np.zeros(n_rows, dtype=np.uint64)
+    v = np.bitwise_xor.reduce(limbs, axis=1, dtype=np.uint64)
+    v ^= v >> np.uint64(30)
+    v *= _U64_MIX_K1
+    v ^= v >> np.uint64(27)
+    v *= _U64_MIX_K2
+    v ^= v >> np.uint64(31)
+    return v >> np.uint64(64 - out_bits)
+
+
+def fold_pair_rows(
+    limbs: np.ndarray, lengths: Sequence[int], idx_bits: int, tag_bits: int
+) -> np.ndarray:
+    """Per-table ``(index, tag)`` fold pairs of every row's history.
+
+    Row ``r`` of the ``(rows, 2 * len(lengths))`` result holds, at
+    columns ``2t`` and ``2t + 1``, ``fold(m, idx_bits)`` and
+    ``fold(3 * m, tag_bits)`` with ``m`` row ``r``'s history masked to
+    ``lengths[t]`` bits: the hash inputs of TAGE's and ITTAGE's table
+    indexing, in the flat layout their ``_folds`` return.  The dtype is
+    the narrowest unsigned type that holds both fold widths (``uint16``
+    for every built-in predictor geometry).
+    """
+    widest = max(idx_bits, tag_bits)
+    dtype = np.uint16 if widest <= 16 else np.uint32 if widest <= 32 else np.uint64
+    rows = np.empty((limbs.shape[0], 2 * len(lengths)), dtype=dtype)
+    for table, length in enumerate(lengths):
+        masked = mask_limbs(limbs, length)
+        rows[:, 2 * table] = fold_limbs(masked, idx_bits)
+        rows[:, 2 * table + 1] = fold_limbs(triple_limbs(masked), tag_bits)
+    return rows
 
 
 def align_down(addr: int, size: int) -> int:

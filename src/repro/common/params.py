@@ -300,11 +300,19 @@ class SimParams:
         return dataclasses.replace(self, core=dataclasses.replace(self.core, **kwargs))
 
     def label(self) -> str:
-        """A short human-readable tag for tables and logs."""
+        """A short human-readable tag for tables and logs.
+
+        The BTB reads ``btb8k`` for a multiple of 1K entries, ``btb512``
+        for any other size and ``btbperfect`` for a perfect BTB.
+        """
         fdp = "fdp" if self.frontend.fdp_enabled else "nofdp"
         pfc = "+pfc" if self.frontend.pfc_enabled else ""
         pf = f"+{self.prefetcher}" if self.prefetcher != "none" else ""
-        return (
-            f"{fdp}{pfc}{pf}/{self.frontend.history_policy.value}"
-            f"/btb{self.branch.btb_entries // 1024}k"
-        )
+        entries = self.branch.btb_entries
+        if self.branch.perfect_btb:
+            btb = "perfect"
+        elif entries % 1024:
+            btb = str(entries)
+        else:
+            btb = f"{entries // 1024}k"
+        return f"{fdp}{pfc}{pf}/{self.frontend.history_policy.value}/btb{btb}"

@@ -40,6 +40,8 @@ Hook points a built simulator exposes:
 
 from __future__ import annotations
 
+import weakref
+
 from repro.branch.btb import BTB
 from repro.branch.btb2l import TwoLevelBTB
 from repro.branch.gshare import Gshare
@@ -62,6 +64,7 @@ from repro.frontend.fetch import FetchUnit
 from repro.frontend.ftq import FTQ
 from repro.memory.hierarchy import InstructionMemory
 from repro.prefetch import prefetchers
+from repro.trace.fbmeta import stream_meta
 
 # ----------------------------------------------------------------------
 # Direction predictors
@@ -296,6 +299,13 @@ class SimBuilder:
             if params.branch.loop_predictor_entries
             else None
         )
+        # Under THR and Ideal the committed-path histories are known from
+        # the trace; TAGE and ITTAGE read their folds from bulk rows.
+        arch = stream_meta(stream).arch_histories(sim.hist_mgr)
+        if arch is not None:
+            if isinstance(sim.direction, TAGE):
+                sim.direction.use_arch_histories(arch)
+            sim.ittage.use_arch_histories(arch)
 
         sim.ftq = FTQ(params.frontend.ftq_entries)
         sim.decode_queue = DecodeQueue(params.frontend.decode_queue_size)
@@ -309,7 +319,9 @@ class SimBuilder:
             train_direction=not params.branch.perfect_direction,
             loop=sim.loop,
         )
-        sim.backend = Backend(params, sim.decode_queue, sim.trainer, sim.stats, sim._on_flush)
+        sim.backend = Backend(
+            params, sim.decode_queue, sim.trainer, sim.stats, _weak_flush(sim)
+        )
         sim.bpu = BranchPredictionUnit(
             params, program, stream, sim.btb, sim.direction, sim.ittage, sim.hist_mgr, sim.stats
         )
@@ -377,3 +389,19 @@ class SimBuilder:
             from repro.check.invariants import InvariantChecker
 
             sim.checker = InvariantChecker(sim)
+
+
+def _weak_flush(sim):
+    """``sim._on_flush`` as a callback that does not keep ``sim`` alive.
+
+    ``sim`` owns the backend, so handing the backend the bound method
+    would put every simulator in a reference cycle, freed only by a
+    full cyclic-GC pass; with a weak reference it is freed as soon as
+    its last user drops it.
+    """
+    ref = weakref.ref(sim)
+
+    def flush(fault, cycle: int) -> None:
+        ref()._on_flush(fault, cycle)
+
+    return flush

@@ -20,12 +20,22 @@ The records carry exactly what the hot paths read, so the rewrites are
 bit-identical to the structure walks by construction
 (``tests/test_warmup.py`` pins the equivalence, and the parallel
 determinism test pins whole-run bit-identity).
+
+The same arrays also feed the predictors.  Under THR and Ideal the
+history before each committed branch depends on the trace alone, so
+:meth:`StreamMeta.arch_histories` replays it once per (stream, policy)
+into :class:`ArchHistories`, whose per-geometry fold rows TAGE and
+ITTAGE read instead of re-folding each of those histories in software.
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Sequence
+
 import numpy as np
 
+from repro.common.bits import fold_pair_rows, to_limbs
 from repro.isa.instructions import BranchKind
 
 # Predecode classification of a branch, as PFC's pre-decoder sees it
@@ -85,6 +95,46 @@ def _classify(kind: BranchKind) -> int:
     return PD_INDIRECT
 
 
+class ArchHistories:
+    """The distinct committed-path histories of one (stream, policy).
+
+    ``index`` maps each history value to its row; ``limbs`` holds the
+    values as 64-bit limbs in row order.  :meth:`fold_rows` folds them
+    for one predictor geometry in bulk, once, and keeps the result.
+    All of it lives on the stream's :class:`StreamMeta`, so it is
+    shared by every simulator built on the stream and dropped with it.
+    """
+
+    __slots__ = ("index", "limbs", "_rows")
+
+    def __init__(self, histories: dict[int, int], bits: int) -> None:
+        self.index = histories
+        """History value -> row, in first-seen order."""
+        self.limbs = to_limbs(histories, -(-bits // 64))
+        self._rows: dict[tuple, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def fold_rows(self, lengths: Sequence[int], idx_bits: int, tag_bits: int) -> np.ndarray:
+        """Read-only :func:`~repro.common.bits.fold_pair_rows` of every
+        history for one geometry; computed on first use per geometry."""
+        key = (tuple(lengths), idx_bits, tag_bits)
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = fold_pair_rows(self.limbs, lengths, idx_bits, tag_bits)
+            rows.setflags(write=False)
+            self._rows[key] = rows
+        return rows
+
+    def nbytes(self) -> int:
+        """Bytes held: the index (its ints included), limbs and rows."""
+        index = self.index
+        held = sys.getsizeof(index) + self.limbs.nbytes
+        held += sum(sys.getsizeof(h) + sys.getsizeof(r) for h, r in index.items())
+        return held + sum(rows.nbytes for rows in self._rows.values())
+
+
 class StreamMeta:
     """Flat commit-order branch + segment metadata of one oracle stream.
 
@@ -108,6 +158,7 @@ class StreamMeta:
         "np_seg_start",
         "np_seg_limit",
         "_footprints",
+        "_arch",
     )
 
     def __init__(self, stream) -> None:
@@ -147,9 +198,36 @@ class StreamMeta:
         self.np_seg_start.setflags(write=False)
         self.np_seg_limit.setflags(write=False)
         self._footprints: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
+        self._arch: dict[tuple, ArchHistories] = {}
 
     def __len__(self) -> int:
         return len(self.br_addr)
+
+    def arch_histories(self, mgr) -> ArchHistories | None:
+        """The histories the commit trainer trains under, for ``mgr``'s policy.
+
+        Replays ``mgr.commit_push`` over every branch of the stream from
+        the trainer's initial history (0) and collects the distinct
+        values the history holds before each branch.  Returns ``None``
+        when the policy's commit history depends on BTB detection
+        (GHR0-3), which the trace alone cannot tell.  On the correct
+        path the frontend's speculative history equals this one, so
+        prediction lookups find it too.  Memoised per (policy, width).
+        """
+        if not mgr.ignores_detection:
+            return None
+        key = (mgr.policy, mgr.bits)
+        arch = self._arch.get(key)
+        if arch is None:
+            push = mgr.commit_push
+            hist = 0
+            index: dict[int, int] = {}
+            for addr, taken, target in zip(self.br_addr, self.br_taken, self.br_target):
+                if hist not in index:
+                    index[hist] = len(index)
+                hist = push(hist, addr, taken, target, True)[0]
+            arch = self._arch[key] = ArchHistories(index, mgr.bits)
+        return arch
 
     def warm_footprint(
         self, last_seg: int, line_bytes: int, page_bytes: int

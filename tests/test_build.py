@@ -201,6 +201,40 @@ class TestSimBuilder:
         assert set(sim.observables) == {"ftq", "bpu", "fetch", "backend", "memory"}
 
 
+_PLAIN = SimParams(warmup_instructions=1_000, sim_instructions=2_000)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [_PLAIN.replace(prefetcher=name) for name in ["none", "perfect", *prefetchers.names()]]
+    + [
+        # The registered oracle predictor runs only with perfect_direction.
+        _PLAIN.with_branch(direction_kind=name, perfect_direction=name == "perfect")
+        for name in direction_predictors.names()
+    ],
+    ids=lambda p: f"{p.prefetcher}-{getattr(p.branch.direction_kind, 'value', p.branch.direction_kind)}",
+)
+def test_finished_simulator_freed_without_cyclic_gc(params):
+    """A plain simulator holds no reference cycle: dropping the last
+    reference frees it at once, without waiting for a cyclic-GC pass."""
+    import gc
+    import weakref
+
+    program, stream = make_trace("srv_web", 3_000)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        sim = SimBuilder(params, program, stream).build()
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class TestBranchListenerHook:
     def _trainer(self):
         params = SimParams(warmup_instructions=1_000, sim_instructions=2_000)

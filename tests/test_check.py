@@ -167,6 +167,26 @@ class TestFuzz:
         assert failure is not None
         assert failure.prop == "generation"
 
+    def test_bulk_fold_property_holds_and_catches_a_bad_row(self, monkeypatch):
+        from repro.check.fuzz import _materialize, arch_fold_problem
+        from repro.trace import fbmeta
+
+        trial = build_trial(4)
+        program, stream = _materialize(trial)
+        assert arch_fold_problem(trial.params, program, stream) is None
+
+        real = fbmeta.fold_pair_rows
+
+        def off_by_one(limbs, lengths, idx_bits, tag_bits):
+            rows = real(limbs, lengths, idx_bits, tag_bits)
+            rows[-1, -1] ^= 1
+            return rows
+
+        monkeypatch.setattr(fbmeta, "fold_pair_rows", off_by_one)
+        program, stream = _materialize(trial)  # a fresh stream: no rows yet
+        problem = arch_fold_problem(trial.params, program, stream)
+        assert problem is not None and "differs from the scalar folds" in problem
+
 
 class TestReproducer:
     def test_params_round_trip(self):

@@ -147,6 +147,21 @@ class TestSimParams:
         assert "fdp" in label and "THR" in label and "btb8k" in label
         assert "nofdp" in p.with_frontend(ftq_entries=2).label()
 
+    def test_label_names_btb_size(self):
+        p = SimParams()
+        labels = {
+            entries: p.with_branch(btb_entries=entries).label().rsplit("/", 1)[1]
+            for entries in (256, 512, 1536, 1024, 32768)
+        }
+        assert labels == {
+            256: "btb256",
+            512: "btb512",
+            1536: "btb1536",
+            1024: "btb1k",
+            32768: "btb32k",
+        }
+        assert p.with_branch(perfect_btb=True).label().endswith("/btbperfect")
+
     def test_rejects_bad_windows(self):
         with pytest.raises(ValueError):
             SimParams(sim_instructions=0)

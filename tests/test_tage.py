@@ -120,7 +120,9 @@ class TestFoldMemo:
     @staticmethod
     def direct(tage, hist):
         ib, tb = tage._idx_bits, tage._tag_bits
-        return [(fold(hist & m, ib), fold((hist & m) * 3, tb)) for m in tage._hist_masks]
+        return tuple(
+            f for m in tage._hist_masks for f in (fold(hist & m, ib), fold((hist & m) * 3, tb))
+        )
 
     def test_only_short_tables_memoise(self):
         tage = TAGE(TageConfig.for_budget_kib(18))
