@@ -72,7 +72,34 @@ def golden_matrix() -> list[tuple[str, str, SimParams]]:
     }
     for name, params in policies.items():
         points.append((f"srv_web/{name}", "srv_web", params))
+    points.append(("srv_web/sn4l_dis", "srv_web", longer.replace(prefetcher="sn4l_dis")))
+    for name, params in replacement_points().items():
+        points.append((f"srv_web/{name}", "srv_web", params))
     return points
+
+
+def replacement_points() -> dict[str, SimParams]:
+    """Points whose BTB evicts, at the history-policy windows.
+
+    The default 8192-entry BTB evicts nothing at the fixture's windows,
+    so these pin BTB replacement order: small BTBs (384 entries is 96
+    sets, the non-power-of-two set index), allocate-all insertion,
+    ``sn4l_dis_btb`` (which also inserts on fill), four 16-byte chunks
+    per 64-byte block and a two-level BTB whose levels both evict.
+    """
+    longer = SimParams(warmup_instructions=HISTORY_WARMUP, sim_instructions=HISTORY_SIM)
+    return {
+        "btb256": longer.with_branch(btb_entries=256),
+        "btb384": longer.with_branch(btb_entries=384),
+        "btb512_ghr3": longer.with_branch(btb_entries=512).with_frontend(
+            history_policy=HistoryPolicy.GHR3
+        ),
+        "sn4l_dis_btb512": longer.replace(prefetcher="sn4l_dis_btb").with_branch(
+            btb_entries=512
+        ),
+        "block64_btb256": longer.with_branch(btb_entries=256).with_frontend(block_bytes=64),
+        "two_level_l1_64": longer.with_branch(btb_l1_entries=64, btb_entries=512),
+    }
 
 
 def run_point(workload: str, params: SimParams) -> dict:

@@ -110,6 +110,10 @@ class TwoLevelBTB:
             self.demotions += 1
             self.l2.insert(victim.addr, victim.kind, victim.target)
 
+    def validate(self) -> list[str]:
+        """Both levels' structural invariants; side-effect free."""
+        return self.l1.validate("L1 BTB") + self.l2.validate("L2 BTB")
+
     # ------------------------------------------------------------------
     @property
     def occupancy(self) -> int:

@@ -35,6 +35,9 @@ Simulation notes:
   history captured at prediction time (the caller passes the same
   history value), which keeps speculative prediction and commit-time
   training decoupled, as in the simulated machine.
+* Each call fetches its folds once and walks the tables once
+  (:meth:`TAGE._lookup`); ``update`` hands the same folds to
+  allocation.
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ class TAGE:
         ]
         self._arch_index: dict[int, int] = {}
         self._arch_rows = None
-        self._pc_mix_cache: dict[int, list[int]] = {}
+        self._pc_mix_cache: dict[int, tuple[int, ...]] = {}
         self._table_salts = [(t * 0x9E3779B1) for t in range(n)]
         self.predictions = 0
         self.updates = 0
@@ -208,23 +211,33 @@ class TAGE:
             folds += pair
         return tuple(folds)
 
-    def _pc_mixes(self, pc: int) -> list[int]:
-        """Per-table PC hash; the branch PC working set is small, so
-        one dict lookup replaces ``n_tables`` mix64 evaluations."""
+    def _pc_mixes(self, pc: int) -> tuple[int, ...]:
+        """Per-table PC hashes, flattened like the folds: table ``t``'s
+        index mix at ``[2t]`` and tag mix at ``[2t + 1]``.
+
+        Table ``t`` hashes ``mix = mix64(pc >> 2) ^ salt_t`` into
+        ``(fold ^ mix) & idx_mask`` and ``(fold ^ (mix >> 13)) &
+        tag_mask``.  A fold is already narrower than its mask, so the
+        mixes are stored masked and a hash is one XOR of small ints.
+        The branch PC working set is small, so one dict lookup replaces
+        ``n_tables`` mix64 evaluations.
+        """
         mixes = self._pc_mix_cache.get(pc)
         if mixes is None:
             base = mix64(pc >> 2)
-            mixes = [base ^ salt for salt in self._table_salts]
+            flat: list[int] = []
+            for salt in self._table_salts:
+                mix = base ^ salt
+                flat += (mix & self._idx_mask, (mix >> 13) & self._tag_mask)
+            mixes = tuple(flat)
             if len(self._pc_mix_cache) >= 65536:
                 self._pc_mix_cache.clear()
             self._pc_mix_cache[pc] = mixes
         return mixes
 
     def _index_and_tag(self, table: int, pc: int, folds) -> tuple[int, int]:
-        pc_mix = self._pc_mixes(pc)[table]
-        idx = (folds[2 * table] ^ pc_mix) & self._idx_mask
-        tag = (folds[2 * table + 1] ^ (pc_mix >> 13)) & self._tag_mask
-        return idx, tag
+        mixes = self._pc_mixes(pc)
+        return folds[2 * table] ^ mixes[2 * table], folds[2 * table + 1] ^ mixes[2 * table + 1]
 
     def _bimodal_index(self, pc: int) -> int:
         return (pc >> 2) & self._bimodal_mask
@@ -235,23 +248,29 @@ class TAGE:
     def predict(self, pc: int, hist: int) -> bool:
         """Return the predicted direction for ``pc`` under ``hist``."""
         self.predictions += 1
-        taken, _ = self._predict_full(pc, hist)
-        return taken
+        return self._lookup(pc, self._folds(hist))[0]
 
-    def _predict_full(self, pc: int, hist: int):
-        folds = self._folds(hist)
-        mixes = self._pc_mixes(pc)
-        idx_mask = self._idx_mask
-        tag_mask = self._tag_mask
+    def _lookup(self, pc: int, folds) -> tuple[bool, int, int, bool]:
+        """The table walk shared by :meth:`predict` and :meth:`update`.
+
+        Returns ``(prediction, provider, provider_idx, alt_taken)``:
+        the provider is the longest-history tag hit (``-1`` for the
+        bimodal table, whose prediction ``alt_taken`` then is), and
+        ``alt_taken`` is what the next-longest hit, or else the bimodal
+        table, predicts.
+        """
+        mixes = self._pc_mix_cache.get(pc)
+        if mixes is None:
+            mixes = self._pc_mixes(pc)
         tags = self._tag
         provider = -1
         provider_idx = -1
         alt = -1
         alt_idx = -1
-        for table in range(self.config.n_tables - 1, -1, -1):
-            pc_mix = mixes[table]
-            idx = (folds[2 * table] ^ pc_mix) & idx_mask
-            if tags[table][idx] == (folds[2 * table + 1] ^ (pc_mix >> 13)) & tag_mask:
+        for table in range(len(tags) - 1, -1, -1):
+            j = 2 * table
+            idx = folds[j] ^ mixes[j]
+            if tags[table][idx] == folds[j + 1] ^ mixes[j + 1]:
                 if provider < 0:
                     provider, provider_idx = table, idx
                 else:
@@ -259,17 +278,16 @@ class TAGE:
                     break
         bimodal_taken = self._bimodal[(pc >> 2) & self._bimodal_mask] >= 0
         if provider < 0:
-            return bimodal_taken, (provider, provider_idx, alt, alt_idx, bimodal_taken)
+            return bimodal_taken, -1, -1, bimodal_taken
         ctr = self._ctr[provider][provider_idx]
-        provider_taken = ctr >= 0
-        weak = ctr in (-1, 0)
-        if alt >= 0:
-            alt_taken = self._ctr[alt][alt_idx] >= 0
-        else:
-            alt_taken = bimodal_taken
-        if weak and self._use_alt_on_na >= 0 and self._u[provider][provider_idx] == 0:
-            return alt_taken, (provider, provider_idx, alt, alt_idx, bimodal_taken)
-        return provider_taken, (provider, provider_idx, alt, alt_idx, bimodal_taken)
+        alt_taken = self._ctr[alt][alt_idx] >= 0 if alt >= 0 else bimodal_taken
+        if (
+            (ctr == -1 or ctr == 0)
+            and self._use_alt_on_na >= 0
+            and self._u[provider][provider_idx] == 0
+        ):
+            return alt_taken, provider, provider_idx, alt_taken
+        return ctr >= 0, provider, provider_idx, alt_taken
 
     # ------------------------------------------------------------------
     # Training
@@ -280,15 +298,11 @@ class TAGE:
         branch)."""
         self.updates += 1
         folds = self._folds(hist)
-        predicted, meta = self._predict_full(pc, hist)
-        provider, provider_idx, alt, alt_idx, bimodal_taken = meta
-
-        mispredicted = predicted != taken
+        predicted, provider, provider_idx, alt_taken = self._lookup(pc, folds)
 
         if provider >= 0:
             ctr = self._ctr[provider][provider_idx]
             provider_taken = ctr >= 0
-            alt_taken = self._ctr[alt][alt_idx] >= 0 if alt >= 0 else bimodal_taken
             # Track whether the alternate would have done better on
             # newly-allocated (weak, u=0) entries.
             if ctr in (-1, 0) and self._u[provider][provider_idx] == 0 and provider_taken != alt_taken:
@@ -302,13 +316,11 @@ class TAGE:
             elif provider_taken != taken and alt_taken == taken:
                 self._u[provider][provider_idx] = max(0, self._u[provider][provider_idx] - 1)
             self._ctr[provider][provider_idx] = self._saturate(ctr, taken)
-            if provider == 0 or self._ctr[provider][provider_idx] not in (-1, 0):
-                pass
         else:
             idx = self._bimodal_index(pc)
             self._bimodal[idx] = self._saturate(self._bimodal[idx], taken)
 
-        if mispredicted and provider < self.config.n_tables - 1:
+        if predicted != taken and provider < self.config.n_tables - 1:
             self._allocate(pc, folds, taken, provider)
 
         self._tick += 1

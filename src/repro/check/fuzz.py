@@ -198,7 +198,7 @@ def random_params(rng: random.Random) -> SimParams:
         block_bytes=block_bytes,
         wrong_path_fills=rng.random() < 0.85,
     )
-    btb_entries = rng.choice([512, 1024, 2048, 8192])
+    btb_entries = rng.choice([384, 512, 1024, 2048, 8192])
     branch = BranchPredictorParams(
         direction_kind=rng.choice(
             [
@@ -206,6 +206,7 @@ def random_params(rng: random.Random) -> SimParams:
                 DirectionPredictorKind.TAGE,
                 DirectionPredictorKind.GSHARE,
                 DirectionPredictorKind.PERCEPTRON,
+                DirectionPredictorKind.PERFECT,
             ]
         ),
         tage_storage_kib=rng.choice([9, 18, 36]),

@@ -23,8 +23,9 @@ Per-cycle (cheap, O(resident pipeline state)):
 
 Periodically (every :data:`HEAVY_STRIDE` cycles) and at end of run, the
 O(cache size) sweeps run too: full L1I/L2 structural checks, the
-no-line-both-in-flight-and-resident cross-check, and the
-untouched-prefetch accounting subset property.
+no-line-both-in-flight-and-resident cross-check, the
+untouched-prefetch accounting subset property, and the BTB's set and
+chunk-index structure (both levels of a two-level BTB).
 
 Cost when disabled: zero.  The ``invariant_sweep`` hook point of
 :data:`repro.core.schedule.CYCLE_SCHEDULE` is composed into the cycle
@@ -89,6 +90,7 @@ class InvariantChecker:
         if cycle >= self._next_heavy:
             self._next_heavy = cycle + HEAVY_STRIDE
             problems += sim.memory.validate()
+            problems += sim.btb.validate()
         self.cycles_checked += 1
         if problems:
             raise InvariantViolation(cycle, problems)
@@ -99,6 +101,7 @@ class InvariantChecker:
         problems = sim.ftq.validate(self._block_bytes)
         problems += sim.decode_queue.validate()
         problems += sim.memory.validate()
+        problems += sim.btb.validate()
         problems += sim.bpu.validate_state()
         self._check_ftq_fills(problems)
         self._check_trainer(problems)

@@ -113,6 +113,10 @@ class BranchPredictorParams:
                 )
             except ValueError:
                 pass
+        if self.direction_kind is DirectionPredictorKind.PERFECT and not self.perfect_direction:
+            # The perfect kind builds no predictor object; the oracle
+            # direction path is keyed on the flag, so the kind sets it.
+            object.__setattr__(self, "perfect_direction", True)
         if self.btb_variant == "two_level" and not self.btb_l1_entries:
             raise ValueError("btb_variant 'two_level' requires btb_l1_entries > 0")
         if self.btb_entries <= 0 or self.btb_assoc <= 0:

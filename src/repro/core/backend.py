@@ -64,11 +64,29 @@ class DecodeQueue:
         return self.capacity - self.total_instrs
 
     def push(self, n_instrs: int, fault: Fault | None, fault_index: int, wrong_path: bool) -> None:
+        """Append ``n_instrs`` fetched instructions.
+
+        A fault-free group joins a fault-free tail chunk on the same
+        path (correct into correct, wrong into wrong) instead of
+        opening a chunk of its own.  Retirement cannot tell the
+        difference: it takes the same count per cycle either way,
+        ``CommitTrainer.advance(a); advance(b)`` trains exactly what
+        ``advance(a + b)`` does, and the measurement-boundary and
+        target checks run once per cycle, after retire.  A chunk
+        carrying a fault never merges, in either role.
+        """
         if n_instrs <= 0:
             raise ValueError("chunk must contain instructions")
         if n_instrs > self.free_slots:
             raise RuntimeError("decode queue overflow")
-        self._chunks.append(_Chunk(n_instrs, fault, fault_index, wrong_path))
+        chunks = self._chunks
+        if fault is None and chunks:
+            tail = chunks[-1]
+            if tail.fault is None and tail.wrong_path == wrong_path:
+                tail.n += n_instrs
+                self.total_instrs += n_instrs
+                return
+        chunks.append(_Chunk(n_instrs, fault, fault_index, wrong_path))
         self.total_instrs += n_instrs
 
     def flush(self) -> None:
@@ -230,10 +248,23 @@ class CommitTrainer:
     @property
     def commit_pc(self) -> int:
         """Address of the next instruction to commit."""
+        point = self.resume_point()
+        if point is None:
+            raise IndexError("the oracle stream is fully committed")
+        return point[1]
+
+    def resume_point(self) -> tuple[int, int] | None:
+        """``(seg_idx, commit_pc)`` of the next instruction to commit,
+        from one segment bisect; ``None`` once the stream is exhausted.
+
+        This is where a pipeline flush restarts prediction.
+        """
         stream = self.stream
-        idx = self.seg_idx
-        seg = stream.segments[idx]
-        return seg.start + 4 * (self.committed - stream.cumulative[idx])
+        c = self.committed
+        if c >= stream.total_instructions:
+            return None
+        idx = stream.segment_at_instruction(c)
+        return idx, stream.segments[idx].start + 4 * (c - stream.cumulative[idx])
 
     def advance(self, n: int) -> None:
         """Commit ``n`` oracle instructions, training along the way.
@@ -248,13 +279,17 @@ class CommitTrainer:
             raise RuntimeError("commit ran past the oracle stream")
         smeta = self._smeta
         commits = smeta.br_commit
+        ptr = self.flat_br
+        n_br = len(commits)
+        if ptr >= n_br or commits[ptr] >= new_committed:
+            # No branch commits in this range (most calls).
+            self.committed = new_committed
+            return
         addrs = smeta.br_addr
         kinds = smeta.br_kind
         takens = smeta.br_taken
         targets = smeta.br_target
         train = self._train
-        ptr = self.flat_br
-        n_br = len(commits)
         while ptr < n_br and commits[ptr] < new_committed:
             train(addrs[ptr], kinds[ptr], takens[ptr], targets[ptr])
             ptr += 1

@@ -114,12 +114,14 @@ class Simulator:
         self.memory.flush_waiters()
         self.bpu.ras.copy_from(self.trainer.arch_ras)
         self.hooks.run_spec_sync()
-        if self.trainer.seg_idx >= len(self.stream.segments):
+        point = self.trainer.resume_point()
+        if point is None:
             return  # stream exhausted; the run is about to end
+        seg_idx, commit_pc = point
         self.bpu.resteer(
-            self.trainer.commit_pc,
+            commit_pc,
             self.trainer.arch_hist,
-            self.trainer.seg_idx,
+            seg_idx,
             cycle + self.params.core.mispredict_penalty,
             reason=f"flush:{fault.kind_label}",
         )

@@ -34,6 +34,13 @@ inlined), and the ``idle_skip`` hook in
 ``tests/test_typed.py`` and the fuzzer's ``typed_interp_identity``
 property -- any drift is a test failure, not a tolerance.
 
+The inlined decode-queue push coalesces like
+:meth:`repro.core.backend.DecodeQueue.push`: a fault-free group joins a
+fault-free tail chunk on the same path, so retire makes one
+``trainer.advance`` call per run of such groups (most calls train no
+branch and return at once).  An empty BTB scan result is iterated as
+is, with no candidate list built.
+
 Rare or cold paths stay calls into the real components so their logic
 is never duplicated: ``trainer.advance`` (commit training),
 ``sim._on_flush`` (pipeline flush), ``fetch._predecode_checks`` (PFC),
@@ -133,7 +140,7 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
     predecode_checks = fetch._predecode_checks
     # _predecode_checks early-returns unless PFC or GHR2/3 fixups are
     # on; gate the call so the common configurations skip it entirely.
-    predecode_active: bool = params.frontend.pfc_enabled or fetch.mgr.fixes_not_taken
+    predecode_active: bool = fetch._pfc_on or fetch._fixup_on
 
     bpu = sim.bpu
     ras = bpu.ras
@@ -285,7 +292,9 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                     counters["miss_covered"] += 1
             remaining = ((head.term_addr - head.start) >> 2) + 1 - consumed
             take = budget if budget < remaining else remaining
-            # FetchUnit._push_chunk inlined.
+            # FetchUnit._push_chunk and DecodeQueue.push inlined: a
+            # fault-free group joins a fault-free tail chunk on the same
+            # path.
             fault = None
             fault_index = -1
             wrong_path = head.cursor_seg == -1  # WRONG_PATH
@@ -297,7 +306,14 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                     fault_index = rel - consumed
                 elif consumed > rel:
                     wrong_path = True
-            chunks.append(_Chunk(take, fault, fault_index, wrong_path))
+            if fault is None and chunks:
+                tail = chunks[-1]
+                if tail.fault is None and tail.wrong_path == wrong_path:
+                    tail.n += take
+                else:
+                    chunks.append(_Chunk(take, None, -1, wrong_path))
+            else:
+                chunks.append(_Chunk(take, fault, fault_index, wrong_path))
             dq.total_instrs += take
             head.consumed = consumed + take
             budget -= take
@@ -332,9 +348,10 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                     hi = bisect_right(meta_addrs, block_last)
                     candidates = meta_triples[lo:hi]
                 else:
-                    candidates = [
-                        (e.addr, e.kind, e.target) for e in scan_block(start, block_last)
-                    ]
+                    # Most scans find nothing: iterate the empty result
+                    # itself rather than build a candidate list.
+                    found = scan_block(start, block_last)
+                    candidates = [(e.addr, e.kind, e.target) for e in found] if found else found
 
                 for addr, kind, btb_target in candidates:
                     if kind is _COND:

@@ -94,10 +94,5 @@ def functional_warmup(sim) -> None:
     sim.hooks.run_warmup_boundary()
     bpu = sim.bpu
     bpu.ras.copy_from(trainer.arch_ras)
-    bpu.resteer(
-        trainer.commit_pc,
-        trainer.arch_hist,
-        trainer.seg_idx,
-        sim.cycle,
-        reason="warmup",
-    )
+    seg_idx, commit_pc = trainer.resume_point()
+    bpu.resteer(commit_pc, trainer.arch_hist, seg_idx, sim.cycle, reason="warmup")

@@ -36,12 +36,15 @@ from functools import lru_cache
 from pathlib import Path
 
 from repro import __version__ as repro_version
+from repro.common.log import get_logger
 from repro.common.params import SimParams
 from repro.common.stats import StatSet
 from repro.core.metrics import RunResult
 from repro.core.typed import kernel_backend_for_params
 from repro.trace.source import WorkloadSource, resolve_workload
 from repro.trace.workloads import WorkloadSpec
+
+log = get_logger("experiments.cache")
 
 SIM_SCHEMA_VERSION = 7
 """Bump when simulator/trace/predictor changes can alter RunResults.
@@ -275,7 +278,12 @@ class ResultCache:
         return self._path(key).is_file()
 
     def get(self, key: str) -> RunResult | None:
-        """Load a cached result; None on miss or stale/corrupt entry."""
+        """Load a cached result; None on miss or stale/corrupt entry.
+
+        An entry must carry the requested key: one stored under another
+        key's file name (a copied or swapped file) is stale, logged
+        with both keys and deleted, so the caller re-simulates.
+        """
         path = self._path(key)
         try:
             with path.open("rb") as fh:
@@ -286,22 +294,30 @@ class ResultCache:
             return None
         except Exception:
             # Unreadable/corrupt entry: stale by definition.
-            self.stats.bump("cache_stale")
-            path.unlink(missing_ok=True)
-            self._manifest_path(key).unlink(missing_ok=True)
+            self._discard(key)
             return None
         if (
             not isinstance(payload, dict)
             or payload.get("schema") != SIM_SCHEMA_VERSION
             or not isinstance(payload.get("result"), RunResult)
         ):
-            self.stats.bump("cache_stale")
-            path.unlink(missing_ok=True)
-            self._manifest_path(key).unlink(missing_ok=True)
+            self._discard(key)
+            return None
+        if payload.get("key") != key:
+            log.warning(
+                "cache entry %s holds the result for key %s; discarding it", key, payload.get("key")
+            )
+            self._discard(key)
             return None
         self.stats.bump("cache_disk_hit")
         self.stats.bump("cache_bytes_read", bytes_read)
         return payload["result"]
+
+    def _discard(self, key: str) -> None:
+        """Count a stale entry and delete it with its manifest."""
+        self.stats.bump("cache_stale")
+        self._path(key).unlink(missing_ok=True)
+        self._manifest_path(key).unlink(missing_ok=True)
 
     def put(self, key: str, result: RunResult, meta: dict | None = None) -> None:
         """Store one result atomically (tmp file + rename).

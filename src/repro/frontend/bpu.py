@@ -90,9 +90,6 @@ def compute_fault(
 
     t_addr = seg.end  # address of the oracle's next taken transfer
 
-    def missed_kind(addr: int) -> str:
-        return "dir_nt" if addr in detected else "btb_miss"
-
     if t_addr > term_addr:
         # Oracle continues sequentially past this entry.
         if pred_taken:
@@ -131,7 +128,7 @@ def compute_fault(
         return (
             Fault(
                 pc=term_addr,
-                kind_label=missed_kind(term_addr),
+                kind_label="dir_nt" if term_addr in detected else "btb_miss",
                 branch_kind=kind,
                 taken=True,
                 target=seg.next_start,
@@ -147,7 +144,7 @@ def compute_fault(
     return (
         Fault(
             pc=t_addr,
-            kind_label=missed_kind(t_addr),
+            kind_label="dir_nt" if t_addr in detected else "btb_miss",
             branch_kind=kind,
             taken=True,
             target=seg.next_start,
@@ -363,8 +360,9 @@ class BranchPredictionUnit:
                     hist = mgr.push_outcome(hist, addr, bit, pred_target)
                     dir_pushes.append((addr, bit))
 
-        # Candidates arrive in address order (BTB.scan_block sorts; the
-        # precompiled metadata is sorted), so everything appended to
+        # Candidates arrive in address order (BTB.scan_block reads its
+        # address-sorted chunk index in chunk order; the precompiled
+        # metadata is sorted), so everything appended to
         # ``detected`` before the taken-branch break is <= term_addr.
         detected_upto = tuple(detected)
         fault = None
@@ -419,7 +417,8 @@ class BranchPredictionUnit:
             hi = bisect_right(addrs, block_last)
             return self._meta_triples[lo:hi]
         # scan_block already bounds start <= addr <= block_last, sorted.
-        return [(e.addr, e.kind, e.target) for e in self.btb.scan_block(start, block_last)]
+        found = self.btb.scan_block(start, block_last)
+        return [(e.addr, e.kind, e.target) for e in found] if found else ()
 
     def _predict_direction(self, addr: int, hist: int, seg) -> bool:
         if self._perfect_direction:

@@ -88,6 +88,8 @@ class FetchUnit:
         self._fetch_width = params.frontend.fetch_width
         self._probe_width = params.frontend.fetch_probe_width
         self._wrong_path_fills = params.frontend.wrong_path_fills
+        self._pfc_on = params.frontend.pfc_enabled
+        self._fixup_on = hist_mgr.fixes_not_taken
         # Precompiled static-image branch arrays (repro.trace.fbmeta):
         # the PFC pre-decoder bisects these instead of walking the block
         # through the image dictionary 4 bytes at a time.
@@ -235,8 +237,8 @@ class FetchUnit:
     # ------------------------------------------------------------------
     def _predecode_checks(self, entry: FTQEntry, cycle: int) -> None:
         """Scan pre-decoded branches before the termination offset."""
-        pfc_on = self.params.frontend.pfc_enabled
-        fixup_on = self.mgr.fixes_not_taken
+        pfc_on = self._pfc_on
+        fixup_on = self._fixup_on
         if not pfc_on and not fixup_on:
             return
         detected = entry.detected

@@ -26,6 +26,7 @@ from repro.check.reproducer import (
     spec_to_dict,
 )
 from repro.core.simulator import Simulator
+from repro.isa.instructions import BranchKind
 from repro.trace.oracle import run_oracle
 from tests.conftest import fast_params, tiny_spec
 from repro.trace.cfg import generate_program
@@ -83,6 +84,24 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation) as exc:
             tiny_sim.checker.check_cycle(0)
         assert "decode-queue" in str(exc.value)
+
+    def test_detects_corrupt_btb_index(self, tiny_sim):
+        btb = tiny_sim.btb
+        btb.insert(0x4000, BranchKind.UNCOND_DIRECT, 0x5000)
+        del btb._chunk_index[0x4000 >> 4]  # the set still holds the entry
+        with pytest.raises(InvariantViolation) as exc:
+            tiny_sim.checker.check_cycle(0)  # the first sweep is a heavy one
+        assert "BTB chunk index holds 0 entries" in str(exc.value)
+
+    def test_detects_corrupt_l2_btb_index(self, trace9k):
+        program, stream = trace9k
+        sim = Simulator(checked_params().with_branch(btb_l1_entries=256), program, stream)
+        sim.btb.insert(0x4000, BranchKind.UNCOND_DIRECT, 0x5000)
+        sim.btb.l2._chunk_index[0x4000 >> 4].clear()
+        with pytest.raises(InvariantViolation) as exc:
+            sim.checker.check_cycle(0)
+        assert "L2 BTB chunk index keeps empty chunk" in str(exc.value)
+        assert "L1 BTB" not in str(exc.value)
 
     def test_detects_trainer_divergence(self, tiny_sim):
         tiny_sim.trainer.committed += 1

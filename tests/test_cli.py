@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -76,6 +78,15 @@ class TestCommands:
              "--prefetcher", "nl1", "--ftq", "2"]
         )
         assert code == 0
+
+    def test_run_perfect_direction_kind(self, tmp_path, capsys):
+        run = ["run", "--workload", "srv_web", "--warmup", "1000", "--instructions", "2500"]
+        kind, flag = tmp_path / "kind.json", tmp_path / "flag.json"
+        assert main(run + ["--direction", "perfect", "--stats-json", str(kind)]) == 0
+        assert main(run + ["--perfect-direction", "--stats-json", str(flag)]) == 0
+        kind, flag = json.loads(kind.read_text()), json.loads(flag.read_text())
+        assert kind["counters"] == flag["counters"]
+        assert kind["cycles"] == flag["cycles"]
 
     def test_report_static_tables(self, capsys):
         assert main(["report", "table3", "table5"]) == 0

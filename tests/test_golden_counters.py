@@ -13,6 +13,12 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
+from repro.branch.btb2l import TwoLevelBTB
+from repro.core.simulator import Simulator
+from repro.trace.workloads import make_trace
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "make_golden_counters.py"
 FIXTURE = ROOT / "tests" / "data" / "golden_counters.json"
@@ -53,3 +59,16 @@ def test_counters_match_golden_fixture():
         "SIM_SCHEMA_VERSION and regenerate with "
         "`PYTHONPATH=src python scripts/make_golden_counters.py`."
     )
+
+
+@pytest.mark.parametrize("name", sorted(_load_script().replacement_points()))
+def test_replacement_points_evict(name):
+    """Each BTB replacement point must exercise eviction (both levels of
+    a two-level BTB), or its golden counters cannot pin eviction order."""
+    params = _load_script().replacement_points()[name]
+    program, stream = make_trace("srv_web", params.warmup_instructions + params.sim_instructions)
+    sim = Simulator(params, program, stream)
+    sim.run("srv_web")
+    btb = sim.bpu.btb
+    levels = (btb.l1, btb.l2) if isinstance(btb, TwoLevelBTB) else (btb,)
+    assert all(level.evictions > 0 for level in levels), [lvl.evictions for lvl in levels]

@@ -11,6 +11,7 @@ from repro.common.params import (
     MemoryParams,
     SimParams,
 )
+from repro.experiments.cache import run_key
 
 
 class TestHistoryPolicy:
@@ -171,6 +172,13 @@ class TestSimParams:
     def test_direction_kind_enum(self):
         p = SimParams().with_branch(direction_kind=DirectionPredictorKind.GSHARE)
         assert p.branch.direction_kind is DirectionPredictorKind.GSHARE
+
+    def test_perfect_kind_implies_perfect_direction(self):
+        kind = SimParams().with_branch(direction_kind="perfect")
+        both = SimParams().with_branch(direction_kind="perfect", perfect_direction=True)
+        assert kind.branch.perfect_direction
+        assert kind == both
+        assert run_key("srv_web", kind) == run_key("srv_web", both)
 
     def test_rejects_unknown_warmup_mode(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,18 @@
 """Tests for the persistent content-addressed result cache."""
 
 import dataclasses
+import logging
 import pickle
+import shutil
 
 import pytest
 
 from repro.common.params import SimParams
 from repro.common.stats import StatSet
 from repro.core.metrics import RunResult
+from repro.experiments import runner
 from repro.experiments.cache import (
+    CACHE_STATS,
     SIM_SCHEMA_VERSION,
     ResultCache,
     cache_enabled,
@@ -35,6 +39,11 @@ def make_result(params=None) -> RunResult:
         cycles=1_000,
         stats=stats,
     )
+
+
+def _btb_entries(path) -> int:
+    """BTB size of the run a cache entry file holds."""
+    return pickle.loads(path.read_bytes())["result"].params.branch.btb_entries
 
 
 class TestFingerprints:
@@ -108,6 +117,45 @@ class TestResultCache:
         assert cache.get(key) is None
         assert stats.get("cache_stale") == 1
         assert not (tmp_path / f"{key}.pkl").exists()
+
+    def test_swapped_entry_is_stale(self, tmp_path, caplog, monkeypatch):
+        # configure() stops the repro logger propagating to the root,
+        # where caplog listens; let records through for this test.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        stats = StatSet()
+        cache = ResultCache(tmp_path, stats=stats)
+        key_a = run_key("spc_fp", fast())
+        key_b = run_key("spc_fp", fast().with_branch(btb_entries=1024))
+        cache.put(key_a, make_result())
+        shutil.copyfile(tmp_path / f"{key_a}.pkl", tmp_path / f"{key_b}.pkl")
+
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            assert cache.get(key_b) is None
+        assert stats.get("cache_stale") == 1
+        assert not (tmp_path / f"{key_b}.pkl").exists()
+        [record] = [r for r in caplog.records if r.name == "repro.experiments.cache"]
+        assert key_a in record.getMessage() and key_b in record.getMessage()
+        assert cache.get(key_a) is not None  # the genuine entry still serves
+
+    def test_swapped_entry_is_resimulated(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        params_a = fast()
+        params_b = fast().with_branch(btb_entries=1024)
+        runner.clear_cache()
+        want_b = runner.run_config("spc_fp", params_b)
+        runner.run_config("spc_fp", params_a)
+        paths = {_btb_entries(path): path for path in tmp_path.glob("*.pkl")}
+        path_a, path_b = paths[params_a.branch.btb_entries], paths[1024]
+        shutil.copyfile(path_a, path_b)
+
+        runner.clear_cache()
+        stale, runs = CACHE_STATS.get("cache_stale"), CACHE_STATS.get("sim_runs")
+        got_b = runner.run_config("spc_fp", params_b)
+        assert CACHE_STATS.get("cache_stale") == stale + 1
+        assert CACHE_STATS.get("sim_runs") == runs + 1
+        assert got_b.stats.as_dict() == want_b.stats.as_dict()
+        assert _btb_entries(path_b) == 1024  # re-stored under its own key
+        runner.clear_cache()
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path, stats=StatSet())
