@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Assemble EXPERIMENTS.md from archived results and commentary.
 
-Run after ``pytest benchmarks/ --benchmark-only`` (or
-``scripts/run_experiments.py``) has populated ``results/``.
+Run after ``python -m repro report`` has populated ``results/``.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ RESULTS = ROOT / "results"
 HEADER = """# EXPERIMENTS — paper vs. measured
 
 Every table and figure of the paper's evaluation, regenerated by this
-repository's benchmark harness (`pytest benchmarks/ --benchmark-only`;
-tables archived under `results/`). Configuration: 8 synthetic workloads
+repository's report command (`python -m repro report`, which archives
+each table under `results/`). Configuration: 8 synthetic workloads
 (3 server / 2 client / 3 SPEC-like), 25K warmup + 60K measured
 instructions, parameters per Table IV. Magnitudes are scaled (85K-vs-100M
 instruction windows; see DESIGN.md §6); the claims compared below are the
@@ -209,7 +208,7 @@ ABLATIONS = """
 ## Beyond the paper: ablations
 
 These quantify design choices the paper discusses qualitatively
-(regenerated by `benchmarks/test_abl_*.py`; see
+(regenerated by `python -m repro report abl_...`; see
 `repro.experiments.analysis`).
 """
 

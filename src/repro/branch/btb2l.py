@@ -15,9 +15,9 @@ backed by a large L2 BTB:
 
 The class is interface-compatible with :class:`repro.branch.btb.BTB`;
 the BPU asks :meth:`was_l2_sourced` after each scan to charge the extra
-latency.  An ablation benchmark (``benchmarks/test_abl_two_level_btb``)
-compares single-level and two-level provisioning at equal total
-capacity.
+latency.  An ablation (``repro report abl_two_level_btb``, from
+:func:`repro.experiments.analysis.two_level_btb`) compares single-level
+and two-level provisioning at equal total capacity.
 """
 
 from __future__ import annotations

@@ -386,11 +386,11 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
     # plain run took the typed flat kernel, a re-run on the interpreted
     # reference kernel must be bit-identical -- the typed backend is an
     # optimisation, never a semantic change.  Every plain trial takes
-    # the typed kernel, dedicated prefetchers included, and under a
-    # prefetcher the reference kernel runs without an idle skip, so
-    # this also pins the typed skip's empty-queue guard and its drain
-    # stop.  (The checked-vs-unchecked comparison above crosses
-    # backends too.)
+    # the typed kernel, dedicated prefetchers included, and the
+    # reference kernel steps every cycle, so this pins the typed idle
+    # skip and drain against per-cycle stepping, including the skip's
+    # empty-queue guard and the drain's stop under a prefetcher.  (The
+    # checked-vs-unchecked comparison above crosses backends too.)
     if plain_sim.kernel_backend != "interp":
         interp = Simulator(
             trial.params.replace(check_invariants=False), program, stream

@@ -5,7 +5,7 @@ Twelve subcommands::
     python -m repro run   --workload srv_web --ftq 24 --btb 8192 ...
     python -m repro list                  # workloads and prefetchers
     python -m repro workload info NAME    # one workload: footprint, branch mix, provenance
-    python -m repro report fig7 fig14     # regenerate paper experiments
+    python -m repro report fig7 fig14     # regenerate + archive paper experiments
     python -m repro bench [--trend]       # cycle-loop throughput -> BENCH_core.json
     python -m repro trace --workload ...  # telemetry run -> JSONL + report
     python -m repro profile --workload .. # per-stage self-time profile
@@ -22,10 +22,11 @@ exposed as a flag (``--stats-json`` dumps the full raw counter set).
 the event/time-series JSONL plus a markdown/JSON report; ``profile``
 re-runs one point with the schedule-stage profiler and prints where
 the cycle loop's wall time goes (see docs/OBSERVABILITY.md).
-``report`` honours ``REPRO_JOBS`` (parallel sweep workers), the
-persistent result cache (``REPRO_CACHE_DIR``) and the run ledger
-(``REPRO_LEDGER``, read back with ``sweep-report``); see
-docs/PERFORMANCE.md.  The global ``--log-level`` flag (or the
+``report`` prints each experiment's table and archives the same text
+under ``results/<name>.txt``.  It honours ``REPRO_JOBS`` (parallel
+sweep workers), the persistent result cache (``REPRO_CACHE_DIR``) and
+the run ledger (``REPRO_LEDGER``, read back with ``sweep-report``);
+see docs/PERFORMANCE.md.  The global ``--log-level`` flag (or the
 ``REPRO_LOG`` environment variable) controls diagnostic logging.
 
 Every ``--workload``/``--workloads`` flag accepts catalogue names,
@@ -37,6 +38,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
+import time
 from pathlib import Path
 
 from repro.common.log import configure as configure_logging
@@ -59,6 +62,10 @@ log = get_logger("cli")
 
 DEFAULT_TRACE_DIR = "results/telemetry"
 """Where ``repro trace`` writes its JSONL and reports by default."""
+
+RESULTS_DIR = Path(__file__).resolve().parents[2] / "results"
+"""Where ``repro report`` archives each experiment's text: ``results/``
+at the repository root, beside the result cache and the run ledger."""
 
 
 def _add_sim_flags(cmd: argparse.ArgumentParser) -> None:
@@ -667,23 +674,47 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """Regenerate the requested paper tables/figures."""
+    """Regenerate the requested paper tables/figures.
+
+    Each experiment's table, plus its ``paper reference:`` line when it
+    has one, goes to stdout and to ``results/<name>.txt``; ``--plot``
+    charts go to stdout only.  Wall times and the closing cache summary
+    go to stderr, so stdout stays deterministic.
+    """
     names = args.experiments or list(ALL_EXPERIMENTS)
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
         log.error("unknown experiments: %s", ", ".join(unknown))
         return 2
-    for name in names:
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    for i, name in enumerate(names):
+        t0 = time.time()
         data = ALL_EXPERIMENTS[name]()
-        print(render_table(data["title"], data["headers"], data["rows"]))
-        if getattr(args, "plot", False):
+        text = render_table(data["title"], data["headers"], data["rows"])
+        if "paper" in data:
+            text += "\npaper reference: " + ", ".join(
+                f"{k}={v}" for k, v in data["paper"].items()
+            )
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        if i:
+            print()
+        print(text)
+        if args.plot:
             from repro.experiments.viz import chart_for_experiment
 
             chart = chart_for_experiment(data)
             if chart:
                 print()
                 print(chart)
-        print()
+        print(f"[{name} done in {time.time() - t0:.1f}s]", file=sys.stderr, flush=True)
+    stats = cache_stats()
+    print(
+        f"[cache: {stats.get('sim_runs')} simulated, "
+        f"{stats.get('cache_memo_hit')} memo hits, "
+        f"{stats.get('cache_disk_hit')} disk hits, "
+        f"{stats.get('cache_stale')} stale]",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -1090,8 +1121,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_sweep_report(args: argparse.Namespace) -> int:
     """Render progress/summary views from a sweep run ledger."""
-    import time as _time
-
     from repro.common.ledger import (
         latest_ledger,
         read_ledger,
@@ -1112,7 +1141,7 @@ def cmd_sweep_report(args: argparse.Namespace) -> int:
         while not summary["complete"]:
             print(render_progress(summary))
             print()
-            _time.sleep(0.5)
+            time.sleep(0.5)
             summary = summarize_ledger(read_ledger(path), top=max(0, args.top))
     if args.format == "progress":
         print(render_progress(summary))

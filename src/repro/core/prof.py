@@ -10,11 +10,10 @@ a pair of perf-counter reads and accumulates per-stage self time into
 generated function, and a profiled run is bit-identical to a plain one
 because the timers only observe (pinned by ``tests/test_prof.py``).
 
-Like telemetry and the invariant checker, the ``idle_skip``
-fast-forward stands aside under profiling (skipped cycles would
-attribute no time to the stages that *would* have run), so per-cycle
-stage costs are measured on the cycle-by-cycle loop the other features
-see.
+Profiling runs the interpreted kernel, which steps every cycle: only
+the typed kernel skips idle cycles, and a skipped cycle would attribute
+no time to the stages that *would* have run.  Per-cycle stage costs are
+therefore measured on the cycle-by-cycle loop the other observers see.
 
 Usage::
 

@@ -20,9 +20,14 @@ order     point               kind         active when
 10        probe               stage        always
 11        prefetch            stage        a dedicated prefetcher is built
 12        invariant_sweep     hook         ``params.check_invariants``
-13        idle_skip           hook         no telemetry/checker/prefetcher/profile
-14        livelock_guard      hook         always
+13        livelock_guard      hook         always
 ========  ==================  ===========  =================================
+
+The composed kernel runs every cycle, one after another: it has no
+idle skip and no retire-only drain.  That makes it the plain
+cycle-by-cycle reference (``Simulator.run(reference=True)``) that the
+typed kernel's cycle compression (:mod:`repro.core.typedkern`) is
+checked against.
 
 Under the ``profile`` feature (:mod:`repro.core.prof`) the emitter
 additionally wraps each composed point's body with perf-counter reads
@@ -82,20 +87,12 @@ class SchedulePoint:
     body: tuple[str, ...]
     binds: tuple[str, ...] = ()
     requires: str | None = None
-    excludes: tuple[str, ...] = ()
-    """Feature flags that suppress the point: it is composed in only
-    when *none* of these are active.  Used by pure fast-path
-    optimisations (idle_skip) that must stand aside whenever an
-    observing subsystem wants to see every cycle."""
 
     def __post_init__(self) -> None:
         if self.kind not in ("stage", "hook"):
             raise ValueError(f"schedule point kind must be stage|hook, got {self.kind!r}")
         if self.requires is not None and self.requires not in FEATURES:
             raise ValueError(f"unknown feature {self.requires!r}; known: {FEATURES}")
-        for feature in self.excludes:
-            if feature not in FEATURES:
-                raise ValueError(f"unknown feature {feature!r}; known: {FEATURES}")
 
 
 def _stage(name: str, body: tuple[str, ...], binds: tuple[str, ...] = (), requires=None):
@@ -103,15 +100,9 @@ def _stage(name: str, body: tuple[str, ...], binds: tuple[str, ...] = (), requir
     return SchedulePoint(name, "stage", body, binds, requires)
 
 
-def _hook(
-    name: str,
-    body: tuple[str, ...],
-    binds: tuple[str, ...] = (),
-    requires=None,
-    excludes: tuple[str, ...] = (),
-):
+def _hook(name: str, body: tuple[str, ...], binds: tuple[str, ...] = (), requires=None):
     """Shorthand for a hook-point schedule point."""
-    return SchedulePoint(name, "hook", body, binds, requires, excludes)
+    return SchedulePoint(name, "hook", body, binds, requires)
 
 
 CYCLE_SCHEDULE: tuple[SchedulePoint, ...] = (
@@ -204,84 +195,6 @@ CYCLE_SCHEDULE: tuple[SchedulePoint, ...] = (
         binds=("check_cycle = sim.checker.check_cycle",),
         body=("check_cycle(cycle)",),
     ),
-    # Idle-cycle fast-forward.  When no frontend stage can act before a
-    # known wake-up cycle -- the BPU is stalled (or the FTQ full), the
-    # FTQ head is absent / awaiting a fill / not yet consumable, and no
-    # entry awaits its probe -- the frontend is a provable no-op until
-    # the earliest wake-up (next MSHR completion, BPU stall release,
-    # head ready cycle, or the livelock guard).  Two compressible
-    # shapes:
-    #
-    # * decode queue empty: every intervening cycle is exactly one
-    #   backend starvation bump, so the loop jumps straight to the
-    #   wake-up and bumps starvation in bulk;
-    # * decode queue holding only fault-free chunks (the
-    #   fetch-bandwidth-bound stretch: the head block is ready but
-    #   fetch already banked more instructions than the backend has
-    #   retired): only the backend acts, and with no fault in flight no
-    #   flush can occur, so Simulator._drain_to retires cycle-by-cycle
-    #   -- replicating per-cycle starvation accounting, take-splitting
-    #   and the head starved-flag -- without running the no-op
-    #   frontend stages.
-    #
-    # Composed in only on the plain fast path: any observer that wants
-    # to see every cycle (telemetry ticks, the invariant checker, a
-    # prefetcher that may act on any cycle) suppresses it, which is
-    # also what lets the fuzzer's bit-identity properties pin the
-    # skipped path against the cycle-by-cycle one.  Under a prefetcher
-    # this interpreted kernel stays cycle-by-cycle as the reference;
-    # its typed twin (repro.core.typedkern) instead skips only while
-    # the prefetch queue is empty, and stops its drain at the first
-    # cycle whose commits enqueue a prefetch.
-    _hook(
-        "idle_skip",
-        excludes=("telemetry", "checker", "prefetcher", "profile"),
-        binds=(
-            "dq = sim.decode_queue",
-            "bpu = sim.bpu",
-            "mshr_next_ready = sim.memory.mshrs.next_ready_cycle",
-            "_drain = sim._drain_to",
-        ),
-        body=(
-            # The target check mirrors the loop condition: once the last
-            # instruction has committed (this very iteration), the loop
-            # is about to exit and a skip would pad cycles the
-            # cycle-by-cycle loop never runs.
-            "if backend.committed < target:",
-            "    entries = ftq._entries",
-            "    head = entries[0] if entries else None",
-            "    wake = 0",
-            "    if head is None:",
-            "        wake = guard + 1",
-            "    elif head.state == 2:  # AWAIT_FILL: woken by an MSHR completion",
-            "        wake = guard + 1",
-            "    elif head.state == 3 and head.ready_cycle > cycle + 1:  # READY, later",
-            "        wake = head.ready_cycle",
-            "    if wake:",
-            "        if not ftq.full:",
-            "            if bpu.stall_until <= cycle + 1:",
-            "                wake = 0  # the BPU can predict next cycle",
-            "            elif bpu.stall_until < wake:",
-            "                wake = bpu.stall_until",
-            "        if wake:",
-            "            for _e in entries:",
-            "                if _e.state == 1:  # AWAIT_PROBE: probe acts next cycle",
-            "                    wake = 0",
-            "                    break",
-            "    if wake:",
-            "        _fill = mshr_next_ready()",
-            "        if _fill is not None and _fill < wake:",
-            "            wake = _fill",
-            "        if wake > guard + 1:",
-            "            wake = guard + 1",
-            "        if wake > cycle + 1:",
-            "            if not dq._chunks:",
-            "                backend.stats.bump('starvation_cycles', wake - cycle - 1)",
-            "                cycle = wake - 1",
-            "            elif all(_c.fault is None for _c in dq._chunks):",
-            "                cycle = _drain(cycle, wake, target, warmup, head)",
-        ),
-    ),
     # A run exceeding the guard indicates a livelock; fail with context.
     _hook(
         "livelock_guard",
@@ -299,12 +212,7 @@ def active_points(features: frozenset[str]) -> list[SchedulePoint]:
     unknown = features.difference(FEATURES)
     if unknown:
         raise ValueError(f"unknown feature(s) {sorted(unknown)}; known: {FEATURES}")
-    return [
-        p
-        for p in CYCLE_SCHEDULE
-        if (p.requires is None or p.requires in features)
-        and not any(f in features for f in p.excludes)
-    ]
+    return [p for p in CYCLE_SCHEDULE if p.requires is None or p.requires in features]
 
 
 def profiled_points(features: frozenset[str]) -> list[SchedulePoint]:
@@ -441,14 +349,7 @@ def validate_stage_interfaces(sim) -> list[str]:
                 problems.append(f"{point.name}: binding {expr!r} failed: {exc}")
                 continue
             env[name] = value
-            object_binds = (
-                ".telemetry",
-                ".ftq",
-                ".backend",
-                ".decode_queue",
-                ".bpu",
-                ".profiler.acc",
-            )
+            object_binds = (".telemetry", ".ftq", ".backend", ".profiler.acc")
             if not expr.endswith(object_binds) and not callable(value):
                 problems.append(f"{point.name}: binding {expr!r} is not callable")
     return problems

@@ -17,7 +17,11 @@ this simulator's active features (telemetry / invariant checker /
 prefetcher).  Inactive hooks are not composed in at all, so the
 uninstrumented path keeps bound-locals tight-loop speed, and because
 observers only *observe*, traced and checked runs stay bit-identical to
-plain runs (pinned by the fuzzer's bit-identity properties).
+plain runs (pinned by the fuzzer's bit-identity properties).  That
+interpreted kernel steps every cycle.  Runs without an observer take
+the flat typed kernel (:mod:`repro.core.typedkern`) instead, the only
+kernel that skips idle cycles, and the interpreted kernel is the
+reference it is checked against.
 """
 
 from __future__ import annotations
@@ -125,61 +129,6 @@ class Simulator:
             cycle + self.params.core.mispredict_penalty,
             reason=f"flush:{fault.kind_label}",
         )
-
-    # ------------------------------------------------------------------
-    # Fetch-bandwidth drain (idle_skip extension)
-    # ------------------------------------------------------------------
-    def _drain_to(self, cycle: int, wake: int, target: int, warmup: int, head) -> int:
-        """Retire-only drain of a fetch-bandwidth-bound stretch.
-
-        Called from the ``idle_skip`` hook when every frontend stage is
-        a provable no-op until ``wake`` (see the hook's wake
-        computation in :mod:`repro.core.schedule`) but the decode queue
-        still holds instructions -- all fault-free, so no flush can
-        occur and no new chunks can arrive.  Runs the backend
-        cycle-by-cycle up to ``wake - 1``, replicating exactly what the
-        full loop would have done each cycle: retire (with per-cycle
-        starvation accounting and take-splitting inside
-        :meth:`Backend.cycle`), the measurement boundary, and fetch's
-        ``starved_while_head`` flag on the non-consumable head.  Once
-        the queue empties mid-drain the remaining cycles collapse to a
-        bulk starvation bump, matching the plain idle skip that would
-        have fired at that cycle with the identical wake.  Returns the
-        cycle the caller's loop variable resumes from (the cycle the
-        target was reached, or ``wake - 1``).
-        """
-        backend = self.backend
-        backend_cycle = backend.cycle
-        dq = self.decode_queue
-        chunks = dq._chunks
-        capacity = dq.capacity
-        fetch_width = self.fetch._fetch_width
-        end = wake - 1
-        c = cycle
-        while c < end:
-            c += 1
-            backend_cycle(c)
-            if not self._measuring and backend.committed >= warmup:
-                self.cycle = c
-                self._begin_measurement()
-            # Fetch's starved flag: only when fetch would have run (free
-            # decode slots) and found too few banked instructions.
-            if (
-                head is not None
-                and dq.total_instrs < capacity
-                and dq.total_instrs < fetch_width
-            ):
-                head.starved_while_head = True
-            if backend.committed >= target:
-                return c
-            if not chunks:
-                rem = end - c
-                if rem > 0:
-                    backend.stats.bump("starvation_cycles", rem)
-                    if head is not None:
-                        head.starved_while_head = True
-                return end
-        return end
 
     # ------------------------------------------------------------------
     # Measurement window
@@ -303,7 +252,8 @@ class Simulator:
         :func:`repro.core.typed.supported` holds, and otherwise the
         schedule-specialized interpreted kernel for this simulator's
         :meth:`active_features` (the reason is logged at debug level).
-        ``reference=True`` forces the interpreted kernel: it is the
+        ``reference=True`` forces the interpreted kernel, which steps
+        every cycle (only the typed kernel skips idle cycles): it is the
         reference path the correctness harness compares the typed
         kernel against.  The backend that ran is recorded in
         :attr:`kernel_backend`.

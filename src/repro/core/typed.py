@@ -6,6 +6,7 @@ The simulator has two cycle-loop backends:
     The schedule-generated interpreted kernel
     (:func:`repro.core.schedule.build_kernel`) -- composed from
     :data:`~repro.core.schedule.CYCLE_SCHEDULE` for any feature set.
+    It steps every cycle.
 
 ``typed``
     The hand-lowered flat kernel (:mod:`repro.core.typedkern`) for every
@@ -13,10 +14,11 @@ The simulator has two cycle-loop backends:
     prefetchers included.  It is bit-identical to the interpreted
     kernel by contract (pinned by ``tests/test_typed.py`` and the
     ``typed_interp_identity`` fuzz property) and exists purely for
-    speed.  When the optional mypyc toolchain has compiled
-    ``typedkern`` into an extension module the backend reports
-    ``typed-compiled``; otherwise the pure-Python module runs as-is and
-    reports ``typed-python``.
+    speed: it inlines the stage calls, and it is the only kernel that
+    skips idle cycles and drains the decode queue retire-only.  When
+    the optional mypyc toolchain has compiled ``typedkern`` into an
+    extension module the backend reports ``typed-compiled``; otherwise
+    the pure-Python module runs as-is and reports ``typed-python``.
 
 The backend is derived, never configured: :meth:`Simulator.run
 <repro.core.simulator.Simulator.run>` takes the typed kernel whenever

@@ -5,22 +5,28 @@ interpreted kernel for every non-observer feature set (no telemetry,
 no checker, no profiler; a dedicated prefetcher is fine): one flat
 function whose body inlines the five hot stage bodies --
 ``memory_fill``, ``backend_retire``, ``fetch``, ``predict``, ``probe``
--- plus the ``prefetch`` stage's hook points, the ``measure_boundary``,
-``idle_skip`` (including the fetch-bandwidth drain extension) and
-``livelock_guard`` hooks, operating on ints and pre-bound component
-internals instead of per-cycle method dispatch.
+-- plus the ``prefetch`` stage's hook points and the
+``measure_boundary`` and ``livelock_guard`` hooks, operating on ints
+and pre-bound component internals instead of per-cycle method
+dispatch.
+
+It is also the only kernel that compresses cycles.  Its idle skip
+jumps over stretches where no frontend stage can act, and its
+retire-only drain steps just the backend while fetch is blocked (see
+the hook comment in the loop).  The interpreted kernel steps every
+cycle, so typed == reference checks both against true per-cycle
+stepping.
 
 A dedicated prefetcher's logic stays a call at its two event hooks,
 the ``on_fill`` / ``on_access`` calls of ``FetchUnit.complete_fills``
 / ``FetchUnit.probe_stage``; its issue stage, ``Prefetcher.cycle``
 with ``InstructionMemory.prefetch_line``'s tag probe and MSHR
 allocation, is inlined (no registered prefetcher overrides ``cycle``,
-which ``tests/test_typed.py`` pins).  Under a prefetcher the
-interpreted kernel has no idle skip, so the typed skip must match plain
-stepping: it fires only while the queue is empty, and its retire-only
-drain stops at the first cycle whose committed branches enqueue a
-prefetch (``djolt``, ``rdip`` and ``profile_guided`` train on commit);
-that rare stop issues through a ``Prefetcher.cycle`` call.
+which ``tests/test_typed.py`` pins).  Under a prefetcher the skip
+fires only while the prefetch queue is empty, and the drain stops at
+the first cycle whose committed branches enqueue a prefetch
+(``djolt``, ``rdip`` and ``profile_guided`` train on commit); that
+rare stop issues through a ``Prefetcher.cycle`` call.
 
 **Bit identity is the contract.**  Every statement here replicates the
 exact semantics (including stat-bump names and ordering-visible side
@@ -29,8 +35,9 @@ effects) of the components the interpreted kernel calls:
 :class:`repro.frontend.fetch.FetchUnit`,
 :class:`repro.frontend.bpu.BranchPredictionUnit`,
 :class:`repro.memory.hierarchy.InstructionMemory` (TLB / Cache / MSHR
-inlined), and the ``idle_skip`` hook in
-:mod:`repro.core.schedule`.  The contract is pinned by
+inlined), and the hooks in :mod:`repro.core.schedule`; a skipped or
+drained stretch must leave exactly the counters and state that
+stepping it cycle by cycle would.  The contract is pinned by
 ``tests/test_typed.py`` and the fuzzer's ``typed_interp_identity``
 property -- any drift is a test failure, not a tolerance.
 
@@ -656,13 +663,36 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                         mshrs.peak_occupancy = occ
                     counters["prefetch_issued"] += 1
 
-        # ---- hook: idle_skip + fetch-bandwidth drain -----------------
-        # Mirrors the schedule's idle_skip hook exactly (see
-        # repro.core.schedule), including the drain extension: when the
-        # earliest wake event is known and the decode queue still holds
-        # fault-free chunks, the retire-only cycles in between are
-        # compressed (Simulator._drain_to inlined).  A queued prefetch
-        # issues next cycle, so the skip waits for an empty queue.
+        # ---- hook: idle skip + fetch-bandwidth drain -----------------
+        # Only this kernel compresses cycles; the interpreted reference
+        # steps every one.  The wake cycle is the first cycle on which
+        # a frontend stage can act.  Nothing can while the BPU is
+        # stalled (or the FTQ is full), the FTQ head is absent, awaiting
+        # a fill or not yet consumable, and no entry awaits its probe.
+        # The wake is then the earliest of: the next MSHR completion,
+        # the BPU stall release, the head's ready cycle and the
+        # livelock guard.  A queued prefetch issues next cycle, so the
+        # skip also waits for an empty prefetch queue.  Two shapes
+        # compress exactly:
+        #
+        # * decode queue empty: each cycle before the wake is exactly
+        #   one backend starvation bump, so the loop jumps straight to
+        #   the wake and bumps starvation in bulk;
+        # * decode queue holding only fault-free chunks (the
+        #   fetch-bandwidth-bound stretch: the head block is ready but
+        #   fetch already banked more instructions than the backend
+        #   has retired): only the backend acts, and with no fault in
+        #   flight no flush can occur.  The drain retires cycle by
+        #   cycle, replicating per-cycle starvation accounting,
+        #   take-splitting, the measurement boundary and fetch's
+        #   starved flag on the head, without running the no-op
+        #   frontend stages.  Once the queue empties, the rest of the
+        #   stretch is the first shape.
+        #
+        # The check on `target` mirrors the loop condition: once the
+        # last instruction has committed this iteration the loop is
+        # about to exit, and a skip would pad cycles a per-cycle loop
+        # never runs.
         if committed < target and not pf_queue:
             head_entry = entries[0] if entries else None
             wake = 0

@@ -1,6 +1,6 @@
 """Plain-text table rendering for experiment output.
 
-The benchmark harness prints each reproduced table/figure as an ASCII
+``repro report`` prints each reproduced table/figure as an ASCII
 table comparable, row for row, with the paper's charts.
 :func:`render_trace_report` turns one telemetry summary (``repro
 trace``) into a markdown report.

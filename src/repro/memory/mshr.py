@@ -90,18 +90,6 @@ class MSHRFile:
             self.peak_occupancy = len(self._by_line)
         return entry
 
-    def next_ready_cycle(self) -> int | None:
-        """Earliest completion cycle over all outstanding fills.
-
-        Returns None when nothing is in flight.  The idle-skip schedule
-        hook uses this as a wake-up bound: no fill can install (and so
-        no waiting FTQ entry can wake) before this cycle.
-        """
-        by_line = self._by_line
-        if not by_line:
-            return None
-        return min(e.ready_cycle for e in by_line.values())
-
     def inflight_prefetches(self) -> int:
         """Outstanding fills still marked as prefetches (not yet demanded)."""
         return sum(1 for e in self._by_line.values() if e.is_prefetch)

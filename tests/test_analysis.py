@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.analysis import (
     ALL_ABLATIONS,
+    direction_zoo,
     fdp_attribution,
     loop_predictor_ablation,
     prefetcher_quality,
@@ -75,6 +76,23 @@ class TestLoopAblation:
     def test_row_per_workload(self):
         data = loop_predictor_ablation()
         assert [r[0] for r in data["rows"]] == ["spc_fp"]
+
+
+class TestDirectionZoo:
+    def test_row_per_predictor(self):
+        data = direction_zoo()
+        assert [r[0] for r in data["rows"]] == [
+            "gshare-8KB",
+            "perceptron-8KB",
+            "tage-9KB",
+            "tage-18KB",
+            "tage-36KB",
+        ]
+        assert all(len(r) == len(data["headers"]) == 3 for r in data["rows"])
+
+    def test_anchor_is_tage18(self):
+        rows = {r[0]: r for r in direction_zoo()["rows"]}
+        assert rows["tage-18KB"][1] == pytest.approx(0.0)
 
 
 class TestRegistry:

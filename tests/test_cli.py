@@ -1,10 +1,21 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import build_parser, main
+
+COMMITTED_RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+
+@pytest.fixture
+def archive(tmp_path, monkeypatch):
+    """Point ``repro report``'s archive at a temporary directory."""
+    monkeypatch.setattr(cli, "RESULTS_DIR", tmp_path)
+    return tmp_path
 
 
 class TestParser:
@@ -88,14 +99,45 @@ class TestCommands:
         assert kind["counters"] == flag["counters"]
         assert kind["cycles"] == flag["cycles"]
 
-    def test_report_static_tables(self, capsys):
-        assert main(["report", "table3", "table5"]) == 0
+    def test_report_stdout_is_archived_text(self, capsys, archive):
+        assert main(["report", "table3"]) == 0
+        captured = capsys.readouterr()
+        text = (archive / "table3.txt").read_text()
+        assert captured.out == text
+        assert text.splitlines()[-1] == (
+            "paper reference: total=195 bytes, pfc_hints=24 bytes"
+        )
+        # Wall time and the cache summary stay off stdout.
+        assert "[table3 done in " in captured.err
+        assert "[cache: " in captured.err
+
+    def test_report_static_tables(self, capsys, archive):
+        # The static tables need no simulation, so their archives must
+        # equal the committed ones byte for byte.
+        names = ["table1", "table3", "table4", "table5"]
+        assert main(["report", *names]) == 0
+        texts = [(archive / f"{name}.txt").read_text() for name in names]
+        for name in names:
+            assert (archive / f"{name}.txt").read_bytes() == (
+                COMMITTED_RESULTS / f"{name}.txt"
+            ).read_bytes(), name
         out = capsys.readouterr().out
+        assert out == "\n".join(texts)
         assert "195 bytes" in out
         assert "Table V" in out
 
-    def test_report_unknown_experiment(self, capsys):
+    def test_report_plot_stays_off_archive(self, capsys, archive, monkeypatch):
+        data = {"title": "T", "headers": ["config", "gain %"], "rows": [["a", 1.5], ["b", 3.0]]}
+        monkeypatch.setitem(cli.ALL_EXPERIMENTS, "toy", lambda: data)
+        assert main(["report", "toy", "--plot"]) == 0
+        out = capsys.readouterr().out
+        text = (archive / "toy.txt").read_text()
+        assert "#" not in text
+        assert out.startswith(text) and "#" in out[len(text):]
+
+    def test_report_unknown_experiment(self, capsys, archive):
         assert main(["report", "fig99"]) == 2
+        assert not list(archive.iterdir())
 
 
 class TestCheckCommand:

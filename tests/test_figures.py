@@ -30,6 +30,23 @@ class TestFig1:
         assert all(len(r) == 2 for r in data["rows"])
 
 
+class TestTable2:
+    def test_row_per_history_type(self):
+        data = figures.table2()
+        assert [r[0] for r in data["rows"]] == [
+            "Target (THR)",
+            "Direction no-fix (GHR0)",
+            "Direction fix (GHR2)",
+        ]
+        assert all(len(r) == len(data["headers"]) == 4 for r in data["rows"])
+
+    def test_only_ghr2_flushes_for_fixups(self):
+        data = figures.table2()
+        flushes = {r[0]: r[2] for r in data["rows"]}
+        assert flushes["Target (THR)"] == 0
+        assert flushes["Direction no-fix (GHR0)"] == 0
+
+
 class TestFig6:
     def test_fig6a_fdp_beats_baseline(self):
         data = figures.fig6a()
@@ -78,6 +95,23 @@ class TestFig9:
         data = figures.fig9()
         rows = {r[0]: r for r in data["rows"]}
         assert rows["fdp/btb4k+eip27"][4] > rows["fdp/btb8k"][4]
+
+
+class TestFig10:
+    def test_rows_cover_btb_history_pfc_prefetcher(self):
+        data = figures.fig10()
+        labels = [r[0] for r in data["rows"]]
+        assert len(labels) == 24
+        assert labels[0] == "btb512/THR/nopfc/sn4l_dis"
+        assert labels[-1] == "btbPerf/GHR/pfc/+btbpf"
+        rows = {r[0]: r for r in data["rows"]}
+        assert rows["btb8k/THR/pfc/sn4l_dis"][1] == pytest.approx(0.0)  # anchor
+
+    def test_perfect_btb_ignores_pfc_and_btb_prefetch(self):
+        data = figures.fig10()
+        for hist in ("THR", "GHR"):
+            perf = {tuple(r[1:]) for r in data["rows"] if r[0].startswith(f"btbPerf/{hist}/")}
+            assert len(perf) == 1, hist
 
 
 class TestFig11:

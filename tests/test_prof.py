@@ -98,10 +98,6 @@ class TestKernelComposition:
         src = kernel_source(frozenset())
         assert "_clk" not in src and "_pacc" not in src
 
-    def test_profile_excludes_idle_skip(self):
-        src = kernel_source(frozenset({"profile"}))
-        assert "idle_for" not in src  # fast-forward stands aside
-
     def test_profiler_not_batchable(self):
         ok, reason = batchable(fast(), profiler=StageProfiler())
         assert not ok

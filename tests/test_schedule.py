@@ -1,5 +1,6 @@
 """Tests for the declarative stage schedule and kernel builder."""
 
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -43,7 +44,6 @@ class TestSchedule:
             "probe",
             "prefetch",
             "invariant_sweep",
-            "idle_skip",
             "livelock_guard",
         ]
 
@@ -76,6 +76,16 @@ class TestKernelSource:
         assert "tel.now = cycle" in src
         assert "check_cycle(cycle)" in src
         assert "prefetcher_cycle(cycle)" in src
+
+    def test_no_kernel_compresses_cycles(self):
+        # The interpreted kernel is the cycle-by-cycle reference for
+        # every feature set: the idle skip and its retire-only drain
+        # live only in the typed kernel.
+        for n in range(len(FEATURES) + 1):
+            for subset in combinations(FEATURES, n):
+                src = kernel_source(frozenset(subset))
+                assert "_drain" not in src, subset
+                assert "wake" not in src, subset
 
     def test_kernels_memoised(self):
         assert build_kernel(frozenset()) is build_kernel(frozenset())

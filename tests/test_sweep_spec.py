@@ -34,7 +34,8 @@ from repro.check.sweepdiff import (
 from repro.cli import main
 from repro.common.ledger import read_ledger
 from repro.common.params import SimParams
-from repro.experiments import runner
+from repro.experiments import figures, runner
+from repro.experiments.cache import run_key
 from repro.experiments.spec import (
     SweepSpecError,
     apply_setting,
@@ -433,16 +434,38 @@ class TestEquivalenceHarness:
         assert main(["check", "--sweep", str(tmp_path / "nope.json")]) == 2
 
 
+EXAMPLE_SPECS = Path(__file__).resolve().parents[1] / "examples" / "sweeps"
+
+
 class TestExampleSpecs:
     def test_shipped_specs_parse_and_expand(self):
         """Every spec under examples/sweeps/ stays valid (expansion only)."""
-        root = Path(__file__).resolve().parents[1] / "examples" / "sweeps"
-        specs = sorted(root.glob("*.yaml"))
+        specs = sorted(EXAMPLE_SPECS.glob("*.yaml"))
         assert specs, "examples/sweeps/ should ship at least one spec"
         for path in specs:
             points = expand(load_spec(path))
             assert points
             assert len({p.point_id for p in points}) == len(points)
+
+    def test_fig7_spec_runs_fig7_points(self, monkeypatch):
+        """fig7_btb_pfc.yaml expands to exactly the points fig7 runs."""
+
+        class Captured(Exception):
+            pass
+
+        keys = set()
+
+        def capture(configs, workloads):
+            workloads = list(workloads)
+            for params in configs.values():
+                keys.update(run_key(wl, runner._resolve(params)) for wl in workloads)
+            raise Captured
+
+        monkeypatch.setattr(figures, "run_matrix", capture)
+        with pytest.raises(Captured):
+            figures.fig7()
+        points = expand(load_spec(EXAMPLE_SPECS / "fig7_btb_pfc.yaml"))
+        assert {p.point_id for p in points} == keys
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,9 @@ without an observer, dedicated prefetchers included.  Its whole
 contract is *bit-identity*: a typed run must reproduce the interpreted
 reference run (``Simulator.run(reference=True)``) counter-for-counter,
 so these tests pin that claim across every registered prefetcher and
-direction predictor, through the idle-skip drain extension (including
-its stop for prefetchers that train on committed branches), through
+direction predictor, through the typed kernel's idle skip and drain
+against a reference that steps every cycle (including the drain's
+stop for prefetchers that train on committed branches), through
 every outcome of the inlined prefetch issue stage, and for both
 warmup modes -- plus the derived backend choice and the label
 that records which backend produced a number.
@@ -152,9 +153,9 @@ class TestTypedInterpIdentity:
 
     @pytest.mark.parametrize("prefetcher", ["none", "perfect", *prefetcher_names()])
     def test_every_prefetcher(self, prefetcher):
-        # Under a dedicated prefetcher the reference kernel steps every
-        # cycle, so this also pins the typed idle skip's guard: it may
-        # skip only while the prefetch queue is empty.
+        # The reference kernel steps every cycle, so this also pins the
+        # typed idle skip's prefetcher guard: it may skip only while the
+        # prefetch queue is empty.
         typed, interp, sim = run_pair(fast(prefetcher=prefetcher))
         assert sim.kernel_backend == backend_name()
         identity(typed, interp)
@@ -189,13 +190,12 @@ class TestTypedInterpIdentity:
     def test_idle_skip_drain_stretch(self, workload, prefetcher):
         # A tiny FTQ with a large mispredict penalty and few MSHRs
         # produces long stalled stretches where the decode queue drains
-        # while fetch is blocked -- the bandwidth-bound drain extension
-        # (Simulator._drain_to and its typedkern twin) is the hot path
-        # here, and starvation accounting must match cycle-for-cycle.
+        # while fetch is blocked -- the typed kernel's bandwidth-bound
+        # drain is the hot path here, and its starvation accounting must
+        # match the reference kernel, which steps every cycle.
         # djolt / rdip / profile_guided enqueue from committed branches,
         # so the typed drain must also stop at the first cycle whose
-        # commits fill the prefetch queue (the reference kernel steps
-        # every cycle under a prefetcher).
+        # commits fill the prefetch queue.
         params = (
             fast(prefetcher=prefetcher)
             .with_frontend(ftq_entries=2, decode_queue_size=32)
