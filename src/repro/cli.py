@@ -1,12 +1,11 @@
 """Command-line interface.
 
-Twelve subcommands::
+Eleven subcommands::
 
     python -m repro run   --workload srv_web --ftq 24 --btb 8192 ...
-    python -m repro list                  # workloads and prefetchers
+    python -m repro list                  # workloads, prefetchers, predictors, experiments
     python -m repro workload info NAME    # one workload: footprint, branch mix, provenance
     python -m repro report fig7 fig14     # regenerate + archive paper experiments
-    python -m repro bench [--trend]       # cycle-loop throughput -> BENCH_core.json
     python -m repro trace --workload ...  # telemetry run -> JSONL + report
     python -m repro profile --workload .. # per-stage self-time profile
     python -m repro check [--fuzz N]      # correctness harness (docs/TESTING.md)
@@ -31,7 +30,11 @@ see docs/PERFORMANCE.md.  The global ``--log-level`` flag (or the
 
 Every ``--workload``/``--workloads`` flag accepts catalogue names,
 registered trace sources (``REPRO_TRACES``) and ChampSim trace file
-paths interchangeably (see docs/TRACES.md).
+paths interchangeably (see docs/TRACES.md).  An unknown workload or a
+malformed trace file exits 2 with one error line.
+
+Simulator throughput is measured by ``perfbench/`` (see
+docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -48,12 +51,11 @@ from repro.common.params import HistoryPolicy, SimParams
 from repro.core.build import direction_predictors, history_policies
 from repro.core.simulator import simulate
 from repro.experiments.analysis import ALL_ABLATIONS
-from repro.experiments.bench import DEFAULT_OUTPUT as _BENCH_OUTPUT
-from repro.experiments.bench import run_bench, write_bench
 from repro.experiments.cache import ResultCache, cache_stats
 from repro.experiments.figures import ALL_EXPERIMENTS as _FIGURES
 from repro.experiments.report import render_table, render_trace_report
 from repro.prefetch import prefetcher_names
+from repro.trace.champsim import TraceFormatError
 from repro.trace.workloads import default_workloads
 
 ALL_EXPERIMENTS = {**_FIGURES, **ALL_ABLATIONS}
@@ -114,22 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one workload/configuration")
     _add_sim_flags(run)
-    run.add_argument(
-        "--list-workloads",
-        action="store_true",
-        help="print the known workloads (name, source, category; one per "
-        "line) and exit",
-    )
-    run.add_argument(
-        "--list-prefetchers",
-        action="store_true",
-        help="print the registered prefetcher names (one per line) and exit",
-    )
-    run.add_argument(
-        "--list-predictors",
-        action="store_true",
-        help="print the registered direction-predictor names (one per line) and exit",
-    )
     run.add_argument("--stats", action="store_true", help="dump all raw counters")
     run.add_argument(
         "--stats-json",
@@ -138,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the full raw counter set (sorted) as JSON to PATH",
     )
 
-    sub.add_parser("list", help="list workloads and prefetchers")
+    sub.add_parser("list", help="list workloads, prefetchers, predictors and experiments")
 
     workload = sub.add_parser(
         "workload", help="inspect one workload: footprint, branch mix, provenance"
@@ -173,67 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="regenerate paper tables/figures")
     report.add_argument("experiments", nargs="*", help="subset (default: all)")
     report.add_argument("--plot", action="store_true", help="add ASCII bar charts")
-
-    bench = sub.add_parser("bench", help="measure simulated instructions/sec")
-    bench.add_argument(
-        "--workloads",
-        default="quick",
-        help="'quick' (default), 'all', or comma-separated workload names "
-        "or trace file paths",
-    )
-    bench.add_argument("--warmup", type=int, default=None, help="warmup instructions")
-    bench.add_argument("--instructions", type=int, default=None, help="measured instructions")
-    bench.add_argument("--repeats", type=int, default=1, help="best-of-N repeats per workload")
-    bench.add_argument("--output", default=None, help=f"JSON path (default {_BENCH_OUTPUT})")
-    bench.add_argument(
-        "--fast-warmup",
-        action="store_true",
-        help="use functional fast-forward warmup (warmup_mode=functional)",
-    )
-    bench.add_argument(
-        "--batched",
-        action="store_true",
-        help="benchmark the lockstep batch path (repro.core.batch) instead "
-        "of one scalar instance per workload",
-    )
-    bench.add_argument(
-        "--batch-width",
-        type=int,
-        default=None,
-        metavar="N",
-        help="instances per lockstep batch for --batched (default 4)",
-    )
-    bench.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip appending this run to BENCH_history.jsonl",
-    )
-    bench.add_argument(
-        "--baseline",
-        metavar="BENCH_JSON",
-        default=None,
-        help="compare against a previous BENCH_core.json; exit non-zero "
-        "if any workload's rate regressed by more than 20%%",
-    )
-    bench.add_argument(
-        "--trend",
-        action="store_true",
-        help="print the per-machine regression trend from BENCH_history.jsonl "
-        "instead of running the benchmark",
-    )
-    bench.add_argument(
-        "--last",
-        type=int,
-        default=10,
-        metavar="N",
-        help="trend window: last N history entries per machine/mode (default 10)",
-    )
-    bench.add_argument(
-        "--history",
-        metavar="PATH",
-        default=None,
-        help="history trail for --trend (default BENCH_history.jsonl)",
-    )
 
     profile = sub.add_parser(
         "profile", help="simulate with the schedule-stage profiler; print self-time"
@@ -448,6 +373,22 @@ def _params_from_args(args: argparse.Namespace) -> SimParams:
     return params
 
 
+def _resolve_workload(name: str):
+    """Resolve one ``--workload`` value to its workload source.
+
+    Logs the resolver's message, which lists the known names, and
+    returns ``None`` for an unknown workload, so callers can exit 2
+    before simulating anything.
+    """
+    from repro.trace.source import resolve_workload
+
+    try:
+        return resolve_workload(name)
+    except KeyError as exc:
+        log.error("%s", exc.args[0])
+        return None
+
+
 def _resolve_workload_names(raw: str) -> list[str] | None:
     """Resolve a comma-separated ``--workloads`` value to registry names.
 
@@ -470,35 +411,13 @@ def _resolve_workload_names(raw: str) -> list[str] | None:
     return names
 
 
-def _run_list_flags(args: argparse.Namespace) -> int | None:
-    """Handle ``repro run --list-*`` discovery flags (one name per line).
-
-    Returns an exit code when a list flag was given, ``None`` otherwise.
-    """
-    if getattr(args, "list_workloads", False):
-        from repro.trace.source import registered_workloads
-
-        for wl in [*default_workloads(), *registered_workloads()]:
-            print(f"{wl.name:14s} {wl.source_kind:10s} {wl.category}")
-        return 0
-    if getattr(args, "list_prefetchers", False):
-        for name in ["none", "perfect", *prefetcher_names()]:
-            print(name)
-        return 0
-    if getattr(args, "list_predictors", False):
-        for name in direction_predictors.names():
-            print(name)
-        return 0
-    return None
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     """Simulate one (workload, configuration) pair and print metrics."""
-    listed = _run_list_flags(args)
-    if listed is not None:
-        return listed
-    log.debug("simulating %s (%d+%d instructions)", args.workload, args.warmup, args.instructions)
-    result = simulate(args.workload, _params_from_args(args))
+    source = _resolve_workload(args.workload)
+    if source is None:
+        return 2
+    log.debug("simulating %s (%d+%d instructions)", source.name, args.warmup, args.instructions)
+    result = simulate(source, _params_from_args(args))
     print(result.summary())
     exposure = result.miss_exposure()
     print(
@@ -555,14 +474,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """Simulate one point with telemetry on; write JSONL + trace report."""
     from repro.common.telemetry import Telemetry, TelemetryConfig
 
+    source = _resolve_workload(args.workload)
+    if source is None:
+        return 2
     telemetry = Telemetry(
         TelemetryConfig(interval_stride=args.stride, ring_capacity=args.events)
     )
-    log.debug("tracing %s (stride=%d, ring=%d)", args.workload, args.stride, args.events)
-    result = simulate(args.workload, _params_from_args(args), telemetry=telemetry)
+    log.debug("tracing %s (stride=%d, ring=%d)", source.name, args.stride, args.events)
+    result = simulate(source, _params_from_args(args), telemetry=telemetry)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    base = args.workload
+    # The resolved name, not the argument: a trace file path would name
+    # files outside ``--out``.
+    base = result.workload
     paths = [
         telemetry.write_events_jsonl(outdir / f"{base}.events.jsonl"),
         telemetry.write_timeseries_jsonl(outdir / f"{base}.timeseries.jsonl"),
@@ -606,13 +530,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
-    """List workloads, prefetchers and experiments."""
+    """List workloads, prefetchers, direction predictors and experiments."""
     from repro.trace.source import registered_workloads
 
     print("workloads:")
     for wl in [*default_workloads(), *registered_workloads()]:
-        print(f"  {wl.name:14s} {wl.source_kind:10s} ({wl.category})")
+        print(f"  {wl.name:14s} {wl.source_kind:10s} {wl.category}")
     print("prefetchers: none perfect " + " ".join(prefetcher_names()))
+    print("predictors: " + " ".join(direction_predictors.names()))
     print("experiments: " + " ".join(ALL_EXPERIMENTS))
     return 0
 
@@ -626,13 +551,10 @@ def cmd_workload(args: argparse.Namespace) -> int:
     the committed stream.
     """
     from repro.isa.instructions import BranchKind
-    from repro.trace.source import resolve_workload
     from repro.trace.workloads import make_trace
 
-    try:
-        source = resolve_workload(args.name)
-    except KeyError as exc:
-        log.error("%s", exc.args[0])
+    source = _resolve_workload(args.name)
+    if source is None:
         return 2
     print(f"workload: {source.name}")
     print(f"category: {source.category}")
@@ -715,156 +637,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         f"{stats.get('cache_stale')} stale]",
         file=sys.stderr,
     )
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Measure cycle-loop throughput and write BENCH_core.json."""
-    from repro.experiments.configs import default_params
-
-    if args.trend:
-        return _bench_trend(args)
-    if args.workloads == "quick":
-        workloads = None  # bench default: the quick set
-    elif args.workloads == "all":
-        workloads = [w.name for w in default_workloads()]
-    else:
-        workloads = _resolve_workload_names(args.workloads)
-        if workloads is None:
-            return 2
-    params = default_params()
-    if args.warmup is not None:
-        params = params.replace(warmup_instructions=args.warmup)
-    if args.instructions is not None:
-        params = params.replace(sim_instructions=args.instructions)
-    from repro.experiments.bench import DEFAULT_BENCH_BATCH_WIDTH, append_history
-
-    payload = run_bench(
-        workloads=workloads,
-        params=params,
-        repeats=args.repeats,
-        fast_warmup=args.fast_warmup,
-        batched=args.batched,
-        batch_width=args.batch_width or DEFAULT_BENCH_BATCH_WIDTH,
-    )
-    path = write_bench(payload, args.output or _BENCH_OUTPUT)
-    for name, row in payload["workloads"].items():
-        print(
-            f"{name:14s} {row['instructions_per_second']:>12,.0f} instrs/sec "
-            f"({row['wall_seconds']:.2f}s, IPC={row['ipc']:.2f})"
-        )
-    agg = payload["aggregate"]
-    mode = payload["config"]["mode"]
-    backend = payload["config"].get("kernel_backend", "interp")
-    print(
-        f"{'GEOMEAN':14s} {agg['geomean_instructions_per_second']:>12,.0f} "
-        f"instrs/sec ({mode}) kernel={backend}"
-    )
-    print(f"{'TOTAL':14s} {agg['instructions_per_second']:>12,.0f} instrs/sec")
-    print(f"wrote {path}")
-    if not args.no_history:
-        print(f"appended to {append_history(payload)}")
-    if args.baseline:
-        return _bench_compare(payload, args.baseline)
-    return 0
-
-
-def _bench_trend(args: argparse.Namespace) -> int:
-    """Print the per-machine trend table from BENCH_history.jsonl.
-
-    Sparse or absent history is not an error -- the trail grows one
-    line per benched PR -- so this always exits 0 unless the file path
-    was given explicitly and is unreadable garbage (still 0: trend is
-    a reporting view, never a gate).
-    """
-    from repro.experiments.bench import HISTORY_FILE, load_history, trend_report
-
-    history_path = args.history or HISTORY_FILE
-    records = load_history(history_path)
-    if not records:
-        print(f"no benchmark history in {history_path}")
-        return 0
-    trend = trend_report(records, last=max(1, args.last))
-    for machine, group in sorted(trend.items()):
-        rows = []
-        for row in group["rows"]:
-            rate = row["geomean_instructions_per_second"]
-            delta = row["delta_vs_prev"]
-            rows.append(
-                (
-                    row["timestamp"] or "?",
-                    f"{rate:,.0f}" if rate else "n/a",
-                    f"{100.0 * delta:+.1f}%" if delta is not None else "",
-                )
-            )
-        print(
-            render_table(
-                f"Bench trend: {machine} "
-                f"(last {group['window']} of {group['entries']} entries)",
-                ["timestamp", "geomean instrs/sec", "vs prev"],
-                rows,
-            )
-        )
-        window_delta = group["geomean_delta_window"]
-        if window_delta is not None and group["window"] > 1:
-            print(f"  geomean over window: {100.0 * window_delta:+.1f}%")
-            drifted = [
-                (name, d)
-                for name, d in group["workload_delta_window"].items()
-                if d is not None
-            ]
-            if drifted:
-                shown = " ".join(f"{n}={100.0 * d:+.1f}%" for n, d in drifted)
-                print(f"  per-workload over window: {shown}")
-        print()
-    return 0
-
-
-def _bench_compare(payload: dict, baseline_path: str) -> int:
-    """Print the --baseline comparison; non-zero exit on regression.
-
-    A typed-kernel run is never compared against an interp baseline
-    silently: when the two payloads ran different kernel backends the
-    deltas are still printed (labelled), but the regression gate is
-    skipped with a loud warning -- a backend switch is a deliberate
-    change, not a regression, and gating across it would either mask
-    real slowdowns or fail every run after the switch.
-    """
-    from repro.experiments.bench import compare_bench
-
-    try:
-        baseline = json.loads(Path(baseline_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        log.error("cannot read baseline %s: %s", baseline_path, exc)
-        return 2
-    cmp = compare_bench(payload, baseline)
-    backends = cmp["kernel_backend"]
-    print(
-        f"vs baseline {baseline_path} "
-        f"(kernel: {backends['current']} vs {backends['baseline']}):"
-    )
-    for name, delta in cmp["workloads"].items():
-        shown = f"{100.0 * delta:+.1f}%" if delta is not None else "n/a"
-        print(f"  {name:14s} {shown}")
-    agg = cmp["aggregate"]
-    shown = f"{100.0 * agg:+.1f}%" if agg is not None else "n/a"
-    print(f"  {'GEOMEAN':14s} {shown}")
-    if cmp["backend_mismatch"]:
-        log.warning(
-            "comparison crosses kernel backends (%s vs %s) -- "
-            "regression gate skipped; re-bench the baseline with the "
-            "current backend for a gated comparison",
-            backends["current"],
-            backends["baseline"],
-        )
-        return 0
-    if cmp["regressed"]:
-        log.error(
-            "throughput regressed more than %.0f%% vs baseline on: %s",
-            100.0 * cmp["threshold"],
-            ", ".join(cmp["regressed_workloads"]),
-        )
-        return 1
     return 0
 
 
@@ -1008,11 +780,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Simulate one point with the stage profiler; print self-time."""
     from repro.core.prof import StageProfiler
 
+    source = _resolve_workload(args.workload)
+    if source is None:
+        return 2
     profiler = StageProfiler()
-    log.debug(
-        "profiling %s (%d+%d instructions)", args.workload, args.warmup, args.instructions
-    )
-    result = simulate(args.workload, _params_from_args(args), profiler=profiler)
+    log.debug("profiling %s (%d+%d instructions)", source.name, args.warmup, args.instructions)
+    result = simulate(source, _params_from_args(args), profiler=profiler)
     print(result.summary())
     report = profiler.report()
     print(
@@ -1276,7 +1049,6 @@ def main(argv: list[str] | None = None) -> int:
         "workload": cmd_workload,
         "trace": cmd_trace,
         "report": cmd_report,
-        "bench": cmd_bench,
         "profile": cmd_profile,
         "check": cmd_check,
         "cache": cmd_cache,
@@ -1284,7 +1056,13 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": cmd_sweep,
         "sweep-report": cmd_sweep_report,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except TraceFormatError as exc:
+        # The message names the file and the defect; a traceback adds
+        # nothing for a malformed input.
+        log.error("%s", exc)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

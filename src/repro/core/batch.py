@@ -36,9 +36,9 @@ sweep runner prefers the typed scalar path for typed-eligible points
 typed-eligible, dedicated prefetchers included, and checked configs
 are not batchable, so sweeps form no batches: lockstep batching
 runs only when called directly (``simulate_batch``, ``repro check
---batched``, ``repro bench --batched``).  A batched run leaves each
-instance's ``kernel_backend`` at ``interp``, and stays bit-identical
-to scalar runs of either backend.
+--batched``).  A batched run leaves each instance's ``kernel_backend``
+at ``interp``, and stays bit-identical to scalar runs of either
+backend.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Schedule-stage self-time profiler (``repro profile``).
 
-Perf work on the cycle loop has so far been steered by whole-run
-benchmarks (``repro bench``): they say *that* the loop got slower, not
-*where*.  This module adds the missing resolution: an opt-in
-``profile`` feature in the schedule codegen
+Whole-run benchmarks (``perfbench/``) say *that* a run got slower,
+and in which layer, not *where* in the cycle loop.  This module adds
+that resolution: an opt-in ``profile`` feature in the schedule codegen
 (:mod:`repro.core.schedule`) wraps every composed stage/hook body with
 a pair of perf-counter reads and accumulates per-stage self time into
 :attr:`StageProfiler.acc` -- the emitted kernel stays a single

@@ -25,8 +25,8 @@ The backend is derived, never configured: :meth:`Simulator.run
 :func:`supported` holds and the interpreted kernel otherwise.  Because
 both backends are bit-identical, the backend is not part of a result's
 identity (cache keys hash content only); it is recorded as
-``kernel_backend`` in manifests, ``--stats-json`` and bench history
-lines so every number names the backend that produced it.  The
+``kernel_backend`` in manifests and ``--stats-json`` so every result
+names the backend that produced it.  The
 interpreted kernel stays the reference path the correctness harness
 compares against, reached through ``Simulator.run(reference=True)``.
 """

@@ -54,7 +54,6 @@ MODULES = [
     "repro.core.schedule",
     "repro.core.simulator",
     "repro.experiments.analysis",
-    "repro.experiments.bench",
     "repro.experiments.cache",
     "repro.experiments.configs",
     "repro.experiments.figures",

@@ -373,7 +373,7 @@ class TestGoldenFixture:
         from repro.cli import main
 
         register_workload(ChampSimTrace(str(GOLDEN)))
-        assert main(["run", "--list-workloads"]) == 0
+        assert main(["list"]) == 0
         rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()]
         assert ["golden", "champsim", "trace"] in rows
 

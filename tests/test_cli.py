@@ -1,6 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -43,25 +44,38 @@ class TestParser:
             build_parser().parse_args([])
 
 
-class TestRunListFlags:
+def listed(capsys) -> dict[str, list[str]]:
+    """Run ``repro list``; return each section's entries by section name.
+
+    Workload rows are indented lines under ``workloads:``, one per
+    workload; every other section is one ``name: a b c`` line.
+    """
+    assert main(["list"]) == 0
+    sections: dict[str, list[str]] = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  "):
+            sections["workloads"].append(line.strip())
+        else:
+            name, _, rest = line.partition(":")
+            sections[name] = rest.split()
+    return sections
+
+
+class TestListCommand:
     def test_list_workloads(self, capsys):
-        assert main(["run", "--list-workloads"]) == 0
-        rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()]
+        rows = [row.split() for row in listed(capsys)["workloads"]]
         assert ["srv_web", "synthetic", "server"] in rows
         assert all(len(row) == 3 for row in rows)
 
     def test_list_prefetchers(self, capsys):
-        assert main(["run", "--list-prefetchers"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert "none" in lines
-        assert "perfect" in lines
-        assert "eip128" in lines
-        assert all(" " not in line for line in lines)
+        names = listed(capsys)["prefetchers"]
+        assert "none" in names
+        assert "perfect" in names
+        assert "eip128" in names
 
     def test_list_predictors(self, capsys):
-        assert main(["run", "--list-predictors"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines == sorted(["gshare", "perceptron", "perfect", "tage"])
+        names = listed(capsys)["predictors"]
+        assert names == sorted(["gshare", "perceptron", "perfect", "tage"])
 
 
 class TestCommands:
@@ -138,6 +152,57 @@ class TestCommands:
     def test_report_unknown_experiment(self, capsys, archive):
         assert main(["report", "fig99"]) == 2
         assert not list(archive.iterdir())
+
+    def test_cache_cli(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["cache", "info"]) == 0
+        info_text = capsys.readouterr().out
+        assert str(tmp_path) in info_text
+        assert main(["cache", "clear"]) == 0
+        assert "removed" in capsys.readouterr().out
+
+
+WINDOW = ["--warmup", "1000", "--instructions", "2500"]
+
+BAD_WORKLOAD_COMMANDS = {
+    "run": ["run", *WINDOW, "--workload"],
+    "trace": ["trace", *WINDOW, "--out", "{out}", "--workload"],
+    "profile": ["profile", *WINDOW, "--workload"],
+    "check": ["check", *WINDOW, "--workloads"],
+    "workload-info": ["workload", "info"],
+}
+"""Each command that takes one workload, as argv with the workload last."""
+
+
+class TestBadWorkload:
+    """An unknown workload name or a malformed trace file exits 2 with
+    one error line, never a traceback."""
+
+    def _run(self, command, workload, tmp_path, caplog, monkeypatch):
+        # configure() stops the repro logger propagating to the root,
+        # where caplog listens; let records through for this test.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        argv = [a.format(out=tmp_path / "out") for a in BAD_WORKLOAD_COMMANDS[command]]
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            assert main([*argv, workload]) == 2
+        [record] = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert record.exc_info is None
+        assert "\n" not in record.getMessage()
+        return record.getMessage()
+
+    # ``check`` and ``workload info`` name-check up front; their unknown
+    # names are covered in TestCheckCommand and tests/test_champsim.py.
+    @pytest.mark.parametrize("command", ["run", "trace", "profile"])
+    def test_unknown_name(self, command, tmp_path, caplog, monkeypatch):
+        message = self._run(command, "nope", tmp_path, caplog, monkeypatch)
+        assert "nope" in message
+
+    @pytest.mark.parametrize("command", BAD_WORKLOAD_COMMANDS)
+    def test_junk_trace_file(self, command, tmp_path, caplog, monkeypatch):
+        junk = tmp_path / "junk.champsim"
+        junk.write_bytes(bytes(range(35)))
+        message = self._run(command, str(junk), tmp_path, caplog, monkeypatch)
+        assert "junk.champsim" in message and "truncated" in message
 
 
 class TestCheckCommand:

@@ -1,9 +1,9 @@
-"""Stage-profiler and trend-report tests.
+"""Stage-profiler tests.
 
 Pins the observability contract for the ``profile`` kernel feature: a
 profiled run is bit-identical to a plain one (the timers only observe),
 every composed stage/hook gets wrapped, and the CLI surfaces exit
-cleanly.  Also covers ``repro bench --trend`` over synthetic history.
+cleanly.
 """
 
 import json
@@ -15,7 +15,6 @@ from repro.core.batch import batchable
 from repro.core.prof import StageProfiler
 from repro.core.schedule import kernel_source, profiled_points
 from repro.core.simulator import simulate
-from repro.experiments.bench import load_history, machine_key, trend_report
 
 WORKLOAD = "srv_web"
 
@@ -119,83 +118,3 @@ class TestProfileCli:
         payload = json.loads(out_json.read_text())
         assert payload["workload"] == WORKLOAD
         assert payload["stages"] and payload["total_self_ns"] > 0
-
-
-def history_record(ts, machine, mode, geo, workloads):
-    return {
-        "timestamp": ts,
-        "schema": 2,
-        "platform": {"machine": machine, "implementation": "CPython", "python": "3.11"},
-        "mode": mode,
-        "aggregate": {"geomean_instructions_per_second": geo},
-        "workloads": workloads,
-    }
-
-
-class TestTrend:
-    def test_load_history_skips_garbage(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        good = history_record("2026-01-01", "x86_64", "scalar", 100.0, {"a": 100.0})
-        path.write_text(json.dumps(good) + "\n{nope\n[1,2]\n")
-        records = load_history(path)
-        assert len(records) == 1
-
-    def test_load_history_missing_file(self, tmp_path):
-        assert load_history(tmp_path / "none.jsonl") == []
-
-    def test_groups_by_machine_and_mode(self):
-        records = [
-            history_record("t1", "x86_64", "scalar", 100.0, {"a": 100.0}),
-            history_record("t2", "x86_64", "batched", 200.0, {"a": 200.0}),
-            history_record("t3", "arm64", "scalar", 300.0, {"a": 300.0}),
-        ]
-        trend = trend_report(records)
-        assert len(trend) == 3
-        assert len({machine_key(r) for r in records}) == 3
-
-    def test_deltas_vs_previous_and_window(self):
-        records = [
-            history_record("t1", "x86_64", "scalar", 100.0, {"a": 100.0, "b": 50.0}),
-            history_record("t2", "x86_64", "scalar", 110.0, {"a": 121.0, "b": 50.0}),
-            history_record("t3", "x86_64", "scalar", 99.0, {"a": 121.0, "b": 40.0}),
-        ]
-        (group,) = trend_report(records).values()
-        deltas = [r["delta_vs_prev"] for r in group["rows"]]
-        assert deltas[0] is None
-        assert deltas[1] == pytest.approx(0.10)
-        assert deltas[2] == pytest.approx(-0.10)
-        assert group["geomean_delta_window"] == pytest.approx(-0.01)
-        assert group["workload_delta_window"]["a"] == pytest.approx(0.21)
-        assert group["workload_delta_window"]["b"] == pytest.approx(-0.20)
-
-    def test_window_limits_rows(self):
-        records = [
-            history_record(f"t{i}", "x86_64", "scalar", 100.0 + i, {"a": 1.0})
-            for i in range(15)
-        ]
-        (group,) = trend_report(records, last=5).values()
-        assert group["entries"] == 15
-        assert group["window"] == len(group["rows"]) == 5
-        assert group["rows"][0]["timestamp"] == "t10"
-
-    def test_trend_cli_exit_zero(self, capsys, tmp_path):
-        from repro.cli import main
-
-        path = tmp_path / "hist.jsonl"
-        with path.open("w") as fh:
-            for i in range(3):
-                fh.write(
-                    json.dumps(
-                        history_record(
-                            f"2026-01-0{i + 1}", "x86_64", "scalar",
-                            100.0 + 10 * i, {"a": 100.0 + 10 * i},
-                        )
-                    )
-                    + "\n"
-                )
-        assert main(["bench", "--trend", "--history", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "Bench trend" in out and "+10.0%" in out
-
-        assert main(["bench", "--trend", "--history", str(tmp_path / "none")]) == 0
-        assert "no benchmark history" in capsys.readouterr().out

@@ -1,12 +1,21 @@
 """End-to-end simulator tests (repro.core.simulator)."""
 
+import time
+
 import pytest
 
 from repro.common.params import DirectionPredictorKind, HistoryPolicy, SimParams
 from repro.core.simulator import Simulator, simulate
 from repro.trace.cfg import generate_program
 from repro.trace.oracle import run_oracle
+from repro.trace.workloads import make_trace
 from tests.conftest import tiny_spec
+
+#: A deliberately conservative floor on simulated instructions per
+#: second -- the cycle loop runs at tens of thousands of
+#: instructions/sec even on loaded CI machines.  Throughput itself is
+#: measured end to end and per layer by ``perfbench/``.
+MIN_INSTRS_PER_SEC = 2_000
 
 
 def fast(**kw):
@@ -153,3 +162,18 @@ class TestSimulateHelper:
         r = simulate("spc_fp", SimParams(warmup_instructions=1_000, sim_instructions=2_000))
         assert r.workload == "spc_fp"
         assert r.instructions >= 2_000 - r.params.core.retire_width
+
+
+class TestThroughputFloor:
+    def test_functional_warmup_meets_floor(self):
+        params = SimParams(
+            warmup_instructions=1_000, sim_instructions=2_500, warmup_mode="functional"
+        )
+        n = params.warmup_instructions + params.sim_instructions
+        program, stream = make_trace("spc_fp", n)  # untimed: setup, not simulation
+        sim = Simulator(params, program, stream)
+        t0 = time.perf_counter()
+        sim.run(workload_name="spc_fp")
+        wall = time.perf_counter() - t0
+        # The rate counts the functional warmup's instructions too.
+        assert n / wall > MIN_INSTRS_PER_SEC

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import logging
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +255,29 @@ class TestCliObservability:
         assert "## Cycle accounting" in report
         assert (tmp_path / "spc_fp.events.jsonl").exists()
         assert (tmp_path / "spc_fp.timeseries.jsonl").exists()
+
+    def test_trace_file_outputs_named_by_workload(self, tmp_path, capsys):
+        # A trace file path names its outputs by the resolved workload
+        # name, inside --out, whatever the path looks like.
+        from repro.cli import main
+
+        source_dir = tmp_path / "traces"
+        source_dir.mkdir()
+        trace = source_dir / "golden.champsim.xz"
+        shutil.copyfile(Path(__file__).parent / "data" / "golden.champsim.xz", trace)
+        out = tmp_path / "out"
+        code = main(
+            ["trace", "--workload", str(trace.resolve()), "--warmup", "1000",
+             "--instructions", "2500", "--stride", "1000", "--out", str(out)]
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "golden.events.jsonl",
+            "golden.timeseries.jsonl",
+            "golden.trace.json",
+            "golden.trace.md",
+        ]
+        assert [p.name for p in source_dir.iterdir()] == ["golden.champsim.xz"]
 
     def test_run_stats_json(self, tmp_path, capsys):
         from repro.cli import main
