@@ -8,8 +8,18 @@ reproducible bit-for-bit across runs and platforms.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# uint64 forms of the constants for the vectorised draws of ``shuffle``.
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX1_U64 = np.uint64(_MIX1)
+_MIX2_U64 = np.uint64(_MIX2)
+_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 class SplitMix64:
@@ -28,8 +38,8 @@ class SplitMix64:
         """Return the next raw 64-bit value."""
         self._state = (self._state + _GOLDEN) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
@@ -54,10 +64,34 @@ class SplitMix64:
         return seq[self.next_u64() % len(seq)]
 
     def shuffle(self, seq: list) -> None:
-        """Shuffle ``seq`` in place (Fisher-Yates)."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
+        """Shuffle ``seq`` in place (Fisher-Yates).
+
+        Step ``i`` (``i = n-1`` down to 1) swaps ``seq[i]`` with
+        ``seq[draw % (i + 1)]``, taking one draw per step.  The k-th draw
+        from state ``s`` is the finalizer applied to ``s + k * GOLDEN``
+        (mod 2**64), so it depends on ``s`` and ``k`` alone, not on the
+        draws before it.  All ``n - 1`` draws are therefore computed as
+        one ``uint64`` vector, whose arithmetic wraps modulo 2**64 exactly
+        like the ``& _MASK64`` of :meth:`next_u64`, and the state ends
+        where ``n - 1`` calls of :meth:`next_u64` would leave it: the
+        permutation and every later draw equal the per-step loop's.
+        Every operand is ``uint64``; mixing in a signed integer would
+        promote to ``float64`` under numpy's value-based casting.
+        """
+        n = len(seq)
+        z = np.arange(1, n, dtype=np.uint64)
+        z *= _GOLDEN_U64
+        z += np.uint64(self._state)
+        z ^= z >> _U30
+        z *= _MIX1_U64
+        z ^= z >> _U27
+        z *= _MIX2_U64
+        z ^= z >> _U31
+        z %= np.arange(2, n + 1, dtype=np.uint64)[::-1]
+        picks = z.tolist()
+        for i, j in zip(range(n - 1, 0, -1), picks):
             seq[i], seq[j] = seq[j], seq[i]
+        self._state = (self._state + len(picks) * _GOLDEN) & _MASK64
 
     def fork(self, tag: int) -> "SplitMix64":
         """Derive an independent child stream keyed by ``tag``.

@@ -246,7 +246,9 @@ def run_points(
     ledger only observes, so ledgered sweeps stay bit-identical to
     plain ones.  When a work unit raises, the remaining units still run
     (so the ledger reconciles) and the first failure re-raises after
-    the sweep drains.
+    the sweep drains.  Each distinct trace is materialised once, before
+    dispatch; a trace that cannot be built (say, a malformed trace file)
+    fails all of its points with one logged error.
     """
     jobs = repro_jobs() if jobs is None else max(1, jobs)
     disk = _disk()
@@ -294,6 +296,7 @@ def run_points(
         return resolved
 
     CACHE_STATS.bump("sim_runs", len(pending))
+    trace_errors = _materialize_traces(pending.values())
     batches, singles = _plan_batches(pending)
     if batches:
         log.debug(
@@ -352,7 +355,6 @@ def run_points(
         n_failed += len(group)
         if failure is None:
             failure = exc
-        log.error("work unit %s failed: %s", unit_id, exc)
         if ledger is not None:
             for key in group:
                 workload, params = pending[key]
@@ -360,12 +362,19 @@ def run_points(
                     key, _workload_name(workload), params.label(), unit_id, str(exc)
                 )
 
+    # A unit whose trace failed to materialise fails without running;
+    # its error was logged once per trace.
+    runnable: list[tuple[str, list[str]]] = []
+    for unit_id, group in units:
+        exc = trace_errors.get(_trace_id(*pending[group[0]]))
+        if exc is None:
+            runnable.append((unit_id, group))
+        else:
+            _record_failure(unit_id, group, exc)
+    units = runnable
+
     if jobs > 1 and len(units) > 1:
         log.debug("fanning %d work unit(s) across %d worker(s)", len(units), jobs)
-        # Pre-generate the needed traces so forked workers inherit warm
-        # lru_caches instead of regenerating per process.
-        for workload, params in pending.values():
-            make_trace(workload, params.warmup_instructions + params.sim_instructions)
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(units)),
             initializer=_pool_worker_init,
@@ -384,6 +393,7 @@ def run_points(
                 try:
                     results, meta = future.result()
                 except Exception as exc:
+                    log.error("work unit %s failed: %s", unit_id, exc)
                     _record_failure(unit_id, group, exc)
                     continue
                 _record_unit(unit_id, group, results, meta)
@@ -394,6 +404,7 @@ def run_points(
                     pending[group[0]][0], [pending[k][1] for k in group]
                 )
             except Exception as exc:
+                log.error("work unit %s failed: %s", unit_id, exc)
                 _record_failure(unit_id, group, exc)
                 continue
             _record_unit(unit_id, group, results, meta)
@@ -408,6 +419,37 @@ def run_points(
     if failure is not None:
         raise failure
     return resolved
+
+
+def _trace_id(workload, params: SimParams) -> tuple[str, int]:
+    """The trace a point replays: its workload and window length."""
+    return _workload_name(workload), params.warmup_instructions + params.sim_instructions
+
+
+def _materialize_traces(
+    points: Iterable[tuple[str, SimParams]],
+) -> dict[tuple[str, int], BaseException]:
+    """Materialise every distinct trace of ``points`` once, before dispatch.
+
+    The serial path then hits :func:`make_trace`'s memo, and forked pool
+    workers inherit it warm instead of regenerating per process.
+    Returns the failures keyed by :func:`_trace_id`, each logged once:
+    their points are recorded failed without running, and the other
+    workloads still run.
+    """
+    errors: dict[tuple[str, int], BaseException] = {}
+    done: set[tuple[str, int]] = set()
+    for workload, params in points:
+        trace_id = _trace_id(workload, params)
+        if trace_id in done:
+            continue
+        done.add(trace_id)
+        try:
+            make_trace(workload, trace_id[1])
+        except Exception as exc:
+            log.error("trace %s (%d instructions) failed: %s", trace_id[0], trace_id[1], exc)
+            errors[trace_id] = exc
+    return errors
 
 
 def _plan_batches(

@@ -6,6 +6,18 @@ like the text segment the paper's frontend fetches from.  Programs are
 generated from a :class:`ProgramSpec` with a seeded RNG, so a given
 (spec, seed) pair always yields the same image.
 
+Generation is linear in the function count, but for one vectorised
+step.  Functions are generated leaf-first, from the highest index
+down, so when function ``f`` is built every function it may call
+already has its worst-case cost.  :func:`generate_program` keeps one
+list of the functions within the call budget, in ascending order, and
+puts ``f`` at its front once ``f``'s cost is known; every call site
+draws its callees from that list, so no function rescans the functions
+after it.  The exception is an indirect call site: it shuffles a copy
+of the list (its ``len - 1`` draws are part of the stream), and
+:meth:`~repro.common.rng.SplitMix64.shuffle` computes those draws as
+one numpy vector.
+
 Structural guarantees (they make the oracle interpreter total):
 
 * the call graph is a DAG -- a function only calls higher-indexed
@@ -275,53 +287,52 @@ def _make_cond_behaviour(spec: ProgramSpec, rng: SplitMix64) -> CondBehaviour:
 
 def _generate_function(
     spec: ProgramSpec,
-    fn_index: int,
     rng: SplitMix64,
     behaviours: list,
     wcost: list[int],
+    eligible: list[int],
 ) -> tuple[list[_ProtoBlock], int]:
     """Pass 1: build one callee function as proto-blocks.
 
     Functions are generated leaf-first (highest index first); ``wcost``
     holds the worst-case dynamic instruction cost of already-generated
-    higher-index functions, and call sites only target callees whose
-    cost fits :attr:`ProgramSpec.call_budget`.  Returns the proto-blocks
-    and this function's own worst-case cost.
+    higher-index functions, and ``eligible`` lists, in ascending order,
+    those whose cost fits :attr:`ProgramSpec.call_budget`: the only
+    callees a call site may target.  ``eligible`` is read, never
+    mutated.  Returns the proto-blocks and this function's own
+    worst-case cost.
     """
     n_blocks = rng.randint(*spec.blocks_per_function)
     protos = [_ProtoBlock(n_instrs=rng.randint(*spec.instrs_per_block)) for _ in range(n_blocks)]
     protos[-1].kind = BranchKind.RETURN
 
-    eligible = [
-        j
-        for j in range(fn_index + 1, spec.n_functions)
-        if 0 < wcost[j] <= spec.call_budget
-    ]
+    # Cumulative terminator thresholds, summed left to right as the
+    # mixture is listed (the rolls below compare against these exact
+    # floats).
+    t_cond = spec.cond_fraction
+    t_jump = t_cond + spec.jump_fraction
+    t_call = t_jump + spec.call_fraction
+    t_ijump = t_call + spec.indirect_jump_fraction
+    t_icall = t_ijump + spec.indirect_call_fraction
+    t_ret = t_icall + spec.early_return_fraction
 
     for i in range(n_blocks - 1):
         block = protos[i]
-        later = list(range(i + 1, n_blocks))
+        later = range(i + 1, n_blocks)
         roll = rng.random()
-        if roll < spec.cond_fraction and later:
+        if roll < t_cond and later:
             block.kind = BranchKind.COND_DIRECT
             block.target_block = rng.choice(later)
             behaviours.append(_make_cond_behaviour(spec, rng))
             block.behaviour = len(behaviours) - 1
-        elif roll < spec.cond_fraction + spec.jump_fraction and len(later) > 1:
+        elif roll < t_jump and len(later) > 1:
             block.kind = BranchKind.UNCOND_DIRECT
             # Skipping at least one block keeps jumps observable.
             block.target_block = rng.choice(later[1:])
-        elif roll < spec.cond_fraction + spec.jump_fraction + spec.call_fraction and eligible:
+        elif roll < t_call and eligible:
             block.kind = BranchKind.CALL_DIRECT
             block.callee = rng.choice(eligible)
-        elif (
-            roll
-            < spec.cond_fraction
-            + spec.jump_fraction
-            + spec.call_fraction
-            + spec.indirect_jump_fraction
-            and len(later) >= 2
-        ):
+        elif roll < t_ijump and len(later) >= 2:
             block.kind = BranchKind.INDIRECT
             fanout = min(rng.randint(*spec.indirect_fanout), len(later))
             picks = list(later)
@@ -329,15 +340,7 @@ def _generate_function(
             block.target_blocks = tuple(sorted(picks[:fanout]))
             behaviours.append(_make_indirect_behaviour(spec, len(block.target_blocks), rng))
             block.behaviour = len(behaviours) - 1
-        elif (
-            roll
-            < spec.cond_fraction
-            + spec.jump_fraction
-            + spec.call_fraction
-            + spec.indirect_jump_fraction
-            + spec.indirect_call_fraction
-            and len(eligible) >= 2
-        ):
+        elif roll < t_icall and len(eligible) >= 2:
             block.kind = BranchKind.INDIRECT_CALL
             fanout = min(rng.randint(*spec.indirect_fanout), len(eligible))
             picks = list(eligible)
@@ -345,15 +348,7 @@ def _generate_function(
             block.callees = tuple(sorted(picks[:fanout]))
             behaviours.append(_make_indirect_behaviour(spec, len(block.callees), rng))
             block.behaviour = len(behaviours) - 1
-        elif (
-            roll
-            < spec.cond_fraction
-            + spec.jump_fraction
-            + spec.call_fraction
-            + spec.indirect_jump_fraction
-            + spec.indirect_call_fraction
-            + spec.early_return_fraction
-        ):
+        elif roll < t_ret:
             block.kind = BranchKind.RETURN
         # else: plain fall-through (kind stays NONE)
 
@@ -493,13 +488,18 @@ def generate_program(spec: ProgramSpec, seed: int) -> Program:
     behaviours: list[CondBehaviour | IndirectBehaviour] = []
 
     # Leaf-first generation so each call site knows its callees' costs.
+    # ``eligible`` holds the generated functions within the call budget
+    # in ascending order; each new one is the lowest index so far.
     wcost = [0] * spec.n_functions
+    eligible: list[int] = []
     proto_functions: list[list[_ProtoBlock] | None] = [None] * spec.n_functions
     fn_rngs = [rng.fork(fn) for fn in range(spec.n_functions)]
     for fn in range(spec.n_functions - 1, 0, -1):
-        protos, cost = _generate_function(spec, fn, fn_rngs[fn], behaviours, wcost)
+        protos, cost = _generate_function(spec, fn_rngs[fn], behaviours, wcost, eligible)
         proto_functions[fn] = protos
         wcost[fn] = cost
+        if 0 < cost <= spec.call_budget:
+            eligible.insert(0, fn)
     proto_functions[0] = _generate_main(spec, fn_rngs[0], behaviours)
 
     # Pass 2: assign addresses.
@@ -520,40 +520,38 @@ def generate_program(spec: ProgramSpec, seed: int) -> Program:
     branch_map: dict[int, Instruction] = {}
     functions: list[FunctionInfo] = []
     block_of_term: dict[int, int] = {}
+    # Kinds are compared by identity and records built positionally:
+    # this loop runs once per static block.
+    NONE = BranchKind.NONE
+    COND = BranchKind.COND_DIRECT
+    JUMP = BranchKind.UNCOND_DIRECT
+    CALL = BranchKind.CALL_DIRECT
+    INDIRECT = BranchKind.INDIRECT
 
     for fn, protos in enumerate(proto_functions):
         starts = block_starts[fn]
         n_instrs_total = 0
         for i, proto in enumerate(protos):
             start = starts[i]
-            n_instrs_total += proto.n_instrs
+            n_instrs = proto.n_instrs
+            kind = proto.kind
+            n_instrs_total += n_instrs
             target = 0
             targets: tuple[int, ...] = ()
-            if proto.kind in (BranchKind.COND_DIRECT, BranchKind.UNCOND_DIRECT):
+            if kind is COND or kind is JUMP:
                 target = starts[proto.target_block]
-            elif proto.kind is BranchKind.CALL_DIRECT:
+            elif kind is CALL:
                 target = fn_starts[proto.callee]
-            elif proto.kind is BranchKind.INDIRECT:
-                targets = tuple(starts[j] for j in proto.target_blocks)
-            elif proto.kind is BranchKind.INDIRECT_CALL:
-                targets = tuple(fn_starts[c] for c in proto.callees)
-            block = BlockDef(
-                start=start,
-                n_instrs=proto.n_instrs,
-                kind=proto.kind,
-                target=target,
-                behaviour=proto.behaviour,
-                targets=targets,
-            )
-            blocks[start] = block
-            if proto.kind.is_branch:
-                term = block.term_addr
-                branch_map[term] = Instruction(
-                    addr=term,
-                    kind=proto.kind,
-                    target=target if proto.kind.is_pc_relative else 0,
-                    behaviour=proto.behaviour,
-                )
+            elif kind is INDIRECT:
+                targets = tuple([starts[j] for j in proto.target_blocks])
+            elif kind is BranchKind.INDIRECT_CALL:
+                targets = tuple([fn_starts[c] for c in proto.callees])
+            blocks[start] = BlockDef(start, n_instrs, kind, target, proto.behaviour, targets)
+            if kind is not NONE:
+                # ``target`` is still 0 for returns and indirect branches,
+                # exactly the encoding of a non-PC-relative branch.
+                term = start + 4 * (n_instrs - 1)
+                branch_map[term] = Instruction(term, kind, target, proto.behaviour)
                 block_of_term[term] = start
         functions.append(
             FunctionInfo(

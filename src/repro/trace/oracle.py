@@ -14,11 +14,11 @@ architectural history and the RAS consume at commit time.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.common.rng import SplitMix64
 from repro.isa.instructions import BranchKind
-from repro.trace.behaviors import CondBehaviour, IndirectBehaviour
 from repro.trace.cfg import Program
 
 
@@ -87,15 +87,12 @@ class OracleStream:
         return state
 
     def segment_at_instruction(self, n: int) -> int:
-        """Index of the segment containing committed instruction ``n``."""
-        lo, hi = 0, len(self.segments) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.cumulative[mid] <= n:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        """Index of the segment containing committed instruction ``n``.
+
+        The last segment starting at or before ``n``; 0 for an empty
+        stream or a negative ``n``.
+        """
+        return max(bisect_right(self.cumulative, n) - 1, 0)
 
     @property
     def taken_per_kilo(self) -> float:
@@ -117,6 +114,16 @@ def run_oracle(program: Program, max_instructions: int, seed: int = 1) -> Oracle
     rng = SplitMix64(seed)
     behaviours = program.behaviours
     blocks = program.blocks
+    # This loop runs once per executed block: kinds are compared by
+    # identity, block geometry is read from fields, and the open
+    # segment lives in locals until a taken transfer closes it.
+    NONE = BranchKind.NONE
+    COND = BranchKind.COND_DIRECT
+    JUMP = BranchKind.UNCOND_DIRECT
+    CALL = BranchKind.CALL_DIRECT
+    RETURN = BranchKind.RETURN
+    INDIRECT = BranchKind.INDIRECT
+    INDIRECT_CALL = BranchKind.INDIRECT_CALL
 
     stack: list[int] = []
     segments: list[Segment] = []
@@ -125,71 +132,56 @@ def run_oracle(program: Program, max_instructions: int, seed: int = 1) -> Oracle
     total_taken = 0
 
     cur = blocks[program.entry]
-    seg = Segment(start=cur.start, n_instrs=0)
-
-    def close(target: int) -> None:
-        nonlocal seg
-        seg.next_start = target
-        segments.append(seg)
-        seg = Segment(start=target, n_instrs=0)
+    seg_start = cur.start
+    seg_n = 0
+    seg_branches: list[tuple[int, BranchKind, bool, int]] = []
 
     while total < max_instructions:
-        seg.n_instrs += cur.n_instrs
-        total += cur.n_instrs
+        start = cur.start
+        n = cur.n_instrs
+        seg_n += n
+        total += n
         kind = cur.kind
-        if kind is BranchKind.NONE:
-            cur = blocks[cur.fall_addr]
+        if kind is NONE:
+            cur = blocks[start + 4 * n]
             continue
 
-        term = cur.term_addr
+        term = start + 4 * (n - 1)
         total_branches += 1
-        if kind is BranchKind.COND_DIRECT:
-            beh = behaviours[cur.behaviour]
-            assert isinstance(beh, CondBehaviour)
-            taken = beh.outcome(rng)
-            seg.branches.append((term, kind, taken, cur.target))
-            if taken:
-                total_taken += 1
-                close(cur.target)
-                cur = blocks[cur.target]
-            else:
-                cur = blocks[cur.fall_addr]
-        elif kind is BranchKind.UNCOND_DIRECT:
-            total_taken += 1
-            seg.branches.append((term, kind, True, cur.target))
-            close(cur.target)
-            cur = blocks[cur.target]
-        elif kind is BranchKind.CALL_DIRECT:
-            total_taken += 1
-            stack.append(cur.fall_addr)
-            seg.branches.append((term, kind, True, cur.target))
-            close(cur.target)
-            cur = blocks[cur.target]
-        elif kind is BranchKind.RETURN:
+        if kind is COND:
+            if not behaviours[cur.behaviour].outcome(rng):
+                seg_branches.append((term, kind, False, cur.target))
+                cur = blocks[start + 4 * n]
+                continue
+            target = cur.target
+        elif kind is JUMP:
+            target = cur.target
+        elif kind is CALL:
+            stack.append(start + 4 * n)
+            target = cur.target
+        elif kind is RETURN:
             if not stack:
                 # main's dead terminal return; the driver loop prevents
                 # this in practice, but end the stream gracefully.
                 break
             target = stack.pop()
-            total_taken += 1
-            seg.branches.append((term, kind, True, target))
-            close(target)
-            cur = blocks[target]
-        elif kind in (BranchKind.INDIRECT, BranchKind.INDIRECT_CALL):
-            beh = behaviours[cur.behaviour]
-            assert isinstance(beh, IndirectBehaviour)
-            target = cur.targets[beh.select(rng)]
-            total_taken += 1
-            if kind is BranchKind.INDIRECT_CALL:
-                stack.append(cur.fall_addr)
-            seg.branches.append((term, kind, True, target))
-            close(target)
-            cur = blocks[target]
+        elif kind is INDIRECT or kind is INDIRECT_CALL:
+            target = cur.targets[behaviours[cur.behaviour].select(rng)]
+            if kind is INDIRECT_CALL:
+                stack.append(start + 4 * n)
         else:  # pragma: no cover - exhaustive over BranchKind
             raise AssertionError(f"unhandled terminator kind {kind}")
+        # A taken transfer: it ends the open segment.
+        total_taken += 1
+        seg_branches.append((term, kind, True, target))
+        segments.append(Segment(seg_start, seg_n, target, seg_branches))
+        seg_start = target
+        seg_n = 0
+        seg_branches = []
+        cur = blocks[target]
 
-    if seg.n_instrs:
-        segments.append(seg)
+    if seg_n:
+        segments.append(Segment(seg_start, seg_n, 0, seg_branches))
 
     return OracleStream(
         segments=segments,

@@ -6,8 +6,21 @@ from hypothesis import strategies as st
 
 from repro.isa.instructions import BranchKind
 from repro.trace.cfg import generate_program
-from repro.trace.oracle import run_oracle
+from repro.trace.oracle import OracleStream, Segment, run_oracle
 from tests.conftest import tiny_spec
+
+
+def segment_by_search_loop(cumulative: list[int], n: int) -> int:
+    """The hand-written binary search ``segment_at_instruction`` used
+    before it called :func:`bisect.bisect_right`: the reference model."""
+    lo, hi = 0, len(cumulative) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if cumulative[mid] <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +118,17 @@ class TestCumulativeIndex:
             idx = stream.segment_at_instruction(n)
             assert stream.cumulative[idx] <= n
             assert n < stream.cumulative[idx] + stream.segments[idx].n_instrs
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=40), max_size=30),
+        st.integers(min_value=-3, max_value=1_300),
+    )
+    def test_segment_at_instruction_matches_search_loop(self, sizes, n):
+        # Zero-length segments repeat a cumulative value; an empty list
+        # is an empty stream.
+        segments = [Segment(start=0x1000, n_instrs=size) for size in sizes]
+        stream = OracleStream(segments, sum(sizes), 0, 0)
+        assert stream.segment_at_instruction(n) == segment_by_search_loop(stream.cumulative, n)
 
 
 class TestDeterminism:

@@ -1,11 +1,15 @@
-"""Parallel sweep execution: determinism, caching, and the jobs knob."""
+"""Parallel sweep execution: determinism, caching, failures, and the jobs knob."""
+
+import logging
 
 import pytest
 
+from repro.common.ledger import read_ledger
 from repro.common.params import SimParams
 from repro.experiments.cache import CACHE_STATS
 from repro.experiments.configs import repro_jobs
-from repro.experiments.runner import clear_cache, run_config, run_matrix
+from repro.experiments.runner import clear_cache, run_config, run_matrix, run_points
+from repro.trace.champsim import TraceFormatError
 
 WORKLOADS = ["spc_fp", "srv_web"]
 
@@ -106,3 +110,66 @@ class TestWarmCache:
         clear_cache()
         run_config("spc_fp", fast())
         assert CACHE_STATS.get("sim_runs") == before + 2  # no disk to warm from
+
+
+def fdp_points(workload):
+    """BTB {1024, 8192} x PFC {off, on}: four scalar points of one workload."""
+    return [
+        (workload, fast().with_branch(btb_entries=btb).with_frontend(pfc_enabled=pfc))
+        for btb in (1024, 8192)
+        for pfc in (False, True)
+    ]
+
+
+class TestBadTrace:
+    """A trace that cannot be materialised fails its points once, under
+    either path, and leaves a complete ledger."""
+
+    @pytest.fixture
+    def junk(self, tmp_path):
+        path = tmp_path / "junk.champsim"
+        path.write_bytes(b"this is not a champsim trace file!\n")  # 35 bytes
+        return str(path)
+
+    @pytest.fixture
+    def ledger_events(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger"))
+
+        def read():
+            [path] = sorted((tmp_path / "ledger").glob("*.jsonl"))
+            return read_ledger(path)
+
+        return read
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_point_fails_once_and_the_ledger_ends(
+        self, jobs, junk, ledger_events, caplog, monkeypatch
+    ):
+        # configure() stops the repro logger propagating to the root,
+        # where caplog listens; let records through for this test.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            with pytest.raises(TraceFormatError):
+                run_points(fdp_points(junk), jobs=jobs)
+        events = [e["event"] for e in ledger_events()]
+        assert events.count("failed") == 4
+        assert events.count("sweep_end") == 1
+        errors = [
+            r
+            for r in caplog.records
+            if r.name == "repro.experiments.runner" and r.levelno >= logging.ERROR
+        ]
+        assert len(errors) == 1, [r.getMessage() for r in errors]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_other_workloads_still_run(self, jobs, junk, ledger_events):
+        with pytest.raises(TraceFormatError):
+            run_points(fdp_points(junk) + fdp_points("spc_fp"), jobs=jobs)
+        terminal = {
+            (e["workload"], e["event"])
+            for e in ledger_events()
+            if e["event"] in ("finished", "failed")
+        }
+        assert terminal == {("spc_fp", "finished"), (junk, "failed")}
+        finished = [e for e in ledger_events() if e["event"] == "finished"]
+        assert len(finished) == 4

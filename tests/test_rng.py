@@ -6,6 +6,16 @@ from hypothesis import strategies as st
 
 from repro.common.rng import SplitMix64
 
+U64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def per_step_shuffle(rng: SplitMix64, seq: list) -> None:
+    """Fisher-Yates with one ``next_u64`` call per swap: the reference
+    model the vectorised :meth:`SplitMix64.shuffle` must reproduce."""
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.next_u64() % (i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+
 
 class TestSplitMix64:
     def test_deterministic_stream(self):
@@ -86,3 +96,13 @@ class TestSplitMix64:
     def test_randint_property(self, seed, lo, span):
         value = SplitMix64(seed).randint(lo, lo + span)
         assert lo <= value <= lo + span
+
+    @given(st.integers(min_value=0, max_value=2000), U64)
+    def test_shuffle_matches_per_step_model(self, n, seed):
+        fast, model = SplitMix64(seed), SplitMix64(seed)
+        got, want = list(range(n)), list(range(n))
+        fast.shuffle(got)
+        per_step_shuffle(model, want)
+        assert got == want
+        assert fast._state == model._state
+        assert fast.next_u64() == model.next_u64()
