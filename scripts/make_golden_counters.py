@@ -75,6 +75,14 @@ def golden_matrix() -> list[tuple[str, str, SimParams]]:
     points.append(("srv_web/sn4l_dis", "srv_web", longer.replace(prefetcher="sn4l_dis")))
     for name, params in replacement_points().items():
         points.append((f"srv_web/{name}", "srv_web", params))
+    # Both SN4L prefetchers on a second workload; spc_int_a issues no
+    # SN4L prefetch at these windows, clt_browser does.
+    sn4l = {
+        "sn4l_dis": longer.replace(prefetcher="sn4l_dis"),
+        "sn4l_dis_btb512": replacement_points()["sn4l_dis_btb512"],
+    }
+    for name, params in sn4l.items():
+        points.append((f"clt_browser/{name}", "clt_browser", params))
     return points
 
 

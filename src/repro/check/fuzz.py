@@ -41,6 +41,13 @@ simulator under the full correctness harness:
   the policy's commit history ignores BTB detection, and every row of
   its TAGE and ITTAGE geometry equals :func:`repro.common.bits.fold`
   (simulation-free).
+* **mutated traces decode or fail cleanly** -- the trial's stream,
+  written as a raw ChampSim trace and mutated from the trial seed (bit
+  flips, a truncation or one random 64-byte record), either fails
+  :func:`~repro.trace.workloads.make_trace` with a
+  :class:`~repro.trace.champsim.TraceFormatError` (leaving the cyclic
+  collector as it was) or decodes to at most the file's records and
+  runs clean under invariants and the differential check.
 
 Failures are minimised (greedy parameter shrinking toward defaults)
 and dumped as a JSON reproducer (:mod:`repro.check.reproducer`) so any
@@ -49,9 +56,13 @@ violation is a one-command repro.
 
 from __future__ import annotations
 
+import gc
+import os
 import random
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 from repro.common.bits import fold
 from repro.common.params import (
@@ -69,10 +80,21 @@ from repro.core.batch import run_batch as batch_run
 from repro.core.simulator import Simulator
 from repro.prefetch import prefetcher_names
 from repro.trace.cfg import ProgramSpec, generate_program
-from repro.trace.oracle import run_oracle
-from repro.trace.workloads import TRACE_SLACK
+from repro.trace.champsim import (
+    RECORD_BYTES,
+    ChampSimTrace,
+    TraceFormatError,
+    write_champsim_trace,
+)
+from repro.trace.oracle import OracleStream, run_oracle
+from repro.trace.workloads import TRACE_SLACK, make_trace
 
-from repro.check.differential import CommitRecorder, _end_state_problems, flatten_branches
+from repro.check.differential import (
+    CommitRecorder,
+    _end_state_problems,
+    flatten_branches,
+    run_differential,
+)
 from repro.check.reproducer import failure_to_dict
 
 WARMUP_IPC_TOLERANCE = 0.30
@@ -311,6 +333,85 @@ def arch_fold_problem(params: SimParams, program, stream) -> str | None:
     return None
 
 
+def mutate_trace(data: bytes, rng: random.Random) -> tuple[str, bytes]:
+    """One seeded mutation of raw trace bytes: ``(description, mutant)``.
+
+    Bit flips, a truncation (record-aligned half the time, so the
+    decoder also sees short but well-formed files) or one 64-byte
+    record overwritten with random bytes.
+    """
+    mutant = bytearray(data)
+    kind = rng.choice(("bit_flips", "truncation", "random_record"))
+    if kind == "bit_flips":
+        flips = [(rng.randrange(len(mutant)), rng.randrange(8)) for _ in range(rng.randint(1, 8))]
+        for offset, bit in flips:
+            mutant[offset] ^= 1 << bit
+        return f"bit flips (byte, bit) {flips}", bytes(mutant)
+    if kind == "truncation":
+        size = rng.randrange(len(mutant))
+        if rng.random() < 0.5:
+            size -= size % RECORD_BYTES
+        return f"truncated to {size} of {len(mutant)} bytes", bytes(mutant[:size])
+    record = rng.randrange(len(mutant) // RECORD_BYTES)
+    start = record * RECORD_BYTES
+    mutant[start : start + RECORD_BYTES] = rng.randbytes(RECORD_BYTES)
+    return f"random record #{record}", bytes(mutant)
+
+
+def decode_mutant_problem(trial: FuzzTrial, stream: OracleStream) -> str | None:
+    """Property 11: a mutated ChampSim trace decodes or fails cleanly.
+
+    Writes ``stream`` as a raw ``.champsim`` file, applies
+    :func:`mutate_trace` seeded from the trial, and materialises the
+    mutant through :func:`~repro.trace.workloads.make_trace` over the
+    trial's window.  A :class:`TraceFormatError` is a clean outcome if
+    the collector is left as it was; a decoded trace must hold no more
+    instructions than the file has records and must run clean under
+    invariants and the differential check against an independent
+    re-decode.  Any other exception is a failure.  The decoder's chunk
+    artifacts go to a private cache directory, deleted afterwards.
+    """
+    n = trial.params.warmup_instructions + trial.params.sim_instructions
+    rng = random.Random(f"decode-mutant-{trial.seed}")
+    saved_cache_dir = os.environ.get("REPRO_CACHE_DIR")
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-decode-") as tmp:
+        path = Path(tmp) / "mutant.champsim"
+        write_champsim_trace(path, stream)
+        mutation, data = mutate_trace(path.read_bytes(), rng)
+        path.write_bytes(data)
+        source = ChampSimTrace(str(path))
+        collector_enabled = gc.isenabled()
+        os.environ["REPRO_CACHE_DIR"] = str(Path(tmp) / "cache")
+        try:
+            try:
+                program, decoded = make_trace(source, n)
+            except TraceFormatError:
+                if gc.isenabled() != collector_enabled:
+                    return f"{mutation}: TraceFormatError left the cyclic collector toggled"
+                return None
+            records = len(data) // RECORD_BYTES
+            if decoded.total_instructions > records - 1:
+                return (
+                    f"{mutation}: decoded {decoded.total_instructions} instructions "
+                    f"from {records} records"
+                )
+            run_differential(
+                trial.params.replace(check_invariants=True),
+                program,
+                decoded,
+                source.expected_stream(n),
+                workload_name=source.name,
+            )
+        except Exception as exc:
+            return f"{mutation}: {type(exc).__name__}: {exc}"
+        finally:
+            if saved_cache_dir is None:
+                os.environ.pop("REPRO_CACHE_DIR", None)
+            else:
+                os.environ["REPRO_CACHE_DIR"] = saved_cache_dir
+    return None
+
+
 def _run_worker(trial: FuzzTrial) -> tuple[int, int, dict]:
     """Process-pool entry point: regenerate and run, plain configuration."""
     program, stream = _materialize(trial)
@@ -504,6 +605,12 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
                 f"worker-process run differs from in-process: cycles "
                 f"{w_cycles} vs {plain.cycles}",
             )
+
+    # Property 11: a mutated ChampSim encoding of the stream decodes to
+    # a clean run or fails with a TraceFormatError, nothing else.
+    problem = decode_mutant_problem(trial, stream)
+    if problem is not None:
+        return FuzzFailure(trial, "decode_mutant", problem)
     return None
 
 

@@ -96,18 +96,26 @@ class InvariantChecker:
             raise InvariantViolation(cycle, problems)
 
     def check_end(self, result) -> None:
-        """Full end-of-run sweep, after telemetry finalisation."""
+        """Full end-of-run sweep, after telemetry finalisation.
+
+        Then the checker lets go of the simulator, which holds it as
+        ``sim.checker``: keeping it would leave the finished simulator
+        in a reference cycle, freed only by a full cyclic-GC pass.
+        """
         sim = self.sim
-        problems = sim.ftq.validate(self._block_bytes)
-        problems += sim.decode_queue.validate()
-        problems += sim.memory.validate()
-        problems += sim.btb.validate()
-        problems += sim.bpu.validate_state()
-        self._check_ftq_fills(problems)
-        self._check_trainer(problems)
-        self._check_prefetch_partition(problems)
-        self._check_accounting(problems, result)
-        self._check_counters(problems)
+        try:
+            problems = sim.ftq.validate(self._block_bytes)
+            problems += sim.decode_queue.validate()
+            problems += sim.memory.validate()
+            problems += sim.btb.validate()
+            problems += sim.bpu.validate_state()
+            self._check_ftq_fills(problems)
+            self._check_trainer(problems)
+            self._check_prefetch_partition(problems)
+            self._check_accounting(problems, result)
+            self._check_counters(problems)
+        finally:
+            self.sim = None
         if problems:
             raise InvariantViolation(-1, problems)
 

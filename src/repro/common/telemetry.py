@@ -213,7 +213,8 @@ class Telemetry:
     Construct one, pass it to ``simulate(..., telemetry=tel)`` (or the
     ``Simulator`` constructor), run, then read :meth:`summary` or dump
     the JSONL side files.  A ``Telemetry`` object is single-use: it
-    belongs to the run that consumed it.
+    belongs to the run that consumed it, and lets go of the simulator
+    when that run ends (:meth:`finalize`).
     """
 
     def __init__(self, config: TelemetryConfig | None = None) -> None:
@@ -225,6 +226,10 @@ class Telemetry:
         self._sim = None
         self._retire_width = 1
         self._finalized = False
+        # What summary() reads of the finished run, kept by finalize().
+        self._end_stats: tuple = ()
+        self._end_mshr: dict = {}
+        self._end_caches: dict = {}
         # Cycle-accounting buckets (plain ints on the per-cycle path;
         # folded into the run's StatSet at finalize).
         self.c_retiring = 0
@@ -240,7 +245,7 @@ class Telemetry:
     # ------------------------------------------------------------------
     def attach(self, sim) -> None:
         """Bind to a simulator and install the per-component event hooks."""
-        if self._sim is not None:
+        if self._sim is not None or self._finalized:
             raise RuntimeError("Telemetry objects are single-use; build a new one per run")
         self._sim = sim
         self._retire_width = sim.params.core.retire_width
@@ -336,6 +341,12 @@ class Telemetry:
         (``prefetch_inflight_end`` / ``prefetch_resident_end``) into the
         measurement :class:`StatSet`, and forces a last interval sample
         so short runs still produce a time-series row.
+
+        Then it keeps the end-of-run values :meth:`summary` reads and
+        lets go of the simulator.  The simulator holds this hub (as
+        ``sim.telemetry`` and in every observable's ``telemetry`` slot),
+        so keeping it would leave the finished simulator in a reference
+        cycle, freed only by a full cyclic-GC pass.
         """
         if self._finalized:
             return
@@ -348,9 +359,19 @@ class Telemetry:
         stats.set("prefetch_resident_end", sim.memory.untouched_prefetched_lines)
         if self.sampler is not None:
             self.sampler.sample(sim.cycle, sim.backend.committed, stats, sim._measuring)
+        memory = sim.memory
+        mshrs = memory.mshrs
+        self._end_stats = (sim.warmup_stats, stats)
+        self._end_mshr = {
+            "peak_occupancy": mshrs.peak_occupancy,
+            "allocations": mshrs.allocations,
+            "merges": mshrs.merges,
+        }
+        self._end_caches = {"l1i": memory.l1i.snapshot(), "l2": memory.l2.snapshot()}
+        self._sim = None
 
     def combined_stats(self) -> StatSet:
-        """Warmup + measurement counters merged into one :class:`StatSet`.
+        """The finished run's warmup + measurement counters, merged.
 
         Prefetches issued during warmup can reach their terminal state
         inside the measurement window; the partition invariant therefore
@@ -358,10 +379,9 @@ class Telemetry:
         section of :meth:`summary` reports.
         """
         merged = StatSet()
-        warm = getattr(self._sim, "warmup_stats", None)
-        if warm is not None:
-            merged.merge(warm)
-        merged.merge(self._sim.stats)
+        for stats in self._end_stats:
+            if stats is not None:
+                merged.merge(stats)
         return merged
 
     def prefetch_partition(self) -> dict[str, int | float]:
@@ -403,15 +423,8 @@ class Telemetry:
             },
             "prefetch": self.prefetch_partition(),
             "fdp_miss_exposure": result.miss_exposure(),
-            "mshr": {
-                "peak_occupancy": self._sim.memory.mshrs.peak_occupancy,
-                "allocations": self._sim.memory.mshrs.allocations,
-                "merges": self._sim.memory.mshrs.merges,
-            },
-            "caches": {
-                "l1i": self._sim.memory.l1i.snapshot(),
-                "l2": self._sim.memory.l2.snapshot(),
-            },
+            "mshr": self._end_mshr,
+            "caches": self._end_caches,
             "samples": len(self.sampler.rows) if self.sampler is not None else 0,
         }
         if self.ring is not None:

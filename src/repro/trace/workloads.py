@@ -15,6 +15,7 @@ catalogue.
 from __future__ import annotations
 
 import dataclasses
+import gc
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -203,14 +204,30 @@ def make_trace(
     experiment configuration reuses the same trace.  The workload may
     be a source object, a catalogue/registered name, or a trace file
     path.
+
+    The cyclic garbage collector is paused while the trace is built.
+    A trace is a large acyclic graph (56K tracked objects for one
+    server workload at 85K instructions) and building it creates
+    no cyclic garbage, so a collection can free nothing, yet every
+    full collection would re-walk all the traces built before.
+    Paused, the new objects meet one young-generation pass after it
+    instead of the hundreds that building them would trigger.  The
+    caller's collector state is restored, also when building raises
+    (``tests/test_workloads.py::TestCollectorPause``).
     """
-    if isinstance(workload, str):
-        return _cached_trace(workload, n_instructions)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        if resolve_workload(workload.name) == workload:
-            return _cached_trace(workload.name, n_instructions)
-    except KeyError:
-        pass
-    # An unregistered source object: materialise without the name memo
-    # (a name lookup could resolve to a different source).
-    return workload.materialize(n_instructions)
+        if isinstance(workload, str):
+            return _cached_trace(workload, n_instructions)
+        try:
+            if resolve_workload(workload.name) == workload:
+                return _cached_trace(workload.name, n_instructions)
+        except KeyError:
+            pass
+        # An unregistered source object: materialise without the name
+        # memo (a name lookup could resolve to a different source).
+        return workload.materialize(n_instructions)
+    finally:
+        if enabled:
+            gc.enable()

@@ -204,28 +204,46 @@ class TestSimBuilder:
 _PLAIN = SimParams(warmup_instructions=1_000, sim_instructions=2_000)
 
 
+def _plain_id(params):
+    kind = params.branch.direction_kind
+    return f"{params.prefetcher}-{getattr(kind, 'value', kind)}"
+
+
 @pytest.mark.parametrize(
-    "params",
-    [_PLAIN.replace(prefetcher=name) for name in ["none", "perfect", *prefetchers.names()]]
+    "params, traced",
+    [
+        pytest.param(params, False, id=_plain_id(params))
+        for params in [
+            *(_PLAIN.replace(prefetcher=name) for name in ["none", "perfect", *prefetchers.names()]),
+            # The registered oracle predictor runs only with perfect_direction.
+            *(
+                _PLAIN.with_branch(direction_kind=name, perfect_direction=name == "perfect")
+                for name in direction_predictors.names()
+            ),
+        ]
+    ]
     + [
-        # The registered oracle predictor runs only with perfect_direction.
-        _PLAIN.with_branch(direction_kind=name, perfect_direction=name == "perfect")
-        for name in direction_predictors.names()
+        # Observers point back at the simulator until the run ends.
+        pytest.param(_PLAIN.replace(check_invariants=True), False, id="checked"),
+        pytest.param(_PLAIN, True, id="traced"),
     ],
-    ids=lambda p: f"{p.prefetcher}-{getattr(p.branch.direction_kind, 'value', p.branch.direction_kind)}",
 )
-def test_finished_simulator_freed_without_cyclic_gc(params):
-    """A plain simulator holds no reference cycle: dropping the last
+def test_finished_simulator_freed_without_cyclic_gc(params, traced):
+    """A finished simulator holds no reference cycle: dropping the last
     reference frees it at once, without waiting for a cyclic-GC pass."""
     import gc
     import weakref
+
+    from repro.common.telemetry import Telemetry
 
     program, stream = make_trace("srv_web", 3_000)
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        sim = SimBuilder(params, program, stream).build()
+        sim = SimBuilder(params, program, stream).build(
+            telemetry=Telemetry() if traced else None
+        )
         sim.run()
         ref = weakref.ref(sim)
         del sim

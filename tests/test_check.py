@@ -1,6 +1,9 @@
 """Tests for the correctness harness (repro.check)."""
 
+import gc
+import importlib
 import json
+import os
 import random
 
 import pytest
@@ -205,6 +208,71 @@ class TestFuzz:
         program, stream = _materialize(trial)  # a fresh stream: no rows yet
         problem = arch_fold_problem(trial.params, program, stream)
         assert problem is not None and "differs from the scalar folds" in problem
+
+
+class TestDecodeMutants:
+    def test_mutations_are_seeded_and_cover_each_kind(self):
+        from repro.check.fuzz import mutate_trace
+
+        data = bytes(range(256)) * 40  # 160 records
+        seen = set()
+        for seed in range(30):
+            label, mutant = mutate_trace(data, random.Random(seed))
+            assert (label, mutant) == mutate_trace(data, random.Random(seed))
+            assert mutant != data
+            if label.startswith("truncated"):
+                assert len(mutant) < len(data)
+            else:
+                assert len(mutant) == len(data)
+            seen.add(label.split(" ")[0])
+        assert seen == {"bit", "truncated", "random"}
+
+    @pytest.mark.parametrize("seed", [1, 3, 13], ids=["decodes", "corrupt_record", "ragged_tail"])
+    def test_property_holds(self, seed, monkeypatch, tmp_path):
+        from repro.check.fuzz import _materialize, decode_mutant_problem
+
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        trial = build_trial(seed)
+        _program, stream = _materialize(trial)
+        assert decode_mutant_problem(trial, stream) is None
+        assert gc.isenabled()
+        # Chunk artifacts went to a private directory, since deleted.
+        assert os.environ["REPRO_CACHE_DIR"] == str(cache_dir)
+        assert not cache_dir.exists()
+
+    def test_catches_a_decoder_crash(self, monkeypatch):
+        from repro.check.fuzz import _materialize, decode_mutant_problem
+        from repro.trace import champsim
+
+        def crash(records, first_index):
+            raise IndexError("decoder bug")
+
+        trial = build_trial(1)
+        _program, stream = _materialize(trial)
+        monkeypatch.setattr(champsim, "classify_records", crash)
+        problem = decode_mutant_problem(trial, stream)
+        assert problem is not None and "IndexError: decoder bug" in problem
+        assert problem.startswith("truncated to")
+
+    def test_catches_a_format_error_that_leaves_collection_off(self, monkeypatch):
+        from repro.trace.champsim import TraceFormatError
+
+        # The package's ``fuzz`` name is the campaign function.
+        fuzz_module = importlib.import_module("repro.check.fuzz")
+
+        def fail_paused(source, n):
+            gc.disable()
+            raise TraceFormatError("bad trace")
+
+        trial = build_trial(3)
+        _program, stream = fuzz_module._materialize(trial)
+        monkeypatch.setattr(fuzz_module, "make_trace", fail_paused)
+        try:
+            problem = fuzz_module.decode_mutant_problem(trial, stream)
+        finally:
+            gc.enable()
+        assert problem is not None and "collector" in problem
 
 
 class TestReproducer:

@@ -1,7 +1,13 @@
 """Tests for the workload catalogue (repro.trace.workloads)."""
 
+import dataclasses
+import gc
+import types
+from pathlib import Path
+
 import pytest
 
+from repro.trace.champsim import ChampSimTrace, TraceFormatError
 from repro.trace.workloads import (
     TRACE_SLACK,
     WorkloadSpec,
@@ -57,6 +63,101 @@ class TestMakeTrace:
         assert [(s.start, s.n_instrs) for s in short.segments[:n]] == [
             (s.start, s.n_instrs) for s in long.segments[:n]
         ]
+
+
+GOLDEN_CHAMPSIM = Path(__file__).parent / "data" / "golden.champsim.xz"
+
+
+def _unregistered(name: str, source_name: str = "srv_web"):
+    """A catalogue shape under a fresh name: never memoised, so cold."""
+    return dataclasses.replace(workload_by_name(source_name), name=name)
+
+
+@pytest.fixture
+def collector_enabled():
+    """Run with the cyclic collector on; restore the caller's state."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_enabled:
+        gc.disable()
+
+
+@pytest.mark.usefixtures("collector_enabled")
+class TestCollectorPause:
+    """``make_trace`` builds with the cyclic collector paused."""
+
+    @pytest.mark.parametrize("memoised", [True, False], ids=["memoised", "unregistered"])
+    def test_no_collection_inside_cold_materialisation(self, memoised):
+        source = "srv_web" if memoised else _unregistered("gc_pause_probe")
+        make_trace("clt_browser", 5_000)  # not the first trace of the process
+        starts = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(on_gc)
+        try:
+            # A window no other test asks for, so the name memo is cold.
+            make_trace(source, 85_001)
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert starts == []
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self):
+        gc.disable()
+        make_trace(_unregistered("gc_disabled_probe", "spc_fp"), 3_000)
+        assert not gc.isenabled()
+
+    def test_failed_materialisation_reenables_collector(self, tmp_path):
+        junk = tmp_path / "junk.champsim"
+        junk.write_bytes(bytes(range(35)))
+        with pytest.raises(TraceFormatError, match="truncated"):
+            make_trace(str(junk), 1_000)
+        assert gc.isenabled()
+
+    def test_materialisation_leaves_no_repro_cyclic_garbage(self):
+        """Nothing relies on the collector the pause defers: building a
+        catalogue shape, a fuzz spec and the golden ChampSim trace (twice,
+        so the second decode reads the chunk cache) creates no cycle of
+        ``repro`` objects."""
+        from repro.check.fuzz import build_trial
+
+        trial = build_trial(3)
+        fuzz_shape = dataclasses.replace(
+            workload_by_name("spc_fp"),
+            name="gc_fuzz_probe",
+            program_spec=trial.spec,
+            program_seed=trial.program_seed,
+            oracle_seed=trial.oracle_seed,
+        )
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for source in (
+                _unregistered("gc_garbage_probe", "clt_browser"),
+                fuzz_shape,
+                ChampSimTrace(str(GOLDEN_CHAMPSIM)),
+                ChampSimTrace(str(GOLDEN_CHAMPSIM)),
+            ):
+                make_trace(source, 1_000)
+                source.expected_stream(1_000)
+            gc.collect()
+            leaked = [
+                obj
+                for obj in gc.garbage
+                if (
+                    obj.__module__
+                    if isinstance(obj, (type, types.FunctionType))
+                    else type(obj).__module__
+                ).startswith("repro")
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
 
 class TestCategoryCharacter:
