@@ -37,7 +37,7 @@ from repro.core.metrics import RunResult
 from repro.core.simulator import Simulator
 from repro.trace.cfg import Program
 from repro.trace.oracle import OracleStream
-from repro.trace.workloads import make_trace, workload_by_name
+from repro.trace.workloads import collector_paused, make_trace, workload_by_name
 
 
 class DifferentialDivergence(AssertionError):
@@ -230,63 +230,8 @@ def check_workload(name: str, params: SimParams) -> DifferentialReport:
     params = params.replace(check_invariants=True)
     n = params.warmup_instructions + params.sim_instructions
     program, stream = make_trace(name, n)
-    expected = workload_by_name(name).expected_stream(n)
+    with collector_paused():
+        expected = workload_by_name(name).expected_stream(n)
     _result, report = run_differential(params, program, stream, expected, workload_name=name)
     return report
 
-
-def check_workload_batched(
-    name: str, params: SimParams, width: int = 2
-) -> DifferentialReport:
-    """Differential check of one workload on the lockstep batch path.
-
-    Runs ``width`` identical instances via
-    :func:`repro.core.batch.run_batch`, each under its own
-    :class:`CommitRecorder` against the independently regenerated oracle
-    stream, then checks every instance's end state *and* bit-identity
-    (cycles, instructions, full counter set) against a scalar reference
-    run of the same configuration.  The per-cycle invariant checker is
-    forced off -- it is exactly what makes a config non-batchable -- so
-    this complements, rather than replaces, :func:`check_workload`.
-    """
-    from repro.core.batch import batchable, run_batch
-
-    params = params.replace(check_invariants=False)
-    ok, reason = batchable(params)
-    if not ok:
-        raise ValueError(f"config {params.label()!r} is not batchable: {reason}")
-    n = params.warmup_instructions + params.sim_instructions
-    program, stream = make_trace(name, n)
-    expected = workload_by_name(name).expected_stream(n)
-    flat = flatten_branches(expected)
-
-    sims = [Simulator(params, program, stream) for _ in range(max(2, width))]
-    recorders = [CommitRecorder(sim.trainer, flat) for sim in sims]
-    results = run_batch(sims, [name] * len(sims))
-    for i, (sim, recorder) in enumerate(zip(sims, recorders)):
-        problems = _end_state_problems(sim, flat, recorder)
-        if problems:
-            raise DifferentialDivergence(
-                f"end-state disagreement ({name}, batch member {i}):\n  "
-                + "\n  ".join(problems)
-            )
-
-    reference = Simulator(params, program, stream).run(workload_name=name)
-    ref_stats = reference.stats.as_dict()
-    for i, result in enumerate(results):
-        if (
-            result.cycles != reference.cycles
-            or result.instructions != reference.instructions
-            or result.stats.as_dict() != ref_stats
-        ):
-            raise DifferentialDivergence(
-                f"batched run diverges from scalar ({name}, batch member {i}): "
-                f"cycles {result.cycles} vs {reference.cycles}, "
-                f"instructions {result.instructions} vs {reference.instructions}"
-            )
-    return DifferentialReport(
-        workload=name,
-        branches_checked=recorders[0].index,
-        committed_instructions=sims[0].backend.committed,
-        result=results[0],
-    )

@@ -17,9 +17,6 @@ simulator under the full correctness harness:
   (:mod:`repro.core.typed`), a re-run on the interpreted reference
   kernel must be bit-identical in every counter (the typed kernel is an
   optimisation, never a semantic change);
-* **batched == scalar** -- a two-instance lockstep batch
-  (:mod:`repro.core.batch`) must reproduce the plain scalar run
-  bit-identically, instance by instance;
 * **traced == untraced** -- a telemetry re-run must match once the
   telemetry-only counters are stripped;
 * **functional == cycle warmup** -- measured IPC of the two warmup
@@ -75,8 +72,6 @@ from repro.common.params import (
     SimParams,
 )
 from repro.common.telemetry import Telemetry, TelemetryConfig
-from repro.core.batch import batchable
-from repro.core.batch import run_batch as batch_run
 from repro.core.simulator import Simulator
 from repro.prefetch import prefetcher_names
 from repro.trace.cfg import ProgramSpec, generate_program
@@ -87,7 +82,7 @@ from repro.trace.champsim import (
     write_champsim_trace,
 )
 from repro.trace.oracle import OracleStream, run_oracle
-from repro.trace.workloads import TRACE_SLACK, make_trace
+from repro.trace.workloads import TRACE_SLACK, collector_paused, make_trace
 
 from repro.check.differential import (
     CommitRecorder,
@@ -395,11 +390,13 @@ def decode_mutant_problem(trial: FuzzTrial, stream: OracleStream) -> str | None:
                     f"{mutation}: decoded {decoded.total_instructions} instructions "
                     f"from {records} records"
                 )
+            with collector_paused():
+                expected = source.expected_stream(n)
             run_differential(
                 trial.params.replace(check_invariants=True),
                 program,
                 decoded,
-                source.expected_stream(n),
+                expected,
                 workload_name=source.name,
             )
         except Exception as exc:
@@ -508,28 +505,6 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
                 f"cycles {plain.cycles} vs {interp.cycles}, instructions "
                 f"{plain.instructions} vs {interp.instructions}",
             )
-
-    # Property 7 (ordering: needs `plain` from property 2): the lockstep
-    # batch path is bit-identical to scalar execution.  Two instances of
-    # the plain config advance in lockstep via the stepping kernel; each
-    # must reproduce the scalar run exactly.
-    plain_params = trial.params.replace(check_invariants=False)
-    if batchable(plain_params)[0]:
-        batch_sims = [Simulator(plain_params, program, stream) for _ in range(2)]
-        batch_results = batch_run(batch_sims)
-        for b in batch_results:
-            if (
-                b.cycles != plain.cycles
-                or b.instructions != plain.instructions
-                or b.stats.as_dict() != plain.stats.as_dict()
-            ):
-                return FuzzFailure(
-                    trial,
-                    "batched_scalar_identity",
-                    f"batched run differs from scalar: cycles {b.cycles} vs "
-                    f"{plain.cycles}, instructions {b.instructions} vs "
-                    f"{plain.instructions}",
-                )
 
     # Property 3: telemetry only observes (traced == untraced).
     tel = Telemetry(TelemetryConfig(interval_stride=2_000, ring_capacity=256))

@@ -293,13 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run a failure reproducer JSON instead of fuzzing",
     )
     check.add_argument(
-        "--batched",
-        action="store_true",
-        help="catalogue mode only: check the lockstep batch path "
-        "(differential + batched-vs-scalar bit-identity) instead of the "
-        "scalar + invariant path",
-    )
-    check.add_argument(
         "--sweep",
         metavar="SPEC",
         default=None,
@@ -439,8 +432,8 @@ def _write_stats_json(result, output: str) -> Path:
     Besides the counters, the payload records which code produced them
     (``schema`` = :data:`repro.experiments.cache.SIM_SCHEMA_VERSION`)
     and the *resolved* run modes -- the ``run`` path resolves
-    ``warmup_mode="auto"`` to cycle-accurate warmup and always runs the
-    scalar kernel -- so a stats dump is comparable across PRs without
+    ``warmup_mode="auto"`` to cycle-accurate warmup -- plus the kernel
+    backend that ran, so a stats dump is comparable across PRs without
     guessing which defaults were in force.
     """
     from repro.core.typed import kernel_backend_for_params
@@ -462,7 +455,6 @@ def _write_stats_json(result, output: str) -> Path:
             "warmup_mode": "cycle" if warmup_mode == "auto" else warmup_mode,
             "check_invariants": params.check_invariants,
             "kernel_backend": kernel_backend_for_params(params),
-            "batch": "scalar",
         },
         "counters": {name: result.stats.get(name) for name in result.stats.names()},
     }
@@ -680,18 +672,8 @@ def _check_sweep(spec_path: str) -> int:
 
 
 def _check_catalogue(args: argparse.Namespace) -> int:
-    """Differential + invariant check of catalogue workloads.
-
-    ``--batched`` swaps each workload's check onto the lockstep batch
-    path: differential oracle agreement for every batch member plus
-    batched-vs-scalar bit-identity, with the (scalar-only) per-cycle
-    invariant layer replaced by that identity check.
-    """
-    from repro.check import (
-        DifferentialDivergence,
-        check_workload,
-        check_workload_batched,
-    )
+    """Differential + invariant check of catalogue workloads."""
+    from repro.check import DifferentialDivergence, check_workload
     from repro.check.invariants import InvariantViolation
     from repro.experiments.configs import QUICK_WORKLOADS, default_params
 
@@ -706,24 +688,22 @@ def _check_catalogue(args: argparse.Namespace) -> int:
     params = default_params().replace(
         warmup_instructions=args.warmup, sim_instructions=args.instructions
     )
-    check = check_workload_batched if args.batched else check_workload
-    mode = " (batched)" if args.batched else ""
     failures = 0
     for name in names:
         try:
-            report = check(name, params)
+            report = check_workload(name, params)
         except (DifferentialDivergence, InvariantViolation) as exc:
             failures += 1
-            print(f"{name:14s} FAIL{mode}\n{exc}")
+            print(f"{name:14s} FAIL\n{exc}")
             continue
         print(
-            f"{name:14s} ok{mode}  ({report.branches_checked} branches, "
+            f"{name:14s} ok  ({report.branches_checked} branches, "
             f"{report.committed_instructions} instructions checked)"
         )
     if failures:
         log.error("%d of %d workloads failed the differential check", failures, len(names))
         return 1
-    print(f"all {len(names)} workload(s) clean{mode}")
+    print(f"all {len(names)} workload(s) clean")
     return 0
 
 

@@ -10,7 +10,7 @@ sweep under ``results/ledger/<sweep-id>.jsonl``:
 * points resolved from the in-process memo or the disk cache emit a
   terminal ``cache_hit`` (``source`` names which);
 * the remainder emit ``started`` -> ``finished`` (or ``failed``), with
-  the worker pid, the work-unit id (lockstep batches share one unit),
+  the worker pid, the work-unit id (one unit simulates one point),
   wall seconds and simulated instructions per second;
 * ``sweep_begin`` / ``sweep_end`` bracket the run with the pool
   configuration and the reconciled totals.
@@ -49,7 +49,7 @@ TERMINAL_EVENTS = ("cache_hit", "finished", "failed")
 
 #: Fields that legitimately differ between a serial and a parallel run
 #: of the same sweep (timing, process identity, interleaving).
-TIMING_FIELDS = ("ts", "pid", "wall_seconds", "instrs_per_sec", "unit", "unit_size")
+TIMING_FIELDS = ("ts", "pid", "wall_seconds", "instrs_per_sec", "unit")
 
 
 def ledger_enabled() -> bool:
@@ -135,9 +135,9 @@ class SweepLedger:
         except OSError:
             self._fh = None
 
-    def begin(self, jobs: int, batching: bool, batch_width: int) -> None:
+    def begin(self, jobs: int) -> None:
         """Open the sweep: pool configuration snapshot."""
-        self.emit("sweep_begin", jobs=jobs, batching=batching, batch_width=batch_width)
+        self.emit("sweep_begin", jobs=jobs)
 
     def queued(self, key: str, workload: str, label: str) -> None:
         """A deduplicated point entered the sweep."""
@@ -157,26 +157,19 @@ class SweepLedger:
         workload: str,
         label: str,
         unit: str,
-        unit_size: int,
         pid: int,
         wall_seconds: float,
         instructions: int,
         instrs_per_sec: float,
         ipc: float,
     ) -> None:
-        """Terminal: the point simulated successfully.
-
-        ``wall_seconds`` and ``instrs_per_sec`` describe the whole
-        *work unit* (a lockstep batch shares one measurement across its
-        ``unit_size`` members); ``instructions``/``ipc`` are this job's.
-        """
+        """Terminal: the point simulated successfully."""
         self.emit(
             "finished",
             key=key,
             workload=workload,
             label=label,
             unit=unit,
-            unit_size=unit_size,
             pid=pid,
             wall_seconds=wall_seconds,
             instructions=instructions,
@@ -287,9 +280,7 @@ def summarize_ledger(events: list[dict], top: int = 10) -> dict:
         sweep_id = record.get("sweep", sweep_id)
         if event == "sweep_begin":
             begin_ts = record["ts"]
-            begin_cfg = {
-                k: record.get(k) for k in ("jobs", "batching", "batch_width")
-            }
+            begin_cfg = {"jobs": record.get("jobs")}
         elif event == "sweep_end":
             end_ts = record["ts"]
         if event not in counts:
@@ -308,7 +299,6 @@ def summarize_ledger(events: list[dict], top: int = 10) -> dict:
                     "pid": record.get("pid"),
                     "wall_seconds": record.get("wall_seconds", 0.0),
                     "instrs_per_sec": record.get("instrs_per_sec", 0.0),
-                    "unit_size": record.get("unit_size", 1),
                 },
             )
             unit["keys"] += 1
@@ -421,10 +411,7 @@ def render_summary_md(summary: dict) -> str:
         lines.append(f"- aggregate throughput: {summary['instrs_per_sec']:,.0f} instrs/sec")
     cfg = summary.get("config") or {}
     if any(v is not None for v in cfg.values()):
-        lines.append(
-            f"- pool: jobs={cfg.get('jobs')}, batching={cfg.get('batching')}, "
-            f"batch_width={cfg.get('batch_width')}"
-        )
+        lines.append(f"- pool: jobs={cfg.get('jobs')}")
     if summary["slowest_units"]:
         lines += [
             "",

@@ -370,6 +370,12 @@ class Telemetry:
         self._end_caches = {"l1i": memory.l1i.snapshot(), "l2": memory.l2.snapshot()}
         self._sim = None
 
+    def detach(self) -> None:
+        """Let go of the simulator of a run that raised before
+        :meth:`finalize`; the hub stays spent."""
+        self._sim = None
+        self._finalized = True
+
     def combined_stats(self) -> StatSet:
         """The finished run's warmup + measurement counters, merged.
 

@@ -1,21 +1,16 @@
 """The assembled simulator: decoupled FDP frontend + consuming backend."""
 
 from repro.core.backend import Backend, CommitTrainer, DecodeQueue
-from repro.core.batch import BatchKernelBuilder, batchable, run_batch, simulate_batch
 from repro.core.metrics import RunResult, ftq_storage_bits, ftq_storage_bytes
 from repro.core.simulator import Simulator, simulate
 
 __all__ = [
     "Backend",
-    "BatchKernelBuilder",
     "CommitTrainer",
     "DecodeQueue",
     "RunResult",
-    "batchable",
     "ftq_storage_bits",
     "ftq_storage_bytes",
-    "run_batch",
     "simulate",
-    "simulate_batch",
     "Simulator",
 ]

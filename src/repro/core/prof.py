@@ -57,7 +57,7 @@ class StageProfiler:
         self.acc = [0] * len(points)
 
     def finalize(self, sim, result) -> None:
-        """Record the run's cycle count (called from ``_finish_run``)."""
+        """Record the run's cycle count (called from ``Simulator.run``)."""
         self.cycles = sim.cycle
 
     @property

@@ -38,14 +38,9 @@ runs stay bit-identical to plain runs.
 ``Simulator`` construction time: it composes only the points whose
 feature is active into Python source, compiles it once per feature
 combination (memoised process-wide), and returns the kernel function.
-:func:`build_step_kernel` compiles the same composed body into a
-*generator* that yields after every cycle, which is what the batched
-lockstep driver (:mod:`repro.core.batch`) interleaves across N
-independent simulator instances -- one declaration, two loop shapes,
-bit-identical by construction.
-The uninstrumented path therefore keeps the bound-locals speed of a
-hand-written tight loop, while every telemetry x checker combination is
-generated from the same declaration instead of hand-copied variants --
+The composed loop keeps the bound-locals speed of a hand-written tight
+loop, while every telemetry x checker combination is generated from
+the same declaration instead of hand-copied variants --
 observing hooks compose in, they never fork the loop, so checked /
 traced runs stay bit-identical to plain runs (pinned by the fuzzer's
 ``checked_bit_identity`` / ``traced_bit_identity`` properties).
@@ -226,21 +221,23 @@ def profiled_points(features: frozenset[str]) -> list[SchedulePoint]:
     return [p for p in active_points(features) if p.body]
 
 
-def _emit_kernel(features: frozenset[str], name: str, stepping: bool) -> str:
-    """Emit the composed cycle-loop source (the ONE loop body).
+def kernel_source(features: frozenset[str]) -> str:
+    """Python source of the cycle kernel specialized for ``features``.
 
-    Both kernel shapes are generated here so the codebase keeps exactly
-    one cycle loop: the plain callable and the stepping generator
-    differ only by a trailing ``yield`` per iteration.  When the
-    ``profile`` feature is active each point body is bracketed with
-    ``_clk`` reads feeding the per-stage accumulator ``_pacc`` (bound
-    by the ``profile_prologue`` point); the wrap adds observation only,
-    never control flow.
+    The kernel signature is ``_kernel(sim, target, warmup, guard)``:
+    run cycles until ``sim.backend.committed`` reaches ``target``,
+    beginning measurement once ``warmup`` instructions have committed.
+    ``cycle += 1`` is loop bookkeeping emitted between the last stage
+    and the livelock guard, mirroring the original hand-written loop.
+    When the ``profile`` feature is active each point body is bracketed
+    with ``_clk`` reads feeding the per-stage accumulator ``_pacc``
+    (bound by the ``profile_prologue`` point); the wrap adds observation
+    only, never control flow.
     """
     points = active_points(features)
     profiling = "profile" in features
     profile_index = {id(p): i for i, p in enumerate(profiled_points(features))}
-    lines = [f"def {name}(sim, target, warmup, guard):"]
+    lines = ["def _kernel(sim, target, warmup, guard):"]
     for point in points:
         for bind in point.binds:
             lines.append(f"    {bind}")
@@ -257,52 +254,12 @@ def _emit_kernel(features: frozenset[str], name: str, stepping: bool) -> str:
             lines.append(f"        {stmt}")
         if profiling:
             lines.append(f"        _pacc[{profile_index[id(point)]}] += _clk() - _pt")
-    if stepping:
-        lines.append("        yield")
     lines.append("    sim.cycle = cycle")
     return "\n".join(lines) + "\n"
 
 
-def kernel_source(features: frozenset[str]) -> str:
-    """Python source of the cycle kernel specialized for ``features``.
-
-    The kernel signature is ``_kernel(sim, target, warmup, guard)``:
-    run cycles until ``sim.backend.committed`` reaches ``target``,
-    beginning measurement once ``warmup`` instructions have committed.
-    ``cycle += 1`` is loop bookkeeping emitted between the last stage
-    and the livelock guard, mirroring the original hand-written loop.
-    """
-    return _emit_kernel(features, "_kernel", stepping=False)
-
-
-def step_kernel_source(features: frozenset[str]) -> str:
-    """Source of the *stepping* cycle kernel for ``features``.
-
-    Identical composed body to :func:`kernel_source`, but emitted as a
-    generator -- ``_step_kernel(sim, target, warmup, guard)`` yields
-    once at the end of every simulated cycle (after the livelock
-    guard), and finishes (StopIteration) once ``target`` instructions
-    have committed, writing ``sim.cycle`` back first.  The batched
-    lockstep driver round-robins ``next()`` over one generator per
-    simulator instance; because the per-cycle body is the same
-    schedule-generated source, a stepped run is bit-identical to a
-    :func:`build_kernel` run by construction.
-    """
-    return _emit_kernel(features, "_step_kernel", stepping=True)
-
-
 _KERNELS: dict[frozenset[str], object] = {}
 """Process-wide memo of compiled kernels, keyed by active feature set."""
-
-_STEP_KERNELS: dict[frozenset[str], object] = {}
-"""Process-wide memo of compiled stepping kernels (generators)."""
-
-
-def _compile_kernel(source: str, name: str, tag: str):
-    namespace: dict[str, object] = {}
-    code = compile(source, tag, "exec")
-    exec(code, namespace)  # noqa: S102 - trusted, schedule-generated source
-    return namespace[name]
 
 
 def build_kernel(features: frozenset[str]):
@@ -310,24 +267,10 @@ def build_kernel(features: frozenset[str]):
     features = frozenset(features)
     kernel = _KERNELS.get(features)
     if kernel is None:
-        kernel = _compile_kernel(
-            kernel_source(features), "_kernel", f"<cycle-kernel {sorted(features)}>"
-        )
-        _KERNELS[features] = kernel
-    return kernel
-
-
-def build_step_kernel(features: frozenset[str]):
-    """Compile (memoised) and return the stepping kernel for ``features``."""
-    features = frozenset(features)
-    kernel = _STEP_KERNELS.get(features)
-    if kernel is None:
-        kernel = _compile_kernel(
-            step_kernel_source(features),
-            "_step_kernel",
-            f"<step-kernel {sorted(features)}>",
-        )
-        _STEP_KERNELS[features] = kernel
+        namespace: dict[str, object] = {}
+        code = compile(kernel_source(features), f"<cycle-kernel {sorted(features)}>", "exec")
+        exec(code, namespace)  # noqa: S102 - trusted, schedule-generated source
+        kernel = _KERNELS[features] = namespace["_kernel"]
     return kernel
 
 

@@ -82,8 +82,7 @@ class Simulator:
         ``typed-compiled`` / ``typed-python`` / ``interp``.  A run takes
         ``interp`` only under an observer (telemetry, checker, profiler)
         or as the ``reference=True`` run; the value stays ``interp``
-        until a run decides otherwise (the batched lockstep driver
-        always steps the interpreted kernels)."""
+        until a run decides otherwise."""
         SimBuilder(params, program, stream).wire(self, telemetry)
         if profiler is not None:
             profiler.bind_to(self)
@@ -189,55 +188,6 @@ class Simulator:
             f"history={getattr(policy, 'value', policy)!r}"
         )
 
-    def _prepare_run(self, workload_name: str = "") -> tuple[int, int, int]:
-        """Everything :meth:`run` does before the cycle loop starts.
-
-        Applies the functional warmup fast-forward when configured and
-        returns the ``(target, warmup, guard)`` triple the cycle kernel
-        is called with.  Split out so the batched lockstep driver
-        (:mod:`repro.core.batch`) can prepare each instance, interleave
-        their stepping kernels, and finish them identically to a scalar
-        :meth:`run`.
-        """
-        params = self.params
-        if workload_name:
-            self.workload_name = workload_name
-        target = params.warmup_instructions + params.sim_instructions
-        warmup = params.warmup_instructions
-        guard = _CYCLE_GUARD_FACTOR * target + 100_000
-        if (
-            params.warmup_mode == "functional"
-            and warmup > 0
-            and not self._measuring
-            and self.backend.committed == 0
-        ):
-            functional_warmup(self)
-            self._begin_measurement()
-        return target, warmup, guard
-
-    def _finish_run(self, workload_name: str = "") -> RunResult:
-        """Everything :meth:`run` does after the cycle loop completes."""
-        params = self.params
-        if not self._measuring:
-            self._begin_measurement()
-        instructions = self.backend.committed - self._measure_start_committed
-        cycles = self.cycle - self._measure_start_cycle
-        result = RunResult(
-            workload=workload_name,
-            label=params.label(),
-            params=params,
-            instructions=instructions,
-            cycles=max(cycles, 1),
-            stats=self.stats,
-        )
-        if self.telemetry is not None:
-            self.telemetry.finalize(self, result)
-        if self.checker is not None:
-            self.checker.check_end(result)
-        if self.profiler is not None:
-            self.profiler.finalize(self, result)
-        return result
-
     def run(self, workload_name: str = "", *, reference: bool = False) -> RunResult:
         """Simulate warmup + measurement windows; return the result.
 
@@ -257,8 +207,25 @@ class Simulator:
         reference path the correctness harness compares the typed
         kernel against.  The backend that ran is recorded in
         :attr:`kernel_backend`.
+
+        Observers (telemetry hub, invariant checker) point back at the
+        simulator until the run ends, also when the kernel raises, so a
+        failed run leaves no reference cycle behind.
         """
-        target, warmup, guard = self._prepare_run(workload_name)
+        params = self.params
+        if workload_name:
+            self.workload_name = workload_name
+        target = params.warmup_instructions + params.sim_instructions
+        warmup = params.warmup_instructions
+        guard = _CYCLE_GUARD_FACTOR * target + 100_000
+        if (
+            params.warmup_mode == "functional"
+            and warmup > 0
+            and not self._measuring
+            and self.backend.committed == 0
+        ):
+            functional_warmup(self)
+            self._begin_measurement()
         ok = False
         if not reference:
             ok, reason = supported(self)
@@ -266,18 +233,40 @@ class Simulator:
                 log.debug(
                     "kernel fallback for %s [%s]: %s",
                     self.workload_name or "<unnamed>",
-                    self.params.label(),
+                    params.label(),
                     reason,
                 )
-        if ok:
-            self.kernel_backend = backend_name()
-            typed_kernel(self, target, warmup, guard)
-        else:
-            self.kernel_backend = "interp"
-            kernel = build_kernel(self.active_features())
-            kernel(self, target, warmup, guard)
-        return self._finish_run(workload_name)
-
+        try:
+            if ok:
+                self.kernel_backend = backend_name()
+                typed_kernel(self, target, warmup, guard)
+            else:
+                self.kernel_backend = "interp"
+                kernel = build_kernel(self.active_features())
+                kernel(self, target, warmup, guard)
+        except BaseException:
+            if self.telemetry is not None:
+                self.telemetry.detach()
+            if self.checker is not None:
+                self.checker.sim = None
+            raise
+        if not self._measuring:
+            self._begin_measurement()
+        result = RunResult(
+            workload=workload_name,
+            label=params.label(),
+            params=params,
+            instructions=self.backend.committed - self._measure_start_committed,
+            cycles=max(self.cycle - self._measure_start_cycle, 1),
+            stats=self.stats,
+        )
+        if self.telemetry is not None:
+            self.telemetry.finalize(self, result)
+        if self.checker is not None:
+            self.checker.check_end(result)
+        if self.profiler is not None:
+            self.profiler.finalize(self, result)
+        return result
 
 def simulate(
     workload: WorkloadSpec | str, params: SimParams, telemetry=None, profiler=None

@@ -41,7 +41,6 @@ __all__ = [
     "backend_name",
     "kernel_backend_for_params",
     "supported",
-    "typed_eligible",
     "typed_kernel",
 ]
 
@@ -71,20 +70,12 @@ def backend_name() -> str:
     return "typed-python" if source.endswith(".py") else "typed-compiled"
 
 
-def typed_eligible(params: SimParams) -> bool:
-    """Would a scalar run of ``params`` (no telemetry/profiler attached)
-    take the typed kernel?
+def kernel_backend_for_params(params: SimParams) -> str:
+    """The backend label an uninstrumented run of ``params`` records:
+    ``typed-compiled`` / ``typed-python`` / ``interp``.
 
     Mirrors :func:`supported` from params alone: the only observer
-    params can switch on is the checker (``check_invariants``).  The
-    sweep runner uses this to prefer the typed scalar path over
-    interpreted lockstep batching, and the cache layer to derive the
-    recorded backend.
+    params can switch on is the checker (``check_invariants``).
+    Manifests and ``--stats-json`` record this label.
     """
-    return not params.check_invariants
-
-
-def kernel_backend_for_params(params: SimParams) -> str:
-    """The backend label an uninstrumented scalar run of ``params``
-    records: ``typed-compiled`` / ``typed-python`` / ``interp``."""
-    return backend_name() if typed_eligible(params) else "interp"
+    return "interp" if params.check_invariants else backend_name()

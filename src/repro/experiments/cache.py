@@ -186,7 +186,7 @@ def run_key(workload: WorkloadSource | WorkloadSpec | str, params: SimParams) ->
 run_key.cache_clear = _run_key_by_name.cache_clear  # type: ignore[attr-defined]
 
 
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 """Schema tag of the provenance sidecar manifests (``<key>.manifest.json``)."""
 
 
@@ -196,7 +196,7 @@ def build_manifest(key: str, result: RunResult, meta: dict | None = None) -> dic
     Answers "where did this number come from" for a warm cache: what
     was simulated (workload, config digest, resolved warmup/check
     modes), by which code (simulation schema + package version), on
-    what host, and at what cost (wall seconds, peak RSS, batch mode --
+    what host, and at what cost (wall seconds, peak RSS, worker pid --
     supplied by the runner through ``meta``).
     """
     params = result.params
@@ -323,8 +323,7 @@ class ResultCache:
         """Store one result atomically (tmp file + rename).
 
         ``meta`` carries runner-supplied provenance fields (wall time,
-        peak RSS, worker pid, batch mode) merged into the sidecar
-        manifest.
+        peak RSS, worker pid) merged into the sidecar manifest.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)

@@ -28,11 +28,9 @@ from repro.common.log import configure as configure_logging
 from repro.common.log import current_level_name, get_logger
 from repro.common.params import WARMUP_MODES, SimParams
 from repro.common.stats import amean, geomean
-from repro.core.batch import batchable, simulate_batch
 from repro.core.build import resolve_components
 from repro.core.metrics import RunResult
 from repro.core.simulator import simulate
-from repro.core.typed import typed_eligible
 from repro.experiments.cache import CACHE_STATS, ResultCache, cache_enabled, run_key
 from repro.experiments.configs import repro_jobs
 from repro.trace.workloads import make_trace
@@ -40,33 +38,15 @@ from repro.trace.workloads import make_trace
 _CACHE: dict[str, RunResult] = {}
 """In-process memo, keyed by the stable content hash (run_key)."""
 
-DEFAULT_BATCH_WIDTH = 8
-"""Upper bound on lockstep batch size formed by the sweep runner; keeps
-one pool worker from hoarding a whole workload's points while the rest
-idle, and bounds per-worker memory."""
+# Inert: only perfbench/tracer.py reads this name; ROADMAP item 1
+# deletes the tracer's hook and this line together.
+simulate_batch = None
 
 log = get_logger("experiments.runner")
 
 
 def _disk() -> ResultCache | None:
     return ResultCache() if cache_enabled() else None
-
-
-def batching_enabled() -> bool:
-    """Whether the sweep runner groups cache-miss jobs into batches.
-
-    On by default; ``REPRO_BATCH=0`` forces the scalar path (useful to
-    bisect a suspected batching problem, and what the equivalence tests
-    toggle).
-    """
-    raw = os.environ.get("REPRO_BATCH", "1").strip().lower()
-    return raw not in ("0", "false", "no")
-
-
-def batch_width() -> int:
-    """Maximum lockstep batch size (``REPRO_BATCH_WIDTH`` overrides)."""
-    raw = os.environ.get("REPRO_BATCH_WIDTH", "").strip()
-    return max(2, int(raw)) if raw else DEFAULT_BATCH_WIDTH
 
 
 def _peak_rss_kib() -> int | None:
@@ -79,39 +59,22 @@ def _peak_rss_kib() -> int | None:
         return None
 
 
-def _unit_meta(started_ts: float, wall: float, instructions: int) -> dict:
-    """Execution metadata one work unit reports back to the parent.
+def _simulate_unit(workload: str, params: SimParams) -> tuple[RunResult, dict]:
+    """Worker entry point: simulate one point (top-level for pickling).
 
-    Feeds the run ledger (``started``/``finished`` events) and the
-    provenance manifests the disk cache writes alongside results.
-    """
-    return {
-        "pid": os.getpid(),
-        "started_ts": started_ts,
-        "wall_seconds": wall,
-        "instructions": instructions,
-        "peak_rss_kib": _peak_rss_kib(),
-    }
-
-
-def _simulate_unit(
-    workload: str, params_list: list[SimParams]
-) -> tuple[list[RunResult], dict]:
-    """Worker entry point: one work unit (top-level for pickling).
-
-    A unit is either one scalar simulation (``len(params_list) == 1``)
-    or one lockstep batch; either way it returns the results in input
-    order plus the unit's execution metadata.
+    Returns the result plus the execution metadata that feeds the run
+    ledger (``started``/``finished`` events) and the provenance
+    manifests the disk cache writes alongside results.
     """
     started_ts = time.time()
     t0 = time.perf_counter()
-    if len(params_list) == 1:
-        results = [simulate(workload, params_list[0])]
-    else:
-        results = simulate_batch(workload, params_list)
-    wall = time.perf_counter() - t0
-    total = sum(p.warmup_instructions + p.sim_instructions for p in params_list)
-    return results, _unit_meta(started_ts, wall, total)
+    result = simulate(workload, params)
+    return result, {
+        "pid": os.getpid(),
+        "started_ts": started_ts,
+        "wall_seconds": time.perf_counter() - t0,
+        "peak_rss_kib": _peak_rss_kib(),
+    }
 
 
 def _pool_worker_init(log_level: str) -> None:
@@ -177,24 +140,7 @@ def _resolve(params: SimParams) -> SimParams:
 
 def run_config(workload: str, params: SimParams) -> RunResult:
     """Simulate (memoised + disk-cached) one workload configuration."""
-    params = _resolve(params)
-    key = run_key(workload, params)
-    result = _CACHE.get(key)
-    if result is not None:
-        CACHE_STATS.bump("cache_memo_hit")
-        return result
-    disk = _disk()
-    if disk is not None:
-        result = disk.get(key)
-        if result is not None:
-            _CACHE[key] = result
-            return result
-    CACHE_STATS.bump("sim_runs")
-    results, meta = _simulate_unit(workload, [params])
-    result = results[0]
-    _CACHE[key] = result
-    if disk is not None:
-        disk.put(key, result, meta=_manifest_meta(meta, unit_size=1))
+    [result] = run_points([(workload, params)], jobs=1).values()
     return result
 
 
@@ -217,14 +163,12 @@ def _workload_name(workload) -> str:
     return workload if isinstance(workload, str) else workload.name
 
 
-def _manifest_meta(meta: dict, unit_size: int) -> dict:
+def _manifest_meta(meta: dict) -> dict:
     """Provenance-manifest fields derived from one unit's execution meta."""
     return {
         "wall_seconds": meta["wall_seconds"],
         "peak_rss_kib": meta["peak_rss_kib"],
         "worker_pid": meta["pid"],
-        "batched": unit_size > 1,
-        "unit_size": unit_size,
     }
 
 
@@ -236,9 +180,10 @@ def run_points(
     """Resolve many (workload, params) points, in parallel when allowed.
 
     Returns ``{run_key: RunResult}`` covering every requested point.
-    Cached points (memo or disk) never re-simulate; the remainder fans
-    out across a process pool when ``jobs`` (default ``REPRO_JOBS``)
-    exceeds 1 and more than one simulation is pending.
+    Cached points (memo or disk) never re-simulate; each of the others
+    is one work unit, and the units fan out across a process pool when
+    ``jobs`` (default ``REPRO_JOBS``) exceeds 1 and more than one is
+    pending.
 
     With ``REPRO_LEDGER`` set, every deduplicated point's lifecycle is
     journalled to a run-ledger JSONL file (``queued`` ->
@@ -254,7 +199,7 @@ def run_points(
     disk = _disk()
     ledger = open_ledger(context=ledger_context)
     if ledger is not None:
-        ledger.begin(jobs=jobs, batching=batching_enabled(), batch_width=batch_width())
+        ledger.begin(jobs=jobs)
 
     resolved: dict[str, RunResult] = {}
     pending: dict[str, tuple[str, SimParams]] = {}
@@ -297,81 +242,52 @@ def run_points(
 
     CACHE_STATS.bump("sim_runs", len(pending))
     trace_errors = _materialize_traces(pending.values())
-    batches, singles = _plan_batches(pending)
-    if batches:
-        log.debug(
-            "grouped %d point(s) into %d lockstep batch(es), %d scalar",
-            sum(len(b) for b in batches),
-            len(batches),
-            len(singles),
-        )
-    units: list[tuple[str, list[str]]] = [
-        (f"u{i}", group)
-        for i, group in enumerate(batches + [[key] for key in singles])
-    ]
+    units = {f"u{i}": key for i, key in enumerate(pending)}
     n_finished = 0
     n_failed = 0
     failure: BaseException | None = None
 
-    def _record_unit(unit_id: str, group: list[str], results, meta) -> None:
+    def _record_unit(unit_id: str, key: str, result: RunResult, meta: dict) -> None:
         nonlocal n_finished
+        workload, params = pending[key]
+        instructions = params.warmup_instructions + params.sim_instructions
+        wall = meta["wall_seconds"]
+        resolved[key] = result
+        _CACHE[key] = result
+        if disk is not None:
+            disk.put(key, result, meta=_manifest_meta(meta))
+        n_finished += 1
         if ledger is not None:
-            for key in group:
-                ledger.started(
-                    key,
-                    _workload_name(pending[key][0]),
-                    unit_id,
-                    meta["pid"],
-                    meta["started_ts"],
-                )
-        rate = (
-            meta["instructions"] / meta["wall_seconds"]
-            if meta["wall_seconds"] > 0
-            else 0.0
-        )
-        for key, result in zip(group, results):
-            workload, params = pending[key]
-            resolved[key] = result
-            _CACHE[key] = result
-            if disk is not None:
-                disk.put(key, result, meta=_manifest_meta(meta, unit_size=len(group)))
-            n_finished += 1
-            if ledger is not None:
-                ledger.finished(
-                    key,
-                    _workload_name(workload),
-                    params.label(),
-                    unit_id,
-                    len(group),
-                    meta["pid"],
-                    meta["wall_seconds"],
-                    params.warmup_instructions + params.sim_instructions,
-                    rate,
-                    result.ipc,
-                )
+            name = _workload_name(workload)
+            ledger.started(key, name, unit_id, meta["pid"], meta["started_ts"])
+            ledger.finished(
+                key,
+                name,
+                params.label(),
+                unit_id,
+                meta["pid"],
+                wall,
+                instructions,
+                instructions / wall if wall > 0 else 0.0,
+                result.ipc,
+            )
 
-    def _record_failure(unit_id: str, group: list[str], exc: BaseException) -> None:
+    def _record_failure(unit_id: str, key: str, exc: BaseException) -> None:
         nonlocal n_failed, failure
-        n_failed += len(group)
+        n_failed += 1
         if failure is None:
             failure = exc
         if ledger is not None:
-            for key in group:
-                workload, params = pending[key]
-                ledger.failed(
-                    key, _workload_name(workload), params.label(), unit_id, str(exc)
-                )
+            workload, params = pending[key]
+            ledger.failed(key, _workload_name(workload), params.label(), unit_id, str(exc))
 
     # A unit whose trace failed to materialise fails without running;
     # its error was logged once per trace.
-    runnable: list[tuple[str, list[str]]] = []
-    for unit_id, group in units:
-        exc = trace_errors.get(_trace_id(*pending[group[0]]))
-        if exc is None:
-            runnable.append((unit_id, group))
-        else:
-            _record_failure(unit_id, group, exc)
-    units = runnable
+    for unit_id, key in list(units.items()):
+        exc = trace_errors.get(_trace_id(*pending[key]))
+        if exc is not None:
+            _record_failure(unit_id, key, exc)
+            del units[unit_id]
 
     if jobs > 1 and len(units) > 1:
         log.debug("fanning %d work unit(s) across %d worker(s)", len(units), jobs)
@@ -381,33 +297,27 @@ def run_points(
             initargs=(current_level_name(),),
         ) as pool:
             futures = {
-                pool.submit(
-                    _simulate_unit,
-                    pending[group[0]][0],
-                    [pending[k][1] for k in group],
-                ): (unit_id, group)
-                for unit_id, group in units
+                pool.submit(_simulate_unit, *pending[key]): (unit_id, key)
+                for unit_id, key in units.items()
             }
             for future in as_completed(futures):
-                unit_id, group = futures[future]
+                unit_id, key = futures[future]
                 try:
-                    results, meta = future.result()
+                    result, meta = future.result()
                 except Exception as exc:
                     log.error("work unit %s failed: %s", unit_id, exc)
-                    _record_failure(unit_id, group, exc)
+                    _record_failure(unit_id, key, exc)
                     continue
-                _record_unit(unit_id, group, results, meta)
+                _record_unit(unit_id, key, result, meta)
     else:
-        for unit_id, group in units:
+        for unit_id, key in units.items():
             try:
-                results, meta = _simulate_unit(
-                    pending[group[0]][0], [pending[k][1] for k in group]
-                )
+                result, meta = _simulate_unit(*pending[key])
             except Exception as exc:
                 log.error("work unit %s failed: %s", unit_id, exc)
-                _record_failure(unit_id, group, exc)
+                _record_failure(unit_id, key, exc)
                 continue
-            _record_unit(unit_id, group, results, meta)
+            _record_unit(unit_id, key, result, meta)
 
     if ledger is not None:
         ledger.end(
@@ -450,47 +360,6 @@ def _materialize_traces(
             log.error("trace %s (%d instructions) failed: %s", trace_id[0], trace_id[1], exc)
             errors[trace_id] = exc
     return errors
-
-
-def _plan_batches(
-    pending: Mapping[str, tuple[str, SimParams]],
-) -> tuple[list[list[str]], list[str]]:
-    """Group pending run keys into lockstep batches plus scalar leftovers.
-
-    Points batch together when they share a workload *and* a trace
-    length (members of one batch must predict against the same oracle
-    stream; see :func:`repro.core.batch.simulate_batch`) and their
-    config is :func:`~repro.core.batch.batchable`.  Groups are chunked
-    to :func:`batch_width`; singletons and non-batchable configs run on
-    the scalar path unchanged.
-
-    Typed-kernel-eligible points (:func:`repro.core.typed.typed_eligible`)
-    also stay scalar: lockstep batching interleaves the interpreted
-    stepping kernels, and the typed scalar path is faster than the
-    batching win, so batching them would be a de-optimisation.  Every
-    point without the invariant checker is typed-eligible, and checked
-    points are not batchable, so sweeps get no batches from this.
-    """
-    if not batching_enabled():
-        return [], list(pending)
-    singles: list[str] = []
-    groups: dict[tuple[str, int], list[str]] = {}
-    for key, (workload, params) in pending.items():
-        if typed_eligible(params) or not batchable(params)[0]:
-            singles.append(key)
-            continue
-        n = params.warmup_instructions + params.sim_instructions
-        groups.setdefault((workload, n), []).append(key)
-    width = batch_width()
-    batches: list[list[str]] = []
-    for keys in groups.values():
-        for i in range(0, len(keys), width):
-            chunk = keys[i : i + width]
-            if len(chunk) == 1:
-                singles.append(chunk[0])
-            else:
-                batches.append(chunk)
-    return batches, singles
 
 
 def run_matrix(

@@ -283,7 +283,7 @@ def stream_meta(stream) -> StreamMeta:
 
     Compiled on first use and stashed on the stream object, so every
     consumer of one oracle stream -- the commit trainer, functional
-    warmup, batched runs sharing a trace -- shares one compilation.
+    warmup, every simulator built on the trace -- shares one compilation.
     """
     meta = getattr(stream, "_stream_meta", None)
     if meta is None:

@@ -188,6 +188,38 @@ def workload_by_name(name: str) -> WorkloadSource:
     return resolve_workload(name)
 
 
+class collector_paused:
+    """Context manager: pause the cyclic garbage collector while a trace
+    is built.
+
+    A trace is a large acyclic graph (56K tracked objects for one
+    server workload at 85K instructions) and building it creates
+    no cyclic garbage, so a collection can free nothing, yet every
+    full collection would re-walk all the traces built before.
+    Paused, the new objects meet one young-generation pass after it
+    instead of the hundreds that building them would trigger.  The
+    caller's collector state is restored, also when building raises
+    (``tests/test_workloads.py::TestCollectorPause``).  Wraps
+    :func:`make_trace` and the differential checker's independent
+    ``expected_stream`` regenerations.
+
+    Re-enabling is the last thing ``__exit__`` does and allocates
+    nothing after it, so that one pass runs after the ``with`` block.
+    (A generator-based manager would allocate its ``StopIteration``
+    inside the block's exit and run the pass there.)
+    """
+
+    __slots__ = ("_enabled",)
+
+    def __enter__(self) -> None:
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._enabled:
+            gc.enable()
+
+
 @lru_cache(maxsize=32)
 def _cached_trace(name: str, n_instructions: int) -> tuple[Program, OracleStream]:
     return resolve_workload(name).materialize(n_instructions)
@@ -205,19 +237,9 @@ def make_trace(
     be a source object, a catalogue/registered name, or a trace file
     path.
 
-    The cyclic garbage collector is paused while the trace is built.
-    A trace is a large acyclic graph (56K tracked objects for one
-    server workload at 85K instructions) and building it creates
-    no cyclic garbage, so a collection can free nothing, yet every
-    full collection would re-walk all the traces built before.
-    Paused, the new objects meet one young-generation pass after it
-    instead of the hundreds that building them would trigger.  The
-    caller's collector state is restored, also when building raises
-    (``tests/test_workloads.py::TestCollectorPause``).
+    Built with the cyclic collector paused (:func:`collector_paused`).
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         if isinstance(workload, str):
             return _cached_trace(workload, n_instructions)
         try:
@@ -228,6 +250,3 @@ def make_trace(
         # An unregistered source object: materialise without the name
         # memo (a name lookup could resolve to a different source).
         return workload.materialize(n_instructions)
-    finally:
-        if enabled:
-            gc.enable()

@@ -41,8 +41,7 @@ def _clean_repro_env(monkeypatch):
     """
     for name in ("REPRO_WARMUP_MODE", "REPRO_JOBS", "REPRO_CHECK", "REPRO_CACHE",
                  "REPRO_LOG", "REPRO_WORKLOADS", "REPRO_WARMUP", "REPRO_SIM",
-                 "REPRO_LEDGER", "REPRO_BATCH", "REPRO_BATCH_WIDTH",
-                 "REPRO_TRACES"):
+                 "REPRO_LEDGER", "REPRO_TRACES"):
         monkeypatch.delenv(name, raising=False)
 
 

@@ -48,7 +48,6 @@ MODULES = [
     "repro.prefetch.sn4l_dis_btb",
     "repro.common.registry",
     "repro.core.backend",
-    "repro.core.batch",
     "repro.core.build",
     "repro.core.metrics",
     "repro.core.schedule",

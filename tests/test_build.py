@@ -253,6 +253,34 @@ def test_finished_simulator_freed_without_cyclic_gc(params, traced):
             gc.enable()
 
 
+
+def test_failed_run_frees_simulator_without_cyclic_gc():
+    """A checked, traced run that raises also leaves no reference cycle:
+    the observers let go of the simulator when the kernel raises."""
+    import gc
+    import weakref
+
+    from repro.check.invariants import InvariantViolation
+    from repro.common.telemetry import Telemetry
+
+    program, stream = make_trace("spc_fp", 3_000)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        sim = SimBuilder(_PLAIN.replace(check_invariants=True), program, stream).build(
+            telemetry=Telemetry()
+        )
+        sim.decode_queue.total_instrs += 5  # fails the first cycle's sweep
+        with pytest.raises(InvariantViolation, match="occupancy counter"):
+            sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
 class TestBranchListenerHook:
     def _trainer(self):
         params = SimParams(warmup_instructions=1_000, sim_instructions=2_000)

@@ -242,7 +242,6 @@ class TestManifests:
         assert m["ipc"] == result.ipc
         assert m["warmup_mode"] == "functional"  # sweep default resolution
         assert m["kernel_backend"] == backend_name() and "kernel" not in m
-        assert m["batched"] is False and m["unit_size"] == 1
         assert m["wall_seconds"] > 0
         assert "worker_pid" in m and "host" in m and "repro_version" in m
 
@@ -255,15 +254,14 @@ class TestManifests:
         m = ResultCache().get_manifest(key)
         assert m is not None and m["key"] == key
 
-    def test_batched_sweep_manifest_marks_unit(self):
-        # Prefetcher configs take the typed kernel, so a prefetcher
-        # sweep runs one scalar unit per point and never batches.
+    def test_prefetcher_sweep_manifest_per_point(self):
+        # Prefetcher configs take the typed kernel, and each point is
+        # its own work unit with its own manifest.
         prefetched = [fast().replace(prefetcher=pf) for pf in ("djolt", "fnl_mma")]
         run_points([(wl, p) for wl in WORKLOADS for p in prefetched], jobs=1)
         manifests = ResultCache().manifests()
         assert len(manifests) == len(WORKLOADS) * len(prefetched)
-        assert all(m["batched"] is False for m in manifests)
-        assert all(m["unit_size"] == 1 for m in manifests)
+        assert all(m["wall_seconds"] > 0 for m in manifests)
         assert all(m["kernel_backend"] == backend_name() for m in manifests)
 
     def test_clear_removes_manifests(self):

@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.common.params import SimParams
-from repro.core.batch import batchable
 from repro.core.prof import StageProfiler
 from repro.core.schedule import kernel_source, profiled_points
 from repro.core.simulator import simulate
@@ -96,11 +95,6 @@ class TestKernelComposition:
     def test_plain_kernel_has_no_profiling(self):
         src = kernel_source(frozenset())
         assert "_clk" not in src and "_pacc" not in src
-
-    def test_profiler_not_batchable(self):
-        ok, reason = batchable(fast(), profiler=StageProfiler())
-        assert not ok
-        assert "profiler" in reason
 
 
 class TestProfileCli:

@@ -22,12 +22,7 @@ import repro.core.simulator as simulator
 from repro.common.params import SimParams
 from repro.cli import main
 from repro.core.simulator import Simulator, simulate
-from repro.core.typed import (
-    backend_name,
-    kernel_backend_for_params,
-    supported,
-    typed_eligible,
-)
+from repro.core.typed import backend_name, kernel_backend_for_params, supported
 from repro.experiments.configs import QUICK_WORKLOADS
 from repro.prefetch import Prefetcher, prefetcher_names
 from repro.trace.workloads import make_trace
@@ -90,22 +85,25 @@ class TestResolution:
 
 class TestEligibility:
     def test_plain_config_is_eligible(self):
-        assert typed_eligible(fast())
-        assert typed_eligible(fast(prefetcher="perfect"))
+        assert kernel_backend_for_params(fast()) == backend_name()
+        assert kernel_backend_for_params(fast(prefetcher="perfect")) == backend_name()
 
     def test_checker_disables(self):
-        assert not typed_eligible(fast(check_invariants=True))
+        assert kernel_backend_for_params(fast(check_invariants=True)) == "interp"
 
     @pytest.mark.parametrize("prefetcher", prefetcher_names())
     def test_dedicated_prefetcher_disables(self, prefetcher):
         # It does not: the typed kernel lowers the prefetcher's hook
         # points, so only observers force the interpreted kernel.
-        assert typed_eligible(fast(prefetcher=prefetcher))
+        assert kernel_backend_for_params(fast(prefetcher=prefetcher)) == backend_name()
 
     def test_backend_label_matches_eligibility(self):
-        assert kernel_backend_for_params(fast()) == backend_name()
-        assert kernel_backend_for_params(fast(prefetcher="djolt")) == backend_name()
-        assert kernel_backend_for_params(fast(check_invariants=True)) == "interp"
+        # The label derived from params names the backend a run takes.
+        program, stream = make_trace(WORKLOAD, 2_500)
+        for params in (fast(), fast(prefetcher="djolt"), fast(check_invariants=True)):
+            sim = Simulator(params, program, stream)
+            sim.run()
+            assert kernel_backend_for_params(params) == sim.kernel_backend
 
     def test_supported_mirrors_features(self):
         n = 2_500

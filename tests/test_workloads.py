@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.check import check_workload
+from repro.common.params import SimParams
 from repro.trace.champsim import ChampSimTrace, TraceFormatError
 from repro.trace.workloads import (
     TRACE_SLACK,
@@ -87,22 +89,39 @@ def collector_enabled():
 class TestCollectorPause:
     """``make_trace`` builds with the cyclic collector paused."""
 
-    @pytest.mark.parametrize("memoised", [True, False], ids=["memoised", "unregistered"])
-    def test_no_collection_inside_cold_materialisation(self, memoised):
-        source = "srv_web" if memoised else _unregistered("gc_pause_probe")
+    @pytest.mark.parametrize("case", ["memoised", "unregistered", "expected_stream"])
+    def test_no_collection_inside_cold_materialisation(self, case, monkeypatch):
         make_trace("clt_browser", 5_000)  # not the first trace of the process
         starts = []
+        built = []
 
         def on_gc(phase, info):
             if phase == "start":
                 starts.append(info["generation"])
 
-        gc.callbacks.append(on_gc)
-        try:
+        def counted(build):
+            def observed(*args):
+                built.append(args)
+                gc.callbacks.append(on_gc)
+                try:
+                    return build(*args)
+                finally:
+                    gc.callbacks.remove(on_gc)
+
+            return observed
+
+        if case == "expected_stream":
+            # `repro check` regenerates its reference stream outside the
+            # trace memo; only that regeneration is observed, not the run.
+            monkeypatch.setattr(
+                WorkloadSpec, "expected_stream", counted(WorkloadSpec.expected_stream)
+            )
+            check_workload("srv_web", SimParams(warmup_instructions=500, sim_instructions=1_000))
+        else:
+            source = "srv_web" if case == "memoised" else _unregistered("gc_pause_probe")
             # A window no other test asks for, so the name memo is cold.
-            make_trace(source, 85_001)
-        finally:
-            gc.callbacks.remove(on_gc)
+            counted(make_trace)(source, 85_001)
+        assert len(built) == 1
         assert starts == []
         assert gc.isenabled()
 
