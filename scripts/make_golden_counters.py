@@ -72,6 +72,16 @@ def golden_matrix() -> list[tuple[str, str, SimParams]]:
     }
     for name, params in policies.items():
         points.append((f"srv_web/{name}", "srv_web", params))
+    # THR without FDP (a 2-entry FTQ, no PFC), alone and under EIP-128
+    # as in Fig 6a, and THR with the loop predictor overriding TAGE.
+    no_fdp = longer.with_frontend(ftq_entries=2, pfc_enabled=False)
+    thr = {
+        "no_fdp": no_fdp,
+        "no_fdp_eip128": no_fdp.replace(prefetcher="eip128"),
+        "loop_predictor": longer.with_branch(loop_predictor_entries=256),
+    }
+    for name, params in thr.items():
+        points.append((f"srv_web/{name}", "srv_web", params))
     points.append(("srv_web/sn4l_dis", "srv_web", longer.replace(prefetcher="sn4l_dis")))
     for name, params in replacement_points().items():
         points.append((f"srv_web/{name}", "srv_web", params))

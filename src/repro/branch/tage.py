@@ -37,20 +37,32 @@ Simulation notes:
   training decoupled, as in the simulated machine.
 * Each call fetches its folds once and walks the tables once
   (:meth:`TAGE._lookup`); ``update`` hands the same folds to
-  allocation.
+  allocation.  The update rules live in :meth:`TAGE._train` alone.
+* Under THR and Ideal the training depends on the trace alone, so it
+  runs once per (stream, policy, geometry): a :class:`TageRecord`
+  keeps the writes of every update, and what the walk before each
+  update predicted and which earlier update it depends on.  A TAGE
+  bound to it (:meth:`TAGE.bind_record`) trains by applying those
+  writes, and the typed kernel answers on-path lookups from it; wrong
+  paths, PFC hints, the GHR policies and the reference kernel walk the
+  tables as above.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.common.bits import fold, mix64
+from repro.isa.instructions import BranchKind
 
 _CTR_MAX = 3  # 3-bit signed counter in [-4, 3]
 _CTR_MIN = -4
 _U_MAX = 3
 _MEMO_MAX_BITS = 16
 """Longest table history whose fold pairs are memoised per table."""
+NEVER = 2**31 - 1
+"""``TageRecord.last_writer`` of a branch the record does not serve."""
 
 
 @dataclass(frozen=True)
@@ -127,6 +139,8 @@ class TAGE:
         "_arch_rows",
         "_pc_mix_cache",
         "_table_salts",
+        "_replay",
+        "record",
         "predictions",
         "updates",
         "allocations",
@@ -161,6 +175,9 @@ class TAGE:
         self._arch_rows = None
         self._pc_mix_cache: dict[int, tuple[int, ...]] = {}
         self._table_salts = [(t * 0x9E3779B1) for t in range(n)]
+        self._replay = None
+        self.record: TageRecord | None = None
+        """The :class:`TageRecord` this TAGE trains from, if bound."""
         self.predictions = 0
         self.updates = 0
         self.allocations = 0
@@ -178,6 +195,28 @@ class TAGE:
         """
         self._arch_index = arch.index
         self._arch_rows = arch.fold_rows(self.lengths, self._idx_bits, self._tag_bits)
+
+    def bind_record(self, record: TageRecord) -> None:
+        """Train from ``record`` from now on (see :meth:`update`).
+
+        Only an untrained TAGE of the record's geometry can bind: its
+        tables must start where the record's build started.
+        """
+        if record.config != self.config:
+            raise ValueError(f"record of {record.config} cannot train a TAGE of {self.config}")
+        if self.updates:
+            raise ValueError("a record can only train a TAGE that has not trained yet")
+        self.record = record
+        self._replay = (
+            record.write_end,
+            record.slots,
+            record.values,
+            record.use_alt,
+            record.allocated,
+            [*self._ctr, *self._tag, *self._u, self._bimodal],
+            record.index_bits,
+            (1 << record.index_bits) - 1,
+        )
 
     def _folds(self, hist: int) -> tuple[int, ...]:
         """Per-table ``(index_fold, tag_fold)`` of the masked history,
@@ -250,14 +289,18 @@ class TAGE:
         self.predictions += 1
         return self._lookup(pc, self._folds(hist))[0]
 
-    def _lookup(self, pc: int, folds) -> tuple[bool, int, int, bool]:
+    def _lookup(self, pc: int, folds) -> tuple[bool, int, int, bool, int]:
         """The table walk shared by :meth:`predict` and :meth:`update`.
 
-        Returns ``(prediction, provider, provider_idx, alt_taken)``:
+        Returns ``(prediction, provider, provider_idx, alt_taken, alt)``:
         the provider is the longest-history tag hit (``-1`` for the
-        bimodal table, whose prediction ``alt_taken`` then is), and
-        ``alt_taken`` is what the next-longest hit, or else the bimodal
-        table, predicts.
+        bimodal table, whose prediction ``alt_taken`` then is), ``alt``
+        the next-longest hit (``-1`` for none), and ``alt_taken`` what
+        ``alt``, or else the bimodal table, predicts.  The walk reads
+        the tags from the longest table down to ``alt`` (all of them
+        without one), the bimodal entry and the hits' counters; for a
+        weak provider it also reads ``use_alt_on_na``, and when that is
+        not negative, the provider's useful bit.
         """
         mixes = self._pc_mix_cache.get(pc)
         if mixes is None:
@@ -278,7 +321,7 @@ class TAGE:
                     break
         bimodal_taken = self._bimodal[(pc >> 2) & self._bimodal_mask] >= 0
         if provider < 0:
-            return bimodal_taken, -1, -1, bimodal_taken
+            return bimodal_taken, -1, -1, bimodal_taken, -1
         ctr = self._ctr[provider][provider_idx]
         alt_taken = self._ctr[alt][alt_idx] >= 0 if alt >= 0 else bimodal_taken
         if (
@@ -286,8 +329,8 @@ class TAGE:
             and self._use_alt_on_na >= 0
             and self._u[provider][provider_idx] == 0
         ):
-            return alt_taken, provider, provider_idx, alt_taken
-        return ctr >= 0, provider, provider_idx, alt_taken
+            return alt_taken, provider, provider_idx, alt_taken, alt
+        return ctr >= 0, provider, provider_idx, alt_taken, alt
 
     # ------------------------------------------------------------------
     # Training
@@ -295,40 +338,81 @@ class TAGE:
     def update(self, pc: int, hist: int, taken: bool) -> None:
         """Train with the resolved outcome; ``hist`` must be the history
         that prediction used (the architectural history before this
-        branch)."""
-        self.updates += 1
-        folds = self._folds(hist)
-        predicted, provider, provider_idx, alt_taken = self._lookup(pc, folds)
+        branch).
 
+        A TAGE bound to a :class:`TageRecord` (:meth:`bind_record`)
+        ignores the arguments: the calls arrive in the record's commit
+        order, so update ``k`` applies the writes the record's build made
+        at its update ``k``, with no folds and no table walk.
+        """
+        k = self.updates
+        self.updates = k + 1
+        replay = self._replay
+        if replay is not None:
+            write_end, slots, values, use_alt, allocated, columns, index_bits, index_mask = replay
+            for w in range(write_end[k], write_end[k + 1]):
+                slot = slots[w]
+                columns[slot >> index_bits][slot & index_mask] = values[w]
+            self._use_alt_on_na = use_alt[k]
+            self.allocations += allocated[k]
+            return
+        folds = self._folds(hist)
+        self._train(pc, folds, self._lookup(pc, folds), taken, None)
+
+    def _train(self, pc: int, folds, lookup, taken: bool, rec) -> None:
+        """The update rules: train what ``lookup`` (:meth:`_lookup` of
+        ``pc`` under ``folds``) found with the resolved outcome.
+
+        ``rec`` is ``None``, or the record builder's write recorder: it
+        is called as ``rec(column, index, value)`` before each table
+        write, with ``column`` ``None`` for ``use_alt_on_na``.
+        """
+        predicted, provider, provider_idx, alt_taken, _ = lookup
         if provider >= 0:
-            ctr = self._ctr[provider][provider_idx]
+            ctrs = self._ctr[provider]
+            useful = self._u[provider]
+            ctr = ctrs[provider_idx]
             provider_taken = ctr >= 0
             # Track whether the alternate would have done better on
             # newly-allocated (weak, u=0) entries.
-            if ctr in (-1, 0) and self._u[provider][provider_idx] == 0 and provider_taken != alt_taken:
+            if ctr in (-1, 0) and useful[provider_idx] == 0 and provider_taken != alt_taken:
                 if alt_taken == taken:
-                    self._use_alt_on_na = min(7, self._use_alt_on_na + 1)
+                    use_alt = min(7, self._use_alt_on_na + 1)
                 else:
-                    self._use_alt_on_na = max(-8, self._use_alt_on_na - 1)
+                    use_alt = max(-8, self._use_alt_on_na - 1)
+                if rec is not None:
+                    rec(None, 0, use_alt)
+                self._use_alt_on_na = use_alt
             # Useful bit: provider was right where the alternate was wrong.
+            u = useful[provider_idx]
             if provider_taken == taken and alt_taken != taken:
-                self._u[provider][provider_idx] = min(_U_MAX, self._u[provider][provider_idx] + 1)
+                u = min(_U_MAX, u + 1)
             elif provider_taken != taken and alt_taken == taken:
-                self._u[provider][provider_idx] = max(0, self._u[provider][provider_idx] - 1)
-            self._ctr[provider][provider_idx] = self._saturate(ctr, taken)
+                u = max(0, u - 1)
+            if rec is not None:
+                rec(useful, provider_idx, u)
+            useful[provider_idx] = u
+            ctr = self._saturate(ctr, taken)
+            if rec is not None:
+                rec(ctrs, provider_idx, ctr)
+            ctrs[provider_idx] = ctr
         else:
             idx = self._bimodal_index(pc)
-            self._bimodal[idx] = self._saturate(self._bimodal[idx], taken)
+            ctr = self._saturate(self._bimodal[idx], taken)
+            if rec is not None:
+                rec(self._bimodal, idx, ctr)
+            self._bimodal[idx] = ctr
 
         if predicted != taken and provider < self.config.n_tables - 1:
-            self._allocate(pc, folds, taken, provider)
+            self._allocate(pc, folds, taken, provider, rec)
 
         self._tick += 1
         if self._tick >= self.config.u_reset_period:
             self._tick = 0
-            for table in range(self.config.n_tables):
-                u_col = self._u[table]
+            for u_col in self._u:
                 for i in range(len(u_col)):
+                    if rec is not None:
+                        rec(u_col, i, u_col[i] >> 1)
                     u_col[i] >>= 1
 
     def _saturate(self, ctr: int, taken: bool) -> int:
@@ -336,21 +420,187 @@ class TAGE:
             return min(_CTR_MAX, ctr + 1)
         return max(_CTR_MIN, ctr - 1)
 
-    def _allocate(self, pc: int, folds, taken: bool, provider: int) -> None:
+    def _allocate(self, pc: int, folds, taken: bool, provider: int, rec) -> None:
         """Allocate up to one entry in a longer-history table."""
         start = provider + 1
         for table in range(start, self.config.n_tables):
             idx, tag = self._index_and_tag(table, pc, folds)
             if self._u[table][idx] == 0:
+                ctr = 0 if taken else -1
+                if rec is not None:
+                    rec(self._tag[table], idx, tag)
+                    rec(self._ctr[table], idx, ctr)
                 self._tag[table][idx] = tag
-                self._ctr[table][idx] = 0 if taken else -1
+                self._ctr[table][idx] = ctr
                 self.allocations += 1
                 return
         # No free entry: age the candidates so future allocations succeed.
         for table in range(start, self.config.n_tables):
             idx, _ = self._index_and_tag(table, pc, folds)
-            self._u[table][idx] = max(0, self._u[table][idx] - 1)
+            u = max(0, self._u[table][idx] - 1)
+            if rec is not None:
+                rec(self._u[table], idx, u)
+            self._u[table][idx] = u
 
     # ------------------------------------------------------------------
     def storage_bits(self) -> int:
         return self.config.storage_bits()
+
+
+class TageRecord:
+    """One trace's TAGE training, run once and kept for replay.
+
+    Under THR and Ideal the history a committed conditional branch
+    trains with depends on the trace alone, and TAGE's tables change
+    only at commit, so the table states a simulation trains through
+    depend only on the trace and the geometry.  The record runs a
+    private TAGE through them once, in commit order, with
+    :meth:`TAGE._train`'s write recorder on, and keeps flat arrays:
+
+    * per update ``k`` (the stream's ``k``-th conditional branch): the
+      writes that changed an entry, ``slots[w]`` (column ``slot >>
+      index_bits``, entry ``slot & (2**index_bits - 1)``; the columns
+      are the counter, tag and useful tables, then the bimodal table)
+      and ``values[w]`` for ``w`` in ``write_end[k]:write_end[k + 1]``;
+      ``use_alt[k]``, the ``use_alt_on_na`` the update left, and
+      ``allocated[k]``, the entries it allocated (0 or 1);
+    * per committed branch ``i`` (the stream's flat branch index):
+      ``taken[i]``, what :meth:`TAGE._lookup` gave just before ``i``'s
+      update, and ``last_writer[i]``, the latest earlier update that
+      changed an entry that lookup read (``-1`` for none, :data:`NEVER`
+      for a branch that is not conditional).  ``history[i]`` is the
+      history ``i`` trains with (:attr:`ArchHistories.before`).
+
+    A TAGE trained from the stream's start that has applied more than
+    ``last_writer[i]`` updates holds, in every entry that lookup reads,
+    what the record's TAGE held, so its walk for ``i`` under
+    ``history[i]`` returns ``taken[i]``: the typed kernel serves
+    on-path predictions from here.
+    """
+
+    __slots__ = (
+        "config",
+        "history",
+        "taken",
+        "last_writer",
+        "write_end",
+        "slots",
+        "values",
+        "use_alt",
+        "allocated",
+        "index_bits",
+    )
+
+    def __init__(self, config: TageConfig, arch, addrs, kinds, takens) -> None:
+        """Record ``config``'s training over one stream's committed
+        branches (the flat ``addrs``/``kinds``/``takens`` of
+        :class:`~repro.trace.fbmeta.StreamMeta`) under the histories of
+        ``arch``, an :class:`~repro.trace.fbmeta.ArchHistories`."""
+        tage = TAGE(config)
+        n = config.n_tables
+        columns = [*tage._ctr, *tage._tag, *tage._u, tage._bimodal]
+        number = {id(column): c for c, column in enumerate(columns)}
+        shift = max(config.table_entries, config.bimodal_entries).bit_length() - 1
+        # Per table entry, the update that last changed it (-1: none).
+        last = [[-1] * len(column) for column in columns]
+        ctr_last, tag_last, u_last = last[:n], last[n : 2 * n], last[2 * n : 3 * n]
+        bimodal_last = last[3 * n]
+        bimodal_mask = config.bimodal_entries - 1
+        slots = array("i")
+        values = array("i")
+        k = 0
+        alt_last = -1
+
+        def rec(column, idx: int, value: int) -> None:
+            nonlocal alt_last
+            if column is None:
+                if value != tage._use_alt_on_na:
+                    alt_last = k
+            elif column[idx] != value:
+                c = number[id(column)]
+                last[c][idx] = k
+                slots.append(c << shift | idx)
+                values.append(value)
+
+        n_br = len(addrs)
+        taken = bytearray(n_br)
+        last_writer = array("i", [NEVER]) * n_br
+        write_end = array("i", [0])
+        use_alt = array("b")
+        allocated = array("b")
+        hists = arch.before
+        index = arch.index
+        rows = arch.fold_rows(tage.lengths, tage._idx_bits, tage._tag_bits)
+        mix_cache = tage._pc_mix_cache
+        cond = BranchKind.COND_DIRECT
+        prev = None
+        folds: tuple[int, ...] = ()
+        for i in [i for i, kind in enumerate(kinds) if kind is cond]:
+            hist = hists[i]
+            if hist is not prev:
+                folds = tuple(rows[index[hist]].tolist())
+                prev = hist
+            pc = addrs[i]
+            lookup = tage._lookup(pc, folds)
+            predicted, provider, provider_idx, _, alt = lookup
+            # The latest update that changed an entry the walk read
+            # (the walk has just cached the PC's mixes).
+            mixes = mix_cache[pc]
+            writer = bimodal_last[(pc >> 2) & bimodal_mask]
+            for t in range(n - 1, (alt if alt > 0 else 0) - 1, -1):
+                w = tag_last[t][folds[2 * t] ^ mixes[2 * t]]
+                if w > writer:
+                    writer = w
+            if provider >= 0:
+                w = ctr_last[provider][provider_idx]
+                if w > writer:
+                    writer = w
+                if alt >= 0:
+                    w = ctr_last[alt][folds[2 * alt] ^ mixes[2 * alt]]
+                    if w > writer:
+                        writer = w
+                ctr = tage._ctr[provider][provider_idx]
+                if ctr == -1 or ctr == 0:
+                    if alt_last > writer:
+                        writer = alt_last
+                    if tage._use_alt_on_na >= 0:
+                        w = u_last[provider][provider_idx]
+                        if w > writer:
+                            writer = w
+            last_writer[i] = writer
+            taken[i] = predicted
+            allocations = tage.allocations
+            tage._train(pc, folds, lookup, takens[i], rec)
+            write_end.append(len(slots))
+            use_alt.append(tage._use_alt_on_na)
+            allocated.append(tage.allocations - allocations)
+            k += 1
+
+        self.config = config
+        self.history: tuple[int, ...] = hists
+        self.taken = bytes(taken)
+        self.last_writer = last_writer
+        self.write_end = write_end
+        self.slots = slots
+        self.values = values
+        self.use_alt = use_alt
+        self.allocated = allocated
+        self.index_bits = shift
+
+    def __len__(self) -> int:
+        """Updates recorded: the stream's committed conditional branches."""
+        return len(self.use_alt)
+
+    def nbytes(self) -> int:
+        """Bytes held by the arrays (``history`` is the stream's)."""
+        return len(self.taken) + sum(
+            a.itemsize * len(a)
+            for a in (
+                self.last_writer,
+                self.write_end,
+                self.slots,
+                self.values,
+                self.use_alt,
+                self.allocated,
+            )
+        )

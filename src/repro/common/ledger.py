@@ -272,7 +272,7 @@ def summarize_ledger(events: list[dict], top: int = 10) -> dict:
     hit_sources = {"memo": 0, "disk": 0}
     begin_ts = end_ts = None
     begin_cfg: dict = {}
-    units: dict[str, dict] = {}
+    finished: list[dict] = []
     workers: dict[int, dict] = {}
     sweep_id = None
     for record in events:
@@ -290,43 +290,28 @@ def summarize_ledger(events: list[dict], top: int = 10) -> dict:
             source = record.get("source", "disk")
             hit_sources[source] = hit_sources.get(source, 0) + 1
         elif event == "finished":
-            unit = units.setdefault(
-                record.get("unit", record["key"]),
-                {
-                    "workloads": set(),
-                    "labels": set(),
-                    "keys": 0,
-                    "pid": record.get("pid"),
-                    "wall_seconds": record.get("wall_seconds", 0.0),
-                    "instrs_per_sec": record.get("instrs_per_sec", 0.0),
-                },
-            )
-            unit["keys"] += 1
-            unit["workloads"].add(record.get("workload", ""))
-            unit["labels"].add(record.get("label", ""))
+            # A work unit simulates one point: one finished event each.
+            finished.append(record)
             pid = record.get("pid")
             if pid is not None:
-                worker = workers.setdefault(pid, {"units": set(), "busy_seconds": 0.0})
-                if record.get("unit") not in worker["units"]:
-                    worker["units"].add(record.get("unit"))
-                    worker["busy_seconds"] += record.get("wall_seconds", 0.0)
+                worker = workers.setdefault(pid, {"units": 0, "busy_seconds": 0.0})
+                worker["units"] += 1
+                worker["busy_seconds"] += record.get("wall_seconds", 0.0)
 
     queued = counts["queued"]
     terminal = counts["finished"] + counts["failed"] + counts["cache_hit"]
     duration = (end_ts - begin_ts) if (begin_ts is not None and end_ts is not None) else None
-    slowest = sorted(units.values(), key=lambda u: -u["wall_seconds"])[: max(0, top)]
-    total_busy = sum(u["wall_seconds"] for u in units.values())
+    slowest = sorted(finished, key=lambda r: -r.get("wall_seconds", 0.0))[: max(0, top)]
+    total_busy = sum(r.get("wall_seconds", 0.0) for r in finished)
     total_instr_rate = 0.0
     if total_busy > 0:
-        total_instr = sum(u["instrs_per_sec"] * u["wall_seconds"] for u in units.values())
+        total_instr = sum(
+            r.get("instrs_per_sec", 0.0) * r.get("wall_seconds", 0.0) for r in finished
+        )
         total_instr_rate = total_instr / total_busy
     worker_rows = []
     for pid, worker in sorted(workers.items()):
-        row = {
-            "pid": pid,
-            "units": len(worker["units"]),
-            "busy_seconds": worker["busy_seconds"],
-        }
+        row = {"pid": pid, **worker}
         if duration:
             row["utilization"] = min(1.0, worker["busy_seconds"] / duration)
         worker_rows.append(row)
@@ -350,14 +335,13 @@ def summarize_ledger(events: list[dict], top: int = 10) -> dict:
         "instrs_per_sec": total_instr_rate,
         "slowest_units": [
             {
-                "workloads": sorted(u["workloads"]),
-                "labels": sorted(u["labels"]),
-                "jobs": u["keys"],
-                "pid": u["pid"],
-                "wall_seconds": u["wall_seconds"],
-                "instrs_per_sec": u["instrs_per_sec"],
+                "workload": r.get("workload", ""),
+                "label": r.get("label", ""),
+                "pid": r.get("pid"),
+                "wall_seconds": r.get("wall_seconds", 0.0),
+                "instrs_per_sec": r.get("instrs_per_sec", 0.0),
             }
-            for u in slowest
+            for r in slowest
         ],
         "workers": worker_rows,
         "invalid_sequences": {k: v for k, v in invalid_sequences(events).items()},
@@ -417,14 +401,13 @@ def render_summary_md(summary: dict) -> str:
             "",
             "## Slowest work units",
             "",
-            "| workload | config | jobs | pid | wall (s) | instrs/sec |",
-            "| --- | --- | --- | --- | --- | --- |",
+            "| workload | config | pid | wall (s) | instrs/sec |",
+            "| --- | --- | --- | --- | --- |",
         ]
         for unit in summary["slowest_units"]:
             lines.append(
-                f"| {','.join(unit['workloads'])} | {','.join(unit['labels'])} "
-                f"| {unit['jobs']} | {unit['pid']} | {unit['wall_seconds']:.3f} "
-                f"| {unit['instrs_per_sec']:,.0f} |"
+                f"| {unit['workload']} | {unit['label']} | {unit['pid']} "
+                f"| {unit['wall_seconds']:.3f} | {unit['instrs_per_sec']:,.0f} |"
             )
     if summary["workers"]:
         lines += [

@@ -300,11 +300,18 @@ class SimBuilder:
             else None
         )
         # Under THR and Ideal the committed-path histories are known from
-        # the trace; TAGE and ITTAGE read their folds from bulk rows.
-        arch = stream_meta(stream).arch_histories(sim.hist_mgr)
+        # the trace; TAGE and ITTAGE read their folds from bulk rows, and
+        # TAGE trains from the stream's record of its training.
+        smeta = stream_meta(stream)
+        arch = smeta.arch_histories(sim.hist_mgr)
         if arch is not None:
             if isinstance(sim.direction, TAGE):
                 sim.direction.use_arch_histories(arch)
+            if type(sim.direction) is TAGE:
+                # A subclass may change the rules the record replays.
+                record = smeta.tage_record(sim.hist_mgr, sim.direction.config)
+                if record is not None:
+                    sim.direction.bind_record(record)
             sim.ittage.use_arch_histories(arch)
 
         sim.ftq = FTQ(params.frontend.ftq_entries)

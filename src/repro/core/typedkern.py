@@ -78,6 +78,7 @@ from repro.frontend.ftq import FTQEntry
 from repro.isa.instructions import BranchKind
 from repro.memory.mshr import MSHREntry
 from repro.prefetch.base import MAX_ISSUE_PER_CYCLE
+from repro.trace.fbmeta import stream_meta
 
 _COND = BranchKind.COND_DIRECT
 _CALL_DIRECT = BranchKind.CALL_DIRECT
@@ -160,6 +161,12 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
     ideal_pushes = bpu._ideal_pushes
     direction = bpu.direction  # None under perfect_direction
     direction_predict = direction.predict if direction is not None else None
+    # A TAGE trained from the stream's record (THR, Ideal) serves its
+    # on-path predictions from there; see the predict stage.
+    record = getattr(direction, "record", None)
+    rec_taken = record.taken if record is not None else b""
+    rec_writer = record.last_writer if record is not None else ()
+    rec_history = record.history if record is not None else ()
     loop_pred = bpu.loop  # None unless the loop predictor is enabled
     ittage_predict = bpu.ittage.predict
     btb = bpu.btb
@@ -179,6 +186,9 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
     meta_triples = bpu._meta_triples
     stream = sim.stream
     program = sim.program
+    smeta = stream_meta(stream)
+    br_addr = smeta.br_addr
+    seg_first_br = smeta.seg_first_br
 
     # Dedicated prefetcher hook points (all None / an empty queue when
     # the config builds no prefetcher component).
@@ -374,6 +384,23 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                                 )
                             else:
                                 taken = False
+                        elif record is not None and on_path:
+                            # Committed branch i, predicted under the
+                            # history it trains with, on tables that
+                            # hold what its recorded walk read: the
+                            # record has that walk's prediction.
+                            seg_hi = seg_first_br[cursor_seg + 1]
+                            i = bisect_left(br_addr, addr, seg_first_br[cursor_seg], seg_hi)
+                            if (
+                                i < seg_hi
+                                and br_addr[i] == addr
+                                and rec_writer[i] < direction.updates
+                                and rec_history[i] == hist
+                            ):
+                                direction.predictions += 1
+                                taken = rec_taken[i] == 1
+                            else:
+                                taken = direction_predict(addr, hist)
                         else:
                             taken = direction_predict(addr, hist)
                         detected.append(addr)

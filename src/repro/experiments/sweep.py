@@ -166,7 +166,10 @@ def run_sweep(
         interrupted=interrupted,
     )
     if interrupted:
-        log.warning(
+        # A requested stop, not a fault: `repro sweep --limit` says so
+        # on stdout and exits 1, and the equivalence harness stops here
+        # on purpose.
+        log.info(
             "sweep interrupted after %d of %d point(s); no shard manifest written "
             "(re-run with --resume to finish from the cache)",
             len(selected),

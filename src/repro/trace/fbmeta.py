@@ -26,6 +26,10 @@ history before each committed branch depends on the trace alone, so
 :meth:`StreamMeta.arch_histories` replays it once per (stream, policy)
 into :class:`ArchHistories`, whose per-geometry fold rows TAGE and
 ITTAGE read instead of re-folding each of those histories in software.
+TAGE's training then depends on the trace alone too:
+:meth:`StreamMeta.tage_record` runs it once per geometry into a
+:class:`~repro.branch.tage.TageRecord`, which every simulator's TAGE
+replays.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.branch.tage import TageConfig, TageRecord
 from repro.common.bits import fold_pair_rows, to_limbs
 from repro.isa.instructions import BranchKind
 
@@ -99,18 +104,25 @@ class ArchHistories:
     """The distinct committed-path histories of one (stream, policy).
 
     ``index`` maps each history value to its row; ``limbs`` holds the
-    values as 64-bit limbs in row order.  :meth:`fold_rows` folds them
-    for one predictor geometry in bulk, once, and keeps the result.
-    All of it lives on the stream's :class:`StreamMeta`, so it is
-    shared by every simulator built on the stream and dropped with it.
+    values as 64-bit limbs in row order; ``before[i]`` is the history
+    committed branch ``i`` trains with.  :meth:`fold_rows` folds them
+    for one predictor geometry in bulk, once, and keeps the result;
+    ``records`` keeps one :class:`~repro.branch.tage.TageRecord` per
+    TAGE geometry (:meth:`StreamMeta.tage_record`).  All of it lives on
+    the stream's :class:`StreamMeta`, so it is shared by every
+    simulator built on the stream and dropped with it.
     """
 
-    __slots__ = ("index", "limbs", "_rows")
+    __slots__ = ("index", "limbs", "before", "records", "_rows")
 
-    def __init__(self, histories: dict[int, int], bits: int) -> None:
+    def __init__(self, histories: dict[int, int], bits: int, before: tuple[int, ...]) -> None:
         self.index = histories
         """History value -> row, in first-seen order."""
         self.limbs = to_limbs(histories, -(-bits // 64))
+        self.before = before
+        """Per committed branch, in commit order: the history before it,
+        as the very object that keys ``index``."""
+        self.records: dict[TageConfig, TageRecord] = {}
         self._rows: dict[tuple, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -128,11 +140,13 @@ class ArchHistories:
         return rows
 
     def nbytes(self) -> int:
-        """Bytes held: the index (its ints included), limbs and rows."""
+        """Bytes held: the index (its ints included), limbs, ``before``,
+        rows and TAGE records."""
         index = self.index
-        held = sys.getsizeof(index) + self.limbs.nbytes
+        held = sys.getsizeof(index) + self.limbs.nbytes + sys.getsizeof(self.before)
         held += sum(sys.getsizeof(h) + sys.getsizeof(r) for h, r in index.items())
-        return held + sum(rows.nbytes for rows in self._rows.values())
+        held += sum(rows.nbytes for rows in self._rows.values())
+        return held + sum(record.nbytes() for record in self.records.values())
 
 
 class StreamMeta:
@@ -207,12 +221,12 @@ class StreamMeta:
         """The histories the commit trainer trains under, for ``mgr``'s policy.
 
         Replays ``mgr.commit_push`` over every branch of the stream from
-        the trainer's initial history (0) and collects the distinct
-        values the history holds before each branch.  Returns ``None``
-        when the policy's commit history depends on BTB detection
-        (GHR0-3), which the trace alone cannot tell.  On the correct
-        path the frontend's speculative history equals this one, so
-        prediction lookups find it too.  Memoised per (policy, width).
+        the trainer's initial history (0) and collects the value the
+        history holds before each branch.  Returns ``None`` when the
+        policy's commit history depends on BTB detection (GHR0-3),
+        which the trace alone cannot tell.  On the correct path the
+        frontend's speculative history equals this one, so prediction
+        lookups find it too.  Memoised per (policy, width).
         """
         if not mgr.ignores_detection:
             return None
@@ -222,12 +236,36 @@ class StreamMeta:
             push = mgr.commit_push
             hist = 0
             index: dict[int, int] = {}
+            seen: list[int] = []
+            before: list[int] = []
             for addr, taken, target in zip(self.br_addr, self.br_taken, self.br_target):
-                if hist not in index:
-                    index[hist] = len(index)
+                row = index.get(hist)
+                if row is None:
+                    row = index[hist] = len(seen)
+                    seen.append(hist)
+                before.append(seen[row])
                 hist = push(hist, addr, taken, target, True)[0]
-            arch = self._arch[key] = ArchHistories(index, mgr.bits)
+            arch = self._arch[key] = ArchHistories(index, mgr.bits, tuple(before))
         return arch
+
+    def tage_record(self, mgr, config: TageConfig) -> TageRecord | None:
+        """The TAGE training of ``config`` over this stream, under
+        ``mgr``'s policy, recorded once (:class:`~repro.branch.tage.TageRecord`).
+
+        ``None`` when :meth:`arch_histories` is: under GHR0-3 the
+        histories, and so the training, depend on BTB detection.
+        Memoised per (policy, width, geometry) on the
+        :class:`ArchHistories`.
+        """
+        arch = self.arch_histories(mgr)
+        if arch is None:
+            return None
+        record = arch.records.get(config)
+        if record is None:
+            record = arch.records[config] = TageRecord(
+                config, arch, self.br_addr, self.br_kind, self.br_taken
+            )
+        return record
 
     def warm_footprint(
         self, last_seg: int, line_bytes: int, page_bytes: int

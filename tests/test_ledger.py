@@ -207,6 +207,32 @@ class TestSummaries:
         assert "Slowest work units" in md
         assert "Per-worker utilization" in md
 
+    def test_slowest_units_are_finished_points(self, tmp_path):
+        # A work unit simulates one point, so each slowest-unit row is
+        # one finished event: one workload and one label, as strings.
+        run_points(points(), jobs=1)
+        events = one_ledger(tmp_path)
+        summary = summarize_ledger(events, top=2)
+        finished = [e for e in events if e["event"] == "finished"]
+        by_wall = sorted(finished, key=lambda e: -e["wall_seconds"])[:2]
+        assert summary["slowest_units"] == [
+            {
+                "workload": e["workload"],
+                "label": e["label"],
+                "pid": e["pid"],
+                "wall_seconds": e["wall_seconds"],
+                "instrs_per_sec": e["instrs_per_sec"],
+            }
+            for e in by_wall
+        ]
+        (worker,) = summary["workers"]
+        assert worker["units"] == len(finished)
+        assert worker["busy_seconds"] == pytest.approx(sum(e["wall_seconds"] for e in finished))
+        md = render_summary_md(summary)
+        assert "| workload | config | pid | wall (s) | instrs/sec |" in md
+        row = f"| {by_wall[0]['workload']} | {by_wall[0]['label']} | {by_wall[0]['pid']} |"
+        assert row in md
+
     def test_latest_ledger_picks_newest(self, tmp_path):
         directory = tmp_path / "ledger"
         run_points(points()[:1], jobs=1)

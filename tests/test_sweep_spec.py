@@ -18,6 +18,7 @@ Covers the guarantees docs/SWEEPS.md advertises:
 from __future__ import annotations
 
 import json
+import logging
 import os
 import random
 import subprocess
@@ -432,6 +433,35 @@ class TestEquivalenceHarness:
         assert main(["check", "--sweep", str(path)]) == 0
         assert "bit-identical" in capsys.readouterr().out
         assert main(["check", "--sweep", str(tmp_path / "nope.json")]) == 2
+
+    def test_clean_check_logs_no_warning(self, tmp_path, caplog, monkeypatch):
+        # The resume strategy stops a sweep half-way on purpose; that
+        # requested stop logs at INFO, so a passing harness logs no
+        # WARNING that would read like a failed sweep.
+        data = spec_data(
+            workloads=["srv_web"],
+            base={"warmup_instructions": 200, "sim_instructions": 900},
+            matrix={"branch.btb_entries": [512, 8192]},
+            exclude=[],
+        )
+        path = write_spec(tmp_path, data)
+        # configure() stops the repro logger propagating to the root,
+        # where caplog listens; let records through for this test.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        with caplog.at_level(logging.INFO, logger="repro"):
+            assert main(["--log-level", "info", "check", "--sweep", str(path)]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        stops = [r for r in caplog.records if "sweep interrupted after" in r.getMessage()]
+        assert [r.levelno for r in stops] == [logging.INFO]
+
+    def test_cli_limit_stops_with_status_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        runner.clear_cache()
+        path = write_spec(tmp_path, spec_data())
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--out", str(out), "--limit", "2"]) == 1
+        assert "interrupted before the shard completed" in capsys.readouterr().out
+        runner.clear_cache()
 
 
 EXAMPLE_SPECS = Path(__file__).resolve().parents[1] / "examples" / "sweeps"
