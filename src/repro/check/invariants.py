@@ -27,10 +27,11 @@ no-line-both-in-flight-and-resident cross-check, the
 untouched-prefetch accounting subset property, and the BTB's set and
 chunk-index structure (both levels of a two-level BTB).
 
-Cost when disabled: zero.  The ``invariant_sweep`` hook point of
-:data:`repro.core.schedule.CYCLE_SCHEDULE` is composed into the cycle
-kernel only when a checker is attached; the ordinary kernel carries no
-per-cycle branch for it.
+Cost when disabled: none on the typed kernel, which every unchecked
+run without another observer takes.  The reference loop
+(:func:`repro.core.simulator.reference_kernel`) calls the
+``invariant_sweep`` hook only when a checker is attached, behind one
+``is not None`` test per cycle.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ Eleven subcommands::
     python -m repro trace --workload ...  # telemetry run -> JSONL + report
     python -m repro profile --workload .. # per-stage self-time profile
     python -m repro check [--fuzz N]      # correctness harness (docs/TESTING.md)
-    python -m repro kernel [--dump]       # cycle-kernel backend and its source
+    python -m repro kernel                # which cycle-kernel backend runs here
     python -m repro cache info|clear      # persistent result cache
     python -m repro sweep spec.yaml       # declarative sweep (--shard k/N, --resume)
     python -m repro sweep-report [LEDGER] # sweep progress/summary from a run ledger
@@ -19,7 +19,7 @@ metric summary; every microarchitectural knob the evaluation sweeps is
 exposed as a flag (``--stats-json`` dumps the full raw counter set).
 ``trace`` re-runs one point with the observability layer on and writes
 the event/time-series JSONL plus a markdown/JSON report; ``profile``
-re-runs one point with the schedule-stage profiler and prints where
+re-runs one point with the stage profiler and prints where
 the cycle loop's wall time goes (see docs/OBSERVABILITY.md).
 ``report`` prints each experiment's table and archives the same text
 under ``results/<name>.txt``.  It honours ``REPRO_JOBS`` (parallel
@@ -30,8 +30,9 @@ see docs/PERFORMANCE.md.  The global ``--log-level`` flag (or the
 
 Every ``--workload``/``--workloads`` flag accepts catalogue names,
 registered trace sources (``REPRO_TRACES``) and ChampSim trace file
-paths interchangeably (see docs/TRACES.md).  An unknown workload or a
-malformed trace file exits 2 with one error line.
+paths interchangeably (see docs/TRACES.md).  An unknown workload, a
+malformed trace file or a flag value the parameters reject exits 2 with
+one error line.
 
 Simulator throughput is measured by ``perfbench/`` (see
 docs/PERFORMANCE.md).
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--plot", action="store_true", help="add ASCII bar charts")
 
     profile = sub.add_parser(
-        "profile", help="simulate with the schedule-stage profiler; print self-time"
+        "profile", help="simulate with the stage profiler; print self-time"
     )
     _add_sim_flags(profile)
     profile.add_argument(
@@ -302,21 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         "most once (docs/SWEEPS.md)",
     )
 
-    kernel = sub.add_parser(
-        "kernel", help="show the cycle-kernel backend; dump generated source"
-    )
-    kernel.add_argument(
-        "--dump",
-        action="store_true",
-        help="print the schedule-generated interpreted kernel source",
-    )
-    kernel.add_argument(
-        "--features",
-        default="",
-        metavar="F1,F2",
-        help="feature flags for --dump (subset of telemetry,checker,"
-        "prefetcher,profile; default: the uninstrumented kernel)",
-    )
+    sub.add_parser("kernel", help="show which cycle-kernel backend a run uses")
 
     cache = sub.add_parser("cache", help="manage the persistent result cache")
     cache.add_argument("action", choices=["info", "clear"])
@@ -409,8 +396,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     source = _resolve_workload(args.workload)
     if source is None:
         return 2
+    try:
+        params = _params_from_args(args)
+    except ValueError as exc:
+        log.error("%s", exc)
+        return 2
     log.debug("simulating %s (%d+%d instructions)", source.name, args.warmup, args.instructions)
-    result = simulate(source, _params_from_args(args))
+    result = simulate(source, params)
     print(result.summary())
     exposure = result.miss_exposure()
     print(
@@ -469,11 +461,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
     source = _resolve_workload(args.workload)
     if source is None:
         return 2
-    telemetry = Telemetry(
-        TelemetryConfig(interval_stride=args.stride, ring_capacity=args.events)
-    )
+    try:
+        params = _params_from_args(args)
+        config = TelemetryConfig(interval_stride=args.stride, ring_capacity=args.events)
+    except ValueError as exc:
+        log.error("%s", exc)
+        return 2
+    telemetry = Telemetry(config)
     log.debug("tracing %s (stride=%d, ring=%d)", source.name, args.stride, args.events)
-    result = simulate(source, _params_from_args(args), telemetry=telemetry)
+    result = simulate(source, params, telemetry=telemetry)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     # The resolved name, not the argument: a trace file path would name
@@ -763,9 +759,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
     source = _resolve_workload(args.workload)
     if source is None:
         return 2
+    try:
+        params = _params_from_args(args)
+    except ValueError as exc:
+        log.error("%s", exc)
+        return 2
     profiler = StageProfiler()
     log.debug("profiling %s (%d+%d instructions)", source.name, args.warmup, args.instructions)
-    result = simulate(source, _params_from_args(args), profiler=profiler)
+    result = simulate(source, params, profiler=profiler)
     print(result.summary())
     report = profiler.report()
     print(
@@ -979,43 +980,24 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_kernel(args: argparse.Namespace) -> int:
-    """Show which cycle-kernel backend runs on this host; optionally dump source.
+def cmd_kernel(_args: argparse.Namespace) -> int:
+    """Show which cycle-kernel backend runs on this host.
 
     The summary answers "which kernel would a run use here?" -- the
     concrete typed backend (compiled ``.so`` shadowing
     :mod:`repro.core.typedkern` vs its pure-Python form), the module
     file that answer came from, and the rule that picks between it and
-    the interpreted kernel.  ``--dump`` prints the schedule-generated
-    *interpreted* kernel source for a feature set; the typed kernel is
-    hand-flattened (not generated), so its source is the
-    :mod:`repro.core.typedkern` file itself.
+    the interpreted reference kernel (:func:`repro.core.typed.supported`).
     """
     from repro.core import typedkern
-    from repro.core.schedule import FEATURES, kernel_source
-    from repro.core.typed import INTERP_ONLY_FEATURES, backend_name
+    from repro.core.typed import backend_name
 
     print(f"typed backend:    {backend_name()}")
     print(f"typedkern module: {typedkern.__file__}")
     print(
         f"a run uses:       {backend_name()} unless an observer is active; "
-        f"interp under {', '.join(sorted(INTERP_ONLY_FEATURES))}"
+        "interp under checker, profile, telemetry"
     )
-    if args.dump:
-        features = frozenset(
-            f.strip() for f in args.features.split(",") if f.strip()
-        )
-        unknown = features.difference(FEATURES)
-        if unknown:
-            log.error(
-                "unknown feature(s) %s; known: %s",
-                ", ".join(sorted(unknown)),
-                ", ".join(FEATURES),
-            )
-            return 2
-        shown = ", ".join(sorted(features)) if features else "none"
-        print(f"\n# interpreted kernel source (features: {shown})")
-        print(kernel_source(features))
     return 0
 
 

@@ -129,6 +129,13 @@ class BranchPredictorParams:
             raise ValueError("two-level BTB parameters cannot be negative")
         if self.btb_l1_entries and self.btb_l1_entries >= self.btb_entries:
             raise ValueError("L1 BTB must be smaller than the L2 BTB")
+        if self.btb_l1_assoc < 1:
+            raise ValueError(f"btb_l1_assoc must be at least 1, got {self.btb_l1_assoc}")
+        if self.tage_storage_kib not in (9, 18, 36):
+            # TageConfig.for_budget_kib builds one of three geometries.
+            raise ValueError(
+                f"tage_storage_kib must be 9, 18 or 36, got {self.tage_storage_kib}"
+            )
         if self.btb_l1_entries % self.btb_l1_assoc:
             raise ValueError("btb_l1_entries must be a multiple of btb_l1_assoc")
 
@@ -174,6 +181,9 @@ class FrontendParams:
             raise ValueError("FTQ needs at least 2 entries")
         if self.fetch_width < 1 or self.predict_width < 1:
             raise ValueError("widths must be positive")
+        for name in ("fetch_probe_width", "max_taken_per_cycle"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.block_bytes not in (16, 32, 64):
             raise ValueError("block_bytes must be 16, 32 or 64")
         if self.decode_queue_size < self.fetch_width:
@@ -196,7 +206,6 @@ class MemoryParams:
     l1i_kib: int = 32
     l1i_assoc: int = 8
     line_bytes: int = 64
-    l1i_latency: int = 4
     l2_kib: int = 1024
     l2_assoc: int = 8
     l2_latency: int = 14
@@ -211,6 +220,12 @@ class MemoryParams:
             raise ValueError("line_bytes must be 32, 64 or 128")
         if self.l1i_kib <= 0 or self.l2_kib <= 0:
             raise ValueError("cache sizes must be positive")
+        for name in ("l2_latency", "dram_latency"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative, got {getattr(self, name)}")
+        page = self.itlb_page_bytes
+        if page < 1 or page & (page - 1):
+            raise ValueError(f"itlb_page_bytes must be a positive power of two, got {page}")
 
     @property
     def l1i_lines(self) -> int:
@@ -238,6 +253,9 @@ class CoreParams:
             raise ValueError("retire_width must be positive")
         if self.mispredict_penalty < 1:
             raise ValueError("mispredict_penalty must be positive")
+        for name in ("pfc_resteer_penalty", "history_fixup_penalty"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative, got {getattr(self, name)}")
 
 
 WARMUP_MODES = ("auto", "cycle", "functional")
@@ -285,6 +303,12 @@ class SimParams:
         if self.warmup_mode not in WARMUP_MODES:
             raise ValueError(
                 f"warmup_mode must be one of {WARMUP_MODES}, got {self.warmup_mode!r}"
+            )
+        if self.frontend.block_bytes > self.memory.line_bytes:
+            # Each FTQ entry probes only the line of its start address.
+            raise ValueError(
+                f"frontend.block_bytes ({self.frontend.block_bytes}) cannot exceed "
+                f"memory.line_bytes ({self.memory.line_bytes})"
             )
 
     def replace(self, **kwargs) -> "SimParams":

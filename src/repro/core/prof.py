@@ -1,15 +1,19 @@
-"""Schedule-stage self-time profiler (``repro profile``).
+"""Stage self-time profiler (``repro profile``).
 
 Whole-run benchmarks (``perfbench/``) say *that* a run got slower,
 and in which layer, not *where* in the cycle loop.  This module adds
-that resolution: an opt-in ``profile`` feature in the schedule codegen
-(:mod:`repro.core.schedule`) wraps every composed stage/hook body with
-a pair of perf-counter reads and accumulates per-stage self time into
-:attr:`StageProfiler.acc` -- the emitted kernel stays a single
-generated function, and a profiled run is bit-identical to a plain one
-because the timers only observe (pinned by ``tests/test_prof.py``).
+that resolution: when a :class:`StageProfiler` is attached, the
+reference kernel (:func:`repro.core.simulator.reference_kernel`) wraps
+each bound stage call with :meth:`StageProfiler.timed`, which adds the
+call's clock delta to that stage's row.  The rows are the six pipeline
+stages (``prefetch`` only when a dedicated prefetcher is built), plus
+``invariant_sweep`` and ``telemetry_tick`` when the checker or a
+telemetry hub is attached.  The loop's own bookkeeping (the
+measurement-boundary and livelock checks) is not a row.  A profiled run
+is bit-identical to a plain one because the timers only observe
+(pinned by ``tests/test_prof.py``).
 
-Profiling runs the interpreted kernel, which steps every cycle: only
+Profiling runs the reference kernel, which steps every cycle: only
 the typed kernel skips idle cycles, and a skipped cycle would attribute
 no time to the stages that *would* have run.  Per-cycle stage costs are
 therefore measured on the cycle-by-cycle loop the other observers see.
@@ -26,16 +30,17 @@ from __future__ import annotations
 
 import time
 
+STAGES = ("memory_fill", "backend_retire", "fetch", "predict", "probe", "prefetch")
+"""The pipeline stages; every other timed row is an observer hook."""
+
 
 class StageProfiler:
     """Per-stage self-time accumulator for one simulation run.
 
     ``acc[i]`` holds the accumulated clock delta (ns with the default
-    ``perf_counter_ns``) of the ``i``-th profiled schedule point; the
-    index order is fixed by
-    :func:`repro.core.schedule.profiled_points` for the simulator's
-    active features, and :meth:`bind_to` (called by the ``Simulator``
-    constructor) captures it.  One profiler serves one run.
+    ``perf_counter_ns``) of row ``point_names[i]``, in the order the
+    kernel first wrapped a call for it (:meth:`timed`).  One profiler
+    serves one run.
     """
 
     __slots__ = ("clock", "point_names", "point_kinds", "acc", "cycles")
@@ -47,14 +52,26 @@ class StageProfiler:
         self.acc: list[int] = []
         self.cycles = 0
 
-    def bind_to(self, sim) -> None:
-        """Size the accumulator for ``sim``'s composed schedule points."""
-        from repro.core.schedule import profiled_points
+    def timed(self, name: str, fn):
+        """Wrap ``fn`` so that each call adds its clock delta to row ``name``.
 
-        points = profiled_points(sim.active_features())
-        self.point_names = [p.name for p in points]
-        self.point_kinds = [p.kind for p in points]
-        self.acc = [0] * len(points)
+        Wrapping two calls under one name sums them into one row.
+        """
+        if name not in self.point_names:
+            self.point_names.append(name)
+            self.point_kinds.append("stage" if name in STAGES else "hook")
+            self.acc.append(0)
+        index = self.point_names.index(name)
+        acc = self.acc
+        clock = self.clock
+
+        def call(*args):
+            start = clock()
+            result = fn(*args)
+            acc[index] += clock() - start
+            return result
+
+        return call
 
     def finalize(self, sim, result) -> None:
         """Record the run's cycle count (called from ``Simulator.run``)."""
@@ -62,7 +79,7 @@ class StageProfiler:
 
     @property
     def total_self_ns(self) -> int:
-        """Accumulated self time across every profiled point."""
+        """Accumulated self time across every row."""
         return sum(self.acc)
 
     def rows(self) -> list[dict]:

@@ -10,18 +10,16 @@ dedicated prefetcher) is resolved through its registry, and optional
 subsystems attach through declared hook points (``sim.hooks``,
 ``trainer.add_branch_listener``, ``sim.observables``).
 
-The per-cycle stage order lives in one place --
-:data:`repro.core.schedule.CYCLE_SCHEDULE` -- from which
-:func:`repro.core.schedule.build_kernel` specializes the cycle loop for
-this simulator's active features (telemetry / invariant checker /
-prefetcher).  Inactive hooks are not composed in at all, so the
-uninstrumented path keeps bound-locals tight-loop speed, and because
-observers only *observe*, traced and checked runs stay bit-identical to
-plain runs (pinned by the fuzzer's bit-identity properties).  That
-interpreted kernel steps every cycle.  Runs without an observer take
-the flat typed kernel (:mod:`repro.core.typedkern`) instead, the only
-kernel that skips idle cycles, and the interpreted kernel is the
-reference it is checked against.
+Two kernels run the cycle loop.  :func:`reference_kernel`, written out
+below, steps every cycle through the six pipeline stages in reverse
+pipeline order -- memory fill, backend retire, fetch, predict, probe
+and the dedicated prefetcher -- and calls the observers (telemetry hub,
+invariant checker, stage profiler) only when they are attached.
+Observers only *observe*, so traced, checked and profiled runs stay
+bit-identical to plain runs (pinned by the fuzzer's bit-identity
+properties).  Runs without an observer take the flat typed kernel
+(:mod:`repro.core.typedkern`) instead, the only kernel that skips idle
+cycles, and the reference kernel is what it is checked against.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.common.params import SimParams
 from repro.common.stats import StatSet
 from repro.core.build import SimBuilder, resolve_btb_variant
 from repro.core.metrics import RunResult
-from repro.core.schedule import build_kernel
 from repro.core.typed import backend_name, supported, typed_kernel
 from repro.core.warmup import functional_warmup
 from repro.trace.cfg import Program
@@ -75,8 +72,8 @@ class Simulator:
         self.warmup_stats: StatSet | None = None
         """Warmup-window counters, stashed at the measurement boundary."""
         self.profiler = profiler
-        """Optional :class:`repro.core.prof.StageProfiler`; activates the
-        ``profile`` kernel feature (per-stage self-time accumulation)."""
+        """Optional :class:`repro.core.prof.StageProfiler`; the reference
+        kernel times each stage call into it."""
         self.kernel_backend = "interp"
         """Which cycle-loop backend the last :meth:`run` selected:
         ``typed-compiled`` / ``typed-python`` / ``interp``.  A run takes
@@ -84,8 +81,6 @@ class Simulator:
         or as the ``reference=True`` run; the value stays ``interp``
         until a run decides otherwise."""
         SimBuilder(params, program, stream).wire(self, telemetry)
-        if profiler is not None:
-            profiler.bind_to(self)
 
     def _fill_lines(self, cache, start: int, end: int) -> None:
         """Fill every cache line overlapping ``[start, end)`` into ``cache``."""
@@ -151,23 +146,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def active_features(self) -> frozenset[str]:
-        """The schedule features active on this simulator.
-
-        Selects which cycle kernel :meth:`run` executes; see
-        :data:`repro.core.schedule.FEATURES`.
-        """
-        features = set()
-        if self.telemetry is not None:
-            features.add("telemetry")
-        if self.checker is not None:
-            features.add("checker")
-        if self.prefetcher is not None:
-            features.add("prefetcher")
-        if self.profiler is not None:
-            features.add("profile")
-        return frozenset(features)
-
     def _livelock_error(self, target: int) -> RuntimeError:
         """Build the livelock RuntimeError with full run attribution.
 
@@ -199,10 +177,9 @@ class Simulator:
 
         The cycle loop is the flat typed kernel
         (:mod:`repro.core.typedkern`, bit-identical by contract) whenever
-        :func:`repro.core.typed.supported` holds, and otherwise the
-        schedule-specialized interpreted kernel for this simulator's
-        :meth:`active_features` (the reason is logged at debug level).
-        ``reference=True`` forces the interpreted kernel, which steps
+        :func:`repro.core.typed.supported` holds, and otherwise
+        :func:`reference_kernel` (the reason is logged at debug level).
+        ``reference=True`` forces the reference kernel, which steps
         every cycle (only the typed kernel skips idle cycles): it is the
         reference path the correctness harness compares the typed
         kernel against.  The backend that ran is recorded in
@@ -242,8 +219,7 @@ class Simulator:
                 typed_kernel(self, target, warmup, guard)
             else:
                 self.kernel_backend = "interp"
-                kernel = build_kernel(self.active_features())
-                kernel(self, target, warmup, guard)
+                build_kernel(self)(self, target, warmup, guard)
         except BaseException:
             if self.telemetry is not None:
                 self.telemetry.detach()
@@ -267,6 +243,94 @@ class Simulator:
         if self.profiler is not None:
             self.profiler.finalize(self, result)
         return result
+
+
+def reference_kernel(sim: Simulator, target: int, warmup: int, guard: int) -> None:
+    """Step ``sim`` cycle by cycle until ``target`` instructions commit.
+
+    Each cycle runs the stages back to front, so retire and fetch see
+    what the stage behind them produced in the previous cycle; the probe
+    stage runs after predict, so a new FTQ entry can probe in the cycle
+    it was pushed:
+
+    1. ``memory_fill`` -- completed fills wake their FTQ entries;
+    2. ``backend_retire`` -- the backend consumes the decode queue and
+       may flush on a misprediction;
+    3. ``fetch`` -- head FTQ entries feed the decode queue (PFC fires);
+    4. ``predict`` -- the BPU pushes new FTQ entries;
+    5. ``probe`` -- FTQ entries probe the I-TLB and I-cache tags;
+    6. ``prefetch`` -- the dedicated prefetcher issues, if one is built.
+
+    Measurement begins once ``warmup`` instructions have committed, and
+    a run past ``guard`` cycles raises the livelock error.  The
+    telemetry hub (clock, then ``telemetry_tick`` after retire) and the
+    invariant checker (``invariant_sweep`` after the stages) are called
+    only when attached; a stage profiler times every stage call.  The
+    stage methods are bound once: the measurement boundary replaces
+    only ``.stats`` attributes, never the components.
+    """
+    backend = sim.backend
+    ftq = sim.ftq
+    memory_tick = sim.memory.tick
+    complete_fills = sim.fetch.complete_fills
+    backend_cycle = backend.cycle
+    fetch_stage = sim.fetch.fetch_stage
+    bpu_cycle = sim.bpu.cycle
+    probe_stage = sim.fetch.probe_stage
+    prefetcher_cycle = sim.prefetcher.cycle if sim.prefetcher is not None else None
+    check_cycle = sim.checker.check_cycle if sim.checker is not None else None
+    tel = sim.telemetry
+    tel_tick = tel.tick if tel is not None else None
+    if sim.profiler is not None:
+        timed = sim.profiler.timed
+        memory_tick = timed("memory_fill", memory_tick)
+        complete_fills = timed("memory_fill", complete_fills)
+        backend_cycle = timed("backend_retire", backend_cycle)
+        fetch_stage = timed("fetch", fetch_stage)
+        bpu_cycle = timed("predict", bpu_cycle)
+        probe_stage = timed("probe", probe_stage)
+        if prefetcher_cycle is not None:
+            prefetcher_cycle = timed("prefetch", prefetcher_cycle)
+        if check_cycle is not None:
+            check_cycle = timed("invariant_sweep", check_cycle)
+        if tel_tick is not None:
+            tel_tick = timed("telemetry_tick", tel_tick)
+    cycle = sim.cycle
+    while backend.committed < target:
+        if tel is not None:
+            tel.now = cycle
+            before = backend.committed
+        fills = memory_tick(cycle)
+        if fills:
+            complete_fills(fills, cycle)
+        backend_cycle(cycle)
+        if not sim._measuring and backend.committed >= warmup:
+            sim.cycle = cycle
+            sim._begin_measurement()
+        if tel is not None:
+            tel_tick(cycle, backend.committed - before, sim._measuring)
+        fetch_stage(cycle)
+        bpu_cycle(cycle, ftq)
+        probe_stage(cycle)
+        if prefetcher_cycle is not None:
+            prefetcher_cycle(cycle)
+        if check_cycle is not None:
+            check_cycle(cycle)
+        cycle += 1
+        if cycle > guard:
+            sim.cycle = cycle
+            raise sim._livelock_error(target)
+    sim.cycle = cycle
+
+
+def build_kernel(sim: Simulator):
+    """The reference kernel for ``sim``: always :func:`reference_kernel`.
+
+    ``Simulator.run`` reaches the loop through this name so that
+    perfbench's layer tracer can rebind it to time reference runs.
+    """
+    return reference_kernel
+
 
 def simulate(
     workload: WorkloadSpec | str, params: SimParams, telemetry=None, profiler=None

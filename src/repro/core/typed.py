@@ -3,14 +3,13 @@
 The simulator has two cycle-loop backends:
 
 ``interp``
-    The schedule-generated interpreted kernel
-    (:func:`repro.core.schedule.build_kernel`) -- composed from
-    :data:`~repro.core.schedule.CYCLE_SCHEDULE` for any feature set.
-    It steps every cycle.
+    The written-out reference loop
+    (:func:`repro.core.simulator.reference_kernel`), which calls each
+    observer only when it is attached.  It steps every cycle.
 
 ``typed``
     The hand-lowered flat kernel (:mod:`repro.core.typedkern`) for every
-    run without an observer (:data:`INTERP_ONLY_FEATURES`); dedicated
+    run without an observer (see :func:`supported`); dedicated
     prefetchers included.  It is bit-identical to the interpreted
     kernel by contract (pinned by ``tests/test_typed.py`` and the
     ``typed_interp_identity`` fuzz property) and exists purely for
@@ -37,7 +36,6 @@ from repro.common.params import SimParams
 from repro.core.typedkern import typed_kernel
 
 __all__ = [
-    "INTERP_ONLY_FEATURES",
     "backend_name",
     "kernel_backend_for_params",
     "supported",
@@ -45,19 +43,25 @@ __all__ = [
 ]
 
 
-INTERP_ONLY_FEATURES = frozenset({"telemetry", "checker", "profile"})
-"""Schedule features the typed kernel does not lower: the observers,
-which want to see every cycle of the loop they observe.  A run with any
-of them active takes the interpreted kernel."""
-
-
 def supported(sim) -> tuple[bool, str]:
-    """Can ``sim`` run on the typed kernel?  Returns ``(ok, reason)``."""
-    observers = sim.active_features() & INTERP_ONLY_FEATURES
-    if observers:
-        return False, (
-            f"active features {sorted(observers)} require the interpreted kernel"
+    """Can ``sim`` run on the typed kernel?  Returns ``(ok, reason)``.
+
+    The typed kernel does not lower the observers -- the invariant
+    checker, the stage profiler and the telemetry hub -- which want to
+    see every cycle of the loop they observe.  A run with any of them
+    attached takes the interpreted kernel.
+    """
+    observers = [
+        name
+        for name, observer in (
+            ("checker", sim.checker),
+            ("profile", sim.profiler),
+            ("telemetry", sim.telemetry),
         )
+        if observer is not None
+    ]
+    if observers:
+        return False, f"observers {observers} require the interpreted kernel"
     return True, ""
 
 

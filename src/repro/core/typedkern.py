@@ -1,12 +1,13 @@
 """Flattened typed cycle kernel (the ``typed`` backend's loop body).
 
-This module is the hand-lowered counterpart of the schedule-generated
-interpreted kernel for every non-observer feature set (no telemetry,
-no checker, no profiler; a dedicated prefetcher is fine): one flat
+This module is the hand-lowered counterpart of the reference loop
+(:func:`repro.core.simulator.reference_kernel`) for every run without
+an observer (no telemetry, no checker, no profiler; a dedicated
+prefetcher is fine): one flat
 function whose body inlines the five hot stage bodies --
 ``memory_fill``, ``backend_retire``, ``fetch``, ``predict``, ``probe``
--- plus the ``prefetch`` stage's hook points and the
-``measure_boundary`` and ``livelock_guard`` hooks, operating on ints
+-- plus the ``prefetch`` stage's hook points and the loop's
+measurement-boundary and livelock checks, operating on ints
 and pre-bound component internals instead of per-cycle method
 dispatch.
 
@@ -35,7 +36,7 @@ effects) of the components the interpreted kernel calls:
 :class:`repro.frontend.fetch.FetchUnit`,
 :class:`repro.frontend.bpu.BranchPredictionUnit`,
 :class:`repro.memory.hierarchy.InstructionMemory` (TLB / Cache / MSHR
-inlined), and the hooks in :mod:`repro.core.schedule`; a skipped or
+inlined), and the reference loop's own checks; a skipped or
 drained stretch must leave exactly the counters and state that
 stepping it cycle by cycle would.  The contract is pinned by
 ``tests/test_typed.py`` and the fuzzer's ``typed_interp_identity``
@@ -95,9 +96,8 @@ def _mshr_ready_key(entry) -> int:
 def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
     """Run ``sim`` until ``target`` instructions commit.
 
-    Drop-in replacement for the schedule-built ``_kernel(sim, target,
-    warmup, guard)`` when no observer feature is active; see
-    :func:`repro.core.typed.supported`.
+    Drop-in replacement for :func:`repro.core.simulator.reference_kernel`
+    when no observer is attached; see :func:`repro.core.typed.supported`.
     """
     # ------------------------------------------------------------------
     # One-time binds.  Component *objects* are stable for the whole run

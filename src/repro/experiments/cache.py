@@ -46,7 +46,7 @@ from repro.trace.workloads import WorkloadSpec
 
 log = get_logger("experiments.cache")
 
-SIM_SCHEMA_VERSION = 7
+SIM_SCHEMA_VERSION = 8
 """Bump when simulator/trace/predictor changes can alter RunResults.
 
 v2: the sweep runner defaults ``SimParams.warmup_mode`` to
@@ -76,6 +76,10 @@ v7: ``SimParams.kernel`` is gone.  The backend is derived per run and
 is bit-identical either way, so a result's key is its content only: a
 typed and an interpreted run of one config share one entry (manifests
 still record the ``kernel_backend`` that ran).
+
+v8: ``MemoryParams.l1i_latency`` is gone.  Nothing read it (an L1I hit
+is ready the cycle after its probe, plus any I-TLB miss latency), but
+it was part of every parameter fingerprint, so every key changes.
 """
 
 _ENV_DIR = "REPRO_CACHE_DIR"

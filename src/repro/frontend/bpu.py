@@ -17,10 +17,9 @@ while the BPU is on the correct path; on the wrong path they fall back
 to 'not taken' / no target, which is the only meaningful semantics for
 an oracle.
 
-Stage interface: the ``predict`` stage of
-:data:`repro.core.schedule.CYCLE_SCHEDULE` binds ``cycle(cycle, ftq)``
-once before the loop starts (conformance pinned by
-``validate_stage_interfaces``).
+Stage interface: the ``predict`` stage of the reference loop
+(:func:`repro.core.simulator.reference_kernel`) binds ``cycle(cycle,
+ftq)`` once before the loop starts.
 """
 
 from __future__ import annotations

@@ -26,10 +26,11 @@ Either way the FTQ is flushed behind the entry, the history is fixed,
 and prediction re-steers from the branch target immediately instead of
 waiting for the backend to flush the pipeline.
 
-Stage interface: :data:`repro.core.schedule.CYCLE_SCHEDULE` binds
+Stage interface: the reference loop
+(:func:`repro.core.simulator.reference_kernel`) binds
 ``complete_fills(fills, cycle)`` (the ``memory_fill`` stage),
-``fetch_stage(cycle)`` and ``probe_stage(cycle)`` once before the loop
-starts (conformance pinned by ``validate_stage_interfaces``).
+``fetch_stage(cycle)`` and ``probe_stage(cycle)`` once before its first
+cycle.
 """
 
 from __future__ import annotations

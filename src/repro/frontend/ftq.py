@@ -10,9 +10,9 @@ snapshots, oracle cursor, miss-classification flags), not hardware
 state; :func:`entry_storage_bits` in :mod:`repro.core.metrics` computes
 the real 195-byte cost from the architectural fields alone.
 
-Stage interface: the ``predict`` stage of
-:data:`repro.core.schedule.CYCLE_SCHEDULE` binds the FTQ object itself
-(it is passed to ``bpu.cycle`` every cycle).
+Stage interface: the ``predict`` stage of the reference loop
+(:func:`repro.core.simulator.reference_kernel`) binds the FTQ object
+itself (it is passed to ``bpu.cycle`` every cycle).
 """
 
 from __future__ import annotations

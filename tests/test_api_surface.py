@@ -50,7 +50,6 @@ MODULES = [
     "repro.core.backend",
     "repro.core.build",
     "repro.core.metrics",
-    "repro.core.schedule",
     "repro.core.simulator",
     "repro.experiments.analysis",
     "repro.experiments.cache",

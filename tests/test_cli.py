@@ -205,6 +205,34 @@ class TestBadWorkload:
         assert "junk.champsim" in message and "truncated" in message
 
 
+class TestBadFlagValue:
+    """A flag value the parameters reject exits 2 with one error line
+    naming the problem, before anything is simulated."""
+
+    @pytest.mark.parametrize(
+        ("argv", "expected"),
+        [
+            (["run", *WINDOW, "--ftq", "1"], "FTQ"),
+            (["run", *WINDOW, "--btb", "0"], "BTB"),
+            (["run", "--warmup", "1000", "--instructions", "0"], "instruction windows"),
+            (["trace", *WINDOW, "--out", "{out}", "--stride", "0"], "interval_stride"),
+            (["trace", *WINDOW, "--out", "{out}", "--events", "0"], "ring_capacity"),
+            (["profile", *WINDOW, "--max-taken", "0"], "max_taken_per_cycle"),
+        ],
+        ids=["run-ftq", "run-btb", "run-instructions", "trace-stride", "trace-events", "profile"],
+    )
+    def test_one_line_and_exit_2(self, argv, expected, tmp_path, caplog, monkeypatch, capsys):
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        argv = [a.format(out=tmp_path / "out") for a in argv]
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            assert main(argv) == 2
+        [record] = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert record.exc_info is None and "\n" not in record.getMessage()
+        assert expected in record.getMessage()
+        assert capsys.readouterr().out == ""  # nothing simulated
+        assert not (tmp_path / "out").exists()
+
+
 class TestCheckCommand:
     def test_catalogue_mode_clean(self, capsys):
         code = main(

@@ -213,3 +213,54 @@ class TestMoreRejectionPaths:
             MemoryParams(l1i_kib=0)
         with pytest.raises(ValueError):
             MemoryParams(l2_kib=-1)
+
+
+class TestValuesThatHangCrashOrAreIgnored:
+    """Values that would livelock, divide by zero, invert a latency or be
+    silently ignored fail at construction, naming the field."""
+
+    def test_rejects_zero_fetch_probe_width(self):
+        with pytest.raises(ValueError, match="fetch_probe_width"):
+            FrontendParams(fetch_probe_width=0)
+
+    def test_rejects_zero_max_taken(self):
+        with pytest.raises(ValueError, match="max_taken_per_cycle"):
+            FrontendParams(max_taken_per_cycle=0)
+
+    def test_rejects_zero_l1_btb_assoc(self):
+        with pytest.raises(ValueError, match="btb_l1_assoc"):
+            BranchPredictorParams(btb_l1_assoc=0)
+
+    @pytest.mark.parametrize("kib", [0, 12, 72])
+    def test_rejects_unbuilt_tage_budget(self, kib):
+        with pytest.raises(ValueError, match="tage_storage_kib"):
+            BranchPredictorParams(tage_storage_kib=kib)
+
+    @pytest.mark.parametrize("field", ["l2_latency", "dram_latency"])
+    def test_rejects_negative_memory_latency(self, field):
+        with pytest.raises(ValueError, match=field):
+            MemoryParams(**{field: -20})
+        assert getattr(MemoryParams(**{field: 0}), field) == 0
+
+    @pytest.mark.parametrize("page", [0, -4096, 3000])
+    def test_rejects_bad_itlb_page(self, page):
+        with pytest.raises(ValueError, match="itlb_page_bytes"):
+            MemoryParams(itlb_page_bytes=page)
+
+    @pytest.mark.parametrize("field", ["pfc_resteer_penalty", "history_fixup_penalty"])
+    def test_rejects_negative_frontend_penalty(self, field):
+        with pytest.raises(ValueError, match=field):
+            CoreParams(**{field: -2})
+        assert getattr(CoreParams(**{field: 0}), field) == 0
+
+    def test_rejects_block_wider_than_line(self):
+        with pytest.raises(ValueError, match="block_bytes.*line_bytes"):
+            SimParams().with_frontend(block_bytes=64).with_memory(line_bytes=32)
+        params = SimParams().with_memory(line_bytes=32).with_frontend(block_bytes=32)
+        assert params.frontend.block_bytes == params.memory.line_bytes
+
+    def test_l1i_latency_is_gone(self):
+        # Nothing modelled it: an L1I hit is ready the cycle after its
+        # probe, plus any I-TLB miss latency.
+        with pytest.raises(TypeError, match="l1i_latency"):
+            MemoryParams(l1i_latency=4)

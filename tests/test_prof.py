@@ -1,9 +1,9 @@
 """Stage-profiler tests.
 
-Pins the observability contract for the ``profile`` kernel feature: a
-profiled run is bit-identical to a plain one (the timers only observe),
-every composed stage/hook gets wrapped, and the CLI surfaces exit
-cleanly.
+Pins the observability contract for the stage profiler: a profiled
+run is bit-identical to a plain one (the timers only observe), every
+stage call the reference loop makes gets timed, and the CLI surfaces
+exit cleanly.
 """
 
 import json
@@ -12,7 +12,6 @@ import pytest
 
 from repro.common.params import SimParams
 from repro.core.prof import StageProfiler
-from repro.core.schedule import kernel_source, profiled_points
 from repro.core.simulator import simulate
 
 WORKLOAD = "srv_web"
@@ -47,7 +46,7 @@ class TestAccumulation:
     def test_every_composed_stage_accumulates(self):
         profiler = StageProfiler()
         simulate(WORKLOAD, fast(), profiler=profiler)
-        assert profiler.point_names  # bound by the Simulator constructor
+        assert profiler.point_names  # one row per stage the loop timed
         assert len(profiler.acc) == len(profiler.point_names)
         assert profiler.total_self_ns > 0
         # core stages must have run every cycle and cost something
@@ -85,16 +84,29 @@ class TestAccumulation:
 
 class TestKernelComposition:
     def test_profile_kernel_wraps_bodies(self):
-        src = kernel_source(frozenset({"profile"}))
-        assert "_pt = _clk()" in src
-        assert "_pacc[" in src
-        # one accumulator slot per profiled point
-        points = profiled_points(frozenset({"profile"}))
-        assert all(f"_pacc[{i}]" in src for i in range(len(points)))
+        ticks = iter(range(0, 1_000, 10))
+        profiler = StageProfiler(clock=lambda: next(ticks))
+        seen = []
+        fetch = profiler.timed("fetch", lambda cycle: seen.append(cycle) or cycle)
+        assert fetch(7) == 7 and seen == [7]  # the call passes through
+        fill_a = profiler.timed("memory_fill", lambda cycle: None)
+        fill_b = profiler.timed("memory_fill", lambda fills, cycle: None)
+        fill_a(1)
+        fill_b([], 1)
+        fetch(8)
+        profiler.timed("invariant_sweep", len)
+        # one row per name, each call adds its clock delta to its row
+        assert profiler.point_names == ["fetch", "memory_fill", "invariant_sweep"]
+        assert profiler.point_kinds == ["stage", "stage", "hook"]
+        assert profiler.acc == [20, 20, 0]
 
-    def test_plain_kernel_has_no_profiling(self):
-        src = kernel_source(frozenset())
-        assert "_clk" not in src and "_pacc" not in src
+    def test_plain_kernel_has_no_profiling(self, monkeypatch):
+        # Without a profiler the loop calls the bound stages directly.
+        def refuse(self, name, fn):
+            raise AssertionError(f"timed {name} on a run without a profiler")
+
+        monkeypatch.setattr(StageProfiler, "timed", refuse)
+        simulate(WORKLOAD, fast().replace(check_invariants=True))
 
 
 class TestProfileCli:

@@ -136,6 +136,22 @@ class TestParse:
                 )
             )
 
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("frontend.fetch_probe_width", 0),
+            ("branch.btb_l1_assoc", 0),
+            ("memory.l2_latency", -20),
+        ],
+    )
+    def test_value_that_hangs_or_crashes_fails_at_expansion(self, key, value):
+        with pytest.raises(SweepSpecError, match=key.partition(".")[2]):
+            expand(parse_spec(spec_data(base={key: value})))
+
+    def test_removed_l1i_latency_is_an_unknown_key(self):
+        with pytest.raises(SweepSpecError, match="unknown base parameter key 'memory.l1i_latency'"):
+            expand(parse_spec(spec_data(base={"memory.l1i_latency": 4})))
+
     def test_yaml_and_json_specs_are_equivalent(self, tmp_path):
         yaml = pytest.importorskip("yaml")
         data = spec_data()

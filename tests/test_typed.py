@@ -1,7 +1,7 @@
 """Typed flat cycle kernel: eligibility, fallback, and bit-identity.
 
 The typed kernel (:mod:`repro.core.typedkern`) is a hand-flattened
-lowering of the schedule-composed interpreted loop for every run
+lowering of the written-out reference loop for every run
 without an observer, dedicated prefetchers included.  Its whole
 contract is *bit-identity*: a typed run must reproduce the interpreted
 reference run (``Simulator.run(reference=True)``) counter-for-counter,
@@ -112,7 +112,7 @@ class TestEligibility:
         ok, reason = supported(plain)
         assert ok and reason == ""
         prefetched = Simulator(fast(prefetcher="eip128"), program, stream)
-        assert "prefetcher" in prefetched.active_features()
+        assert prefetched.prefetcher is not None
         assert supported(prefetched) == (True, "")
         checked = Simulator(fast(check_invariants=True), program, stream)
         ok, reason = supported(checked)
