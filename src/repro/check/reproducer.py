@@ -64,9 +64,9 @@ def spec_from_dict(data: dict) -> ProgramSpec:
 def params_from_dict(data: dict) -> SimParams:
     """Inverse of :func:`params_to_dict` (restores nested enums too).
 
-    Component names stay strings: the parameter dataclasses coerce
-    built-in enum values themselves and leave custom registered names
-    (resolved by :mod:`repro.core.build`) untouched.
+    Component names stay strings: the parameter dataclasses coerce them
+    to their enums and reject unknown ones.  Keys that are no longer
+    fields (a reproducer written by an older version) are ignored.
     """
     frontend = _fields_from_dict(FrontendParams, data["frontend"])
     branch = _fields_from_dict(BranchPredictorParams, data["branch"])

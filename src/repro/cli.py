@@ -48,8 +48,7 @@ from pathlib import Path
 
 from repro.common.log import configure as configure_logging
 from repro.common.log import get_logger, level_names
-from repro.common.params import HistoryPolicy, SimParams
-from repro.core.build import direction_predictors, history_policies
+from repro.common.params import DirectionPredictorKind, HistoryPolicy, SimParams
 from repro.core.simulator import simulate
 from repro.experiments.analysis import ALL_ABLATIONS
 from repro.experiments.cache import ResultCache, cache_stats
@@ -71,6 +70,11 @@ RESULTS_DIR = Path(__file__).resolve().parents[2] / "results"
 at the repository root, beside the result cache and the run ledger."""
 
 
+def _direction_names() -> list[str]:
+    """Direction-predictor names, sorted (``--direction``, ``repro list``)."""
+    return sorted(k.value for k in DirectionPredictorKind)
+
+
 def _add_sim_flags(cmd: argparse.ArgumentParser) -> None:
     """Add the shared (workload, configuration) flags to a subcommand."""
     cmd.add_argument("--workload", default="srv_web")
@@ -82,19 +86,23 @@ def _add_sim_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--btb-latency", type=int, default=2)
     cmd.add_argument(
         "--history",
-        choices=history_policies.names(),
+        choices=sorted(p.value for p in HistoryPolicy),
         default=HistoryPolicy.THR.value,
         help="history management policy (Table V)",
     )
     cmd.add_argument(
         "--direction",
-        choices=direction_predictors.names(),
+        choices=_direction_names(),
         default="tage",
         help="conditional direction predictor (Fig 12)",
     )
     cmd.add_argument("--tage-kib", type=int, default=18, choices=[9, 18, 36])
-    cmd.add_argument("--prefetcher", default="none",
-                     help=f"none|perfect|{'|'.join(prefetcher_names())}")
+    cmd.add_argument(
+        "--prefetcher",
+        choices=["none", "perfect", *prefetcher_names()],
+        default="none",
+        help="dedicated L1I prefetcher (Section V)",
+    )
     cmd.add_argument("--predict-width", type=int, default=12)
     cmd.add_argument("--max-taken", type=int, default=1)
     cmd.add_argument("--perfect-btb", action="store_true")
@@ -327,8 +335,8 @@ def _params_from_args(args: argparse.Namespace) -> SimParams:
     """Build a :class:`SimParams` bundle from parsed CLI flags.
 
     Component names are passed through as strings; the frozen
-    dataclasses coerce built-in names to their enums and leave custom
-    registered names for the build layer to resolve.
+    dataclasses coerce them to their enums.  A value the parameters
+    reject raises ``ValueError``.
     """
     params = SimParams(
         warmup_instructions=args.warmup,
@@ -525,7 +533,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
     for wl in [*default_workloads(), *registered_workloads()]:
         print(f"  {wl.name:14s} {wl.source_kind:10s} {wl.category}")
     print("prefetchers: none perfect " + " ".join(prefetcher_names()))
-    print("predictors: " + " ".join(direction_predictors.names()))
+    print("predictors: " + " ".join(_direction_names()))
     print("experiments: " + " ".join(ALL_EXPERIMENTS))
     return 0
 
@@ -673,6 +681,13 @@ def _check_catalogue(args: argparse.Namespace) -> int:
     from repro.check.invariants import InvariantViolation
     from repro.experiments.configs import QUICK_WORKLOADS, default_params
 
+    try:
+        params = default_params().replace(
+            warmup_instructions=args.warmup, sim_instructions=args.instructions
+        )
+    except ValueError as exc:
+        log.error("%s", exc)
+        return 2
     if args.workloads == "quick":
         names = list(QUICK_WORKLOADS)
     elif args.workloads == "all":
@@ -681,9 +696,6 @@ def _check_catalogue(args: argparse.Namespace) -> int:
         names = _resolve_workload_names(args.workloads)
         if names is None:
             return 2
-    params = default_params().replace(
-        warmup_instructions=args.warmup, sim_instructions=args.instructions
-    )
     failures = 0
     for name in names:
         try:

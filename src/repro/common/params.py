@@ -63,6 +63,19 @@ class DirectionPredictorKind(str, Enum):
     PERFECT = "perfect"
 
 
+def _known(what: str, value, names) -> ValueError:
+    """The error for an unknown component name, listing the known ones."""
+    return ValueError(f"unknown {what} {value!r}; known: {', '.join(names)}")
+
+
+def _coerce(enum: type[Enum], value, what: str):
+    """``value`` as a member of ``enum`` (its value string is accepted)."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise _known(what, value, sorted(m.value for m in enum)) from None
+
+
 @dataclass(frozen=True)
 class BranchPredictorParams:
     """Branch prediction resources (Section V; Fig 12 sweeps sizes)."""
@@ -96,29 +109,17 @@ class BranchPredictorParams:
     loop_predictor_entries: int = 0
     """When > 0, a loop predictor (Fig 2) overrides the direction
     predictor on confidently learned counted loops."""
-    btb_variant: str = "auto"
-    """Registered BTB-variant name (:data:`repro.core.build.btb_variants`).
-    ``auto`` selects ``two_level`` when ``btb_l1_entries`` is set and
-    ``single`` otherwise, matching the historical behaviour."""
 
     def __post_init__(self) -> None:
-        if isinstance(self.direction_kind, str) and not isinstance(
-            self.direction_kind, DirectionPredictorKind
-        ):
-            # Accept enum value strings ("tage", ...); other strings are
-            # custom registry names resolved at build time.
-            try:
-                object.__setattr__(
-                    self, "direction_kind", DirectionPredictorKind(self.direction_kind)
-                )
-            except ValueError:
-                pass
+        object.__setattr__(
+            self,
+            "direction_kind",
+            _coerce(DirectionPredictorKind, self.direction_kind, "direction predictor"),
+        )
         if self.direction_kind is DirectionPredictorKind.PERFECT and not self.perfect_direction:
             # The perfect kind builds no predictor object; the oracle
             # direction path is keyed on the flag, so the kind sets it.
             object.__setattr__(self, "perfect_direction", True)
-        if self.btb_variant == "two_level" and not self.btb_l1_entries:
-            raise ValueError("btb_variant 'two_level' requires btb_l1_entries > 0")
         if self.btb_entries <= 0 or self.btb_assoc <= 0:
             raise ValueError("BTB geometry must be positive")
         if self.btb_entries % self.btb_assoc:
@@ -168,15 +169,9 @@ class FrontendParams:
     prefetching versus correct-path run-ahead."""
 
     def __post_init__(self) -> None:
-        if isinstance(self.history_policy, str) and not isinstance(
-            self.history_policy, HistoryPolicy
-        ):
-            # Accept enum value strings ("THR", ...); other strings are
-            # custom registry names resolved at build time.
-            try:
-                object.__setattr__(self, "history_policy", HistoryPolicy(self.history_policy))
-            except ValueError:
-                pass
+        object.__setattr__(
+            self, "history_policy", _coerce(HistoryPolicy, self.history_policy, "history policy")
+        )
         if self.ftq_entries < 2:
             raise ValueError("FTQ needs at least 2 entries")
         if self.fetch_width < 1 or self.predict_width < 1:
@@ -287,7 +282,8 @@ class SimParams:
     warmup_instructions: int = 40_000
     sim_instructions: int = 60_000
     prefetcher: str = "none"
-    """Registered name of the L1I prefetcher to attach (see repro.prefetch)."""
+    """The L1I prefetcher to attach: ``none``, ``perfect`` (every L1I
+    access hits) or a :data:`repro.prefetch.PREFETCHERS` name."""
     warmup_mode: str = "auto"
     """How the warmup window is simulated (see :data:`WARMUP_MODES`)."""
     check_invariants: bool = False
@@ -298,6 +294,10 @@ class SimParams:
     turn it on, and ``REPRO_CHECK=1`` enables it for sweep runs."""
 
     def __post_init__(self) -> None:
+        from repro.prefetch import PREFETCHERS  # the prefetchers import this module
+
+        if self.prefetcher not in PREFETCHERS and self.prefetcher not in ("none", "perfect"):
+            raise _known("prefetcher", self.prefetcher, ["none", "perfect", *sorted(PREFETCHERS)])
         if self.warmup_instructions < 0 or self.sim_instructions <= 0:
             raise ValueError("instruction windows must be sensible")
         if self.warmup_mode not in WARMUP_MODES:

@@ -4,11 +4,13 @@ Wires together the decoupled FDP frontend (BPU -> FTQ -> fetch), the
 instruction memory hierarchy, an optional dedicated prefetcher, and the
 consuming backend, then runs the oracle stream through it.
 
-Construction is delegated to :class:`repro.core.build.SimBuilder`: every
-pluggable component (direction predictor, history policy, BTB variant,
-dedicated prefetcher) is resolved through its registry, and optional
-subsystems attach through declared hook points (``sim.hooks``,
-``trainer.add_branch_listener``, ``sim.observables``).
+``Simulator.__init__`` builds every component straight from its
+parameters: the history policy and direction predictor the enums name
+(Table V, Fig 12), a two-level BTB exactly when ``btb_l1_entries`` is
+set (Section II-B), and the :data:`repro.prefetch.PREFETCHERS` entry
+``params.prefetcher`` names.  Observers attach through
+``trainer.add_branch_listener`` (committed branches) and
+``sim.observables`` (the components a telemetry hub instruments).
 
 Two kernels run the cycle loop.  :func:`reference_kernel`, written out
 below, steps every cycle through the six pipeline stages in reverse
@@ -24,14 +26,30 @@ cycles, and the reference kernel is what it is checked against.
 
 from __future__ import annotations
 
+import weakref
+
+from repro.branch.btb import BTB
+from repro.branch.btb2l import TwoLevelBTB
+from repro.branch.gshare import Gshare
+from repro.branch.history import HistoryManager
+from repro.branch.ittage import ITTAGE
+from repro.branch.loop import LoopPredictor
+from repro.branch.perceptron import Perceptron
+from repro.branch.tage import TAGE, TageConfig
 from repro.common.log import get_logger
-from repro.common.params import SimParams
+from repro.common.params import BranchPredictorParams, DirectionPredictorKind, SimParams
 from repro.common.stats import StatSet
-from repro.core.build import SimBuilder, resolve_btb_variant
+from repro.core.backend import Backend, CommitTrainer, DecodeQueue
 from repro.core.metrics import RunResult
 from repro.core.typed import backend_name, supported, typed_kernel
 from repro.core.warmup import functional_warmup
+from repro.frontend.bpu import BranchPredictionUnit
+from repro.frontend.fetch import FetchUnit
+from repro.frontend.ftq import FTQ
+from repro.memory.hierarchy import InstructionMemory
+from repro.prefetch import PREFETCHERS, build_profile
 from repro.trace.cfg import Program
+from repro.trace.fbmeta import stream_meta
 from repro.trace.oracle import OracleStream
 from repro.trace.source import resolve_workload
 from repro.trace.workloads import WorkloadSpec, make_trace
@@ -40,6 +58,22 @@ _CYCLE_GUARD_FACTOR = 400
 """A run exceeding this many cycles per instruction indicates a livelock."""
 
 log = get_logger("core.simulator")
+
+
+def _direction_predictor(branch: BranchPredictorParams, hist_bits: int):
+    """The conditional direction predictor ``branch`` selects (Fig 12).
+
+    ``None`` under perfect direction prediction: the oracle stream
+    supplies every outcome.
+    """
+    if branch.perfect_direction:
+        return None
+    kind = branch.direction_kind
+    if kind is DirectionPredictorKind.TAGE:
+        return TAGE(TageConfig.for_budget_kib(branch.tage_storage_kib, hist_bits))
+    if kind is DirectionPredictorKind.GSHARE:
+        return Gshare(branch.gshare_storage_kib)
+    return Perceptron(branch.gshare_storage_kib)
 
 
 class Simulator:
@@ -80,7 +114,122 @@ class Simulator:
         ``interp`` only under an observer (telemetry, checker, profiler)
         or as the ``reference=True`` run; the value stays ``interp``
         until a run decides otherwise."""
-        SimBuilder(params, program, stream).wire(self, telemetry)
+        branch = params.branch
+        self.stats = StatSet()
+        self.memory = InstructionMemory(params.memory, self.stats)
+        self._prewarm_l2(program)
+
+        if branch.btb_l1_entries:
+            self.btb = TwoLevelBTB(
+                branch.btb_l1_entries,
+                branch.btb_l1_assoc,
+                branch.btb_entries,
+                branch.btb_assoc,
+                branch.btb_l2_extra_latency,
+            )
+        else:
+            self.btb = BTB(branch.btb_entries, branch.btb_assoc)
+        self.ittage = ITTAGE(branch.ittage_entries, branch.history_bits)
+
+        policy = params.frontend.history_policy
+        hist_bits = (
+            branch.history_bits if policy.uses_target_history else branch.direction_history_bits
+        )
+        self.hist_mgr = HistoryManager(policy, hist_bits)
+        self.direction = _direction_predictor(branch, hist_bits)
+        self.loop = (
+            LoopPredictor(branch.loop_predictor_entries) if branch.loop_predictor_entries else None
+        )
+        # Under THR and Ideal the committed-path histories are known from
+        # the trace; TAGE and ITTAGE read their folds from bulk rows, and
+        # TAGE trains from the stream's record of its training.
+        smeta = stream_meta(stream)
+        arch = smeta.arch_histories(self.hist_mgr)
+        if arch is not None:
+            if isinstance(self.direction, TAGE):
+                self.direction.use_arch_histories(arch)
+            if type(self.direction) is TAGE:
+                # A subclass may change the rules the record replays.
+                record = smeta.tage_record(self.hist_mgr, self.direction.config)
+                if record is not None:
+                    self.direction.bind_record(record)
+            self.ittage.use_arch_histories(arch)
+
+        self.ftq = FTQ(params.frontend.ftq_entries)
+        self.decode_queue = DecodeQueue(params.frontend.decode_queue_size)
+        self.trainer = CommitTrainer(
+            stream=stream,
+            mgr=self.hist_mgr,
+            btb=self.btb,
+            direction=self.direction,
+            ittage=self.ittage,
+            stats=self.stats,
+            train_direction=not branch.perfect_direction,
+            loop=self.loop,
+        )
+        self.backend = Backend(
+            params, self.decode_queue, self.trainer, self.stats, _weak_flush(self)
+        )
+        self.bpu = BranchPredictionUnit(
+            params, program, stream, self.btb, self.direction, self.ittage, self.hist_mgr,
+            self.stats,
+        )
+        self.bpu.loop = self.loop
+
+        self.memory.perfect = params.prefetcher == "perfect"
+        self.prefetcher = None
+        if params.prefetcher in PREFETCHERS:
+            self.prefetcher = PREFETCHERS[params.prefetcher](
+                params, self.memory, self.btb, program, self.stats
+            )
+            if params.prefetcher == "profile_guided":
+                # Software prefetching: the offline profiling pass runs
+                # over the warmup window only, like training on a
+                # separate profiling run.
+                self.prefetcher.profile = build_profile(
+                    stream,
+                    training_instructions=max(params.warmup_instructions, 1_000),
+                    l1i_lines=params.memory.l1i_lines,
+                    assoc=params.memory.l1i_assoc,
+                    line_bytes=params.memory.line_bytes,
+                )
+            self.trainer.add_branch_listener(self.prefetcher.on_commit_branch)
+
+        self.fetch = FetchUnit(
+            params=params,
+            program=program,
+            stream=stream,
+            ftq=self.ftq,
+            memory=self.memory,
+            bpu=self.bpu,
+            hist_mgr=self.hist_mgr,
+            direction=self.direction,
+            decode_queue=self.decode_queue,
+            stats=self.stats,
+            prefetcher=self.prefetcher,
+        )
+
+        self.observables = {
+            "ftq": self.ftq,
+            "bpu": self.bpu,
+            "fetch": self.fetch,
+            "backend": self.backend,
+            "memory": self.memory,
+        }
+        """The components a telemetry hub instruments."""
+        if self.prefetcher is not None:
+            self.observables["prefetcher"] = self.prefetcher
+
+        self.telemetry = telemetry
+        if telemetry is not None:
+            telemetry.attach(self)
+        self.checker = None
+        if params.check_invariants:
+            # Imported lazily: the check layer is opt-in tooling and the
+            # core simulator must not depend on it by default.
+            from repro.check.invariants import InvariantChecker
+
+            self.checker = InvariantChecker(self)
 
     def _fill_lines(self, cache, start: int, end: int) -> None:
         """Fill every cache line overlapping ``[start, end)`` into ``cache``."""
@@ -111,7 +260,8 @@ class Simulator:
         self.decode_queue.flush()
         self.memory.flush_waiters()
         self.bpu.ras.copy_from(self.trainer.arch_ras)
-        self.hooks.run_spec_sync()
+        if self.loop is not None:
+            self.loop.flush_spec()
         point = self.trainer.resume_point()
         if point is None:
             return  # stream exhausted; the run is about to end
@@ -154,7 +304,6 @@ class Simulator:
         attributable without re-running it.
         """
         params = self.params
-        policy = params.frontend.history_policy
         return RuntimeError(
             f"livelock: workload {self.workload_name or '<unnamed>'!r} "
             f"[{params.label()}] stuck after {self.cycle} cycles with "
@@ -162,8 +311,9 @@ class Simulator:
             f"(warmup={params.warmup_instructions}, sim={params.sim_instructions}); "
             f"prefetcher={params.prefetcher!r}, "
             f"ftq_entries={params.frontend.ftq_entries}, "
-            f"btb={resolve_btb_variant(params.branch)}/{params.branch.btb_entries}, "
-            f"history={getattr(policy, 'value', policy)!r}"
+            f"btb_entries={params.branch.btb_entries}, "
+            f"btb_l1_entries={params.branch.btb_l1_entries}, "
+            f"history={params.frontend.history_policy.value!r}"
         )
 
     def run(self, workload_name: str = "", *, reference: bool = False) -> RunResult:
@@ -243,6 +393,22 @@ class Simulator:
         if self.profiler is not None:
             self.profiler.finalize(self, result)
         return result
+
+
+def _weak_flush(sim: Simulator):
+    """``sim._on_flush`` as a callback that does not keep ``sim`` alive.
+
+    ``sim`` owns the backend, so handing the backend the bound method
+    would put every simulator in a reference cycle, freed only by a
+    full cyclic-GC pass; with a weak reference it is freed as soon as
+    its last user drops it.
+    """
+    ref = weakref.ref(sim)
+
+    def flush(fault, cycle: int) -> None:
+        ref()._on_flush(fault, cycle)
+
+    return flush
 
 
 def reference_kernel(sim: Simulator, target: int, warmup: int, guard: int) -> None:

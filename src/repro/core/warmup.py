@@ -87,11 +87,12 @@ def functional_warmup(sim) -> None:
         translate(page)
 
     # 3. Synchronise speculative state with the trained architectural
-    #    state, exactly like a pipeline-flush recovery at the boundary.
-    #    The declared hook points carry the subsystem-specific work
-    #    (loop-predictor flush_spec via spec_sync, prefetcher
-    #    reset_queue via warmup_boundary).
-    sim.hooks.run_warmup_boundary()
+    #    state, exactly like a pipeline-flush recovery at the boundary,
+    #    and drop the prefetch requests the warmup left queued.
+    if sim.loop is not None:
+        sim.loop.flush_spec()
+    if sim.prefetcher is not None:
+        sim.prefetcher.reset_queue()
     bpu = sim.bpu
     bpu.ras.copy_from(trainer.arch_ras)
     seg_idx, commit_pc = trainer.resume_point()

@@ -46,7 +46,7 @@ from repro.trace.workloads import WorkloadSpec
 
 log = get_logger("experiments.cache")
 
-SIM_SCHEMA_VERSION = 8
+SIM_SCHEMA_VERSION = 9
 """Bump when simulator/trace/predictor changes can alter RunResults.
 
 v2: the sweep runner defaults ``SimParams.warmup_mode`` to
@@ -80,6 +80,10 @@ still record the ``kernel_backend`` that ran).
 v8: ``MemoryParams.l1i_latency`` is gone.  Nothing read it (an L1I hit
 is ready the cycle after its probe, plus any I-TLB miss latency), but
 it was part of every parameter fingerprint, so every key changes.
+
+v9: ``BranchPredictorParams.btb_variant`` is gone.  A two-level BTB is
+built exactly when ``btb_l1_entries`` is set, as ``auto`` did, but the
+field was part of every parameter fingerprint, so every key changes.
 """
 
 _ENV_DIR = "REPRO_CACHE_DIR"

@@ -26,9 +26,8 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from repro.common.ledger import open_ledger
 from repro.common.log import configure as configure_logging
 from repro.common.log import current_level_name, get_logger
-from repro.common.params import WARMUP_MODES, SimParams
+from repro.common.params import SimParams
 from repro.common.stats import amean, geomean
-from repro.core.build import resolve_components
 from repro.core.metrics import RunResult
 from repro.core.simulator import simulate
 from repro.experiments.cache import CACHE_STATS, ResultCache, cache_enabled, run_key
@@ -91,20 +90,15 @@ def _pool_worker_init(log_level: str) -> None:
 def resolve_warmup_mode(params: SimParams) -> SimParams:
     """Resolve ``warmup_mode="auto"`` for sweep execution.
 
-    The sweep runner defaults to functional fast-forward warmup
-    (``REPRO_WARMUP_MODE`` overrides, e.g. ``cycle`` to recover the old
-    behaviour).  Resolution happens *before* cache keys are computed,
-    so cached results are always tagged with the concrete mode and the
-    two modes never share entries.  Explicit modes pass through.
+    The sweep runner warms up functionally (fast-forward); a sweep that
+    wants cycle-accurate warmup sets ``warmup_mode: cycle`` itself.
+    Resolution happens *before* cache keys are computed, so cached
+    results are always tagged with the concrete mode and the two modes
+    never share entries.  Explicit modes pass through.
     """
     if params.warmup_mode != "auto":
         return params
-    mode = os.environ.get("REPRO_WARMUP_MODE", "functional").strip().lower()
-    if mode == "auto" or mode not in WARMUP_MODES:
-        raise ValueError(
-            f"REPRO_WARMUP_MODE must be 'cycle' or 'functional', got {mode!r}"
-        )
-    return params.replace(warmup_mode=mode)
+    return params.replace(warmup_mode="functional")
 
 
 def resolve_check_mode(params: SimParams) -> SimParams:
@@ -128,13 +122,8 @@ def resolve_check_mode(params: SimParams) -> SimParams:
 
 
 def _resolve(params: SimParams) -> SimParams:
-    """All environment overrides, in cache-key order.
-
-    Also resolves every registry-named component up front, so an
-    unknown prefetcher/predictor/BTB-variant name fails fast in the
-    submitting process instead of inside a sweep worker.
-    """
-    resolve_components(params)
+    """The runner's resolution of ``params``, in cache-key order: the
+    ``auto`` warmup mode, then the ``REPRO_CHECK`` override."""
     return resolve_check_mode(resolve_warmup_mode(params))
 
 

@@ -1,21 +1,12 @@
 """Dedicated instruction prefetchers and the BTB prefetcher (Section V).
 
-The prefetcher zoo is published through :data:`prefetchers`, a
-:class:`repro.common.registry.Registry` shared-shape with the builder
-registries in :mod:`repro.core.build`.  ``create_prefetcher`` is the
-constructor the builder uses; the special names ``"none"`` and
-``"perfect"`` are handled by the build layer itself (no prefetcher
-object / instant-fill memory).  New prefetchers register themselves
-without touching core code::
-
-    from repro.prefetch import prefetchers
-
-    @prefetchers.register("my_pf")
-    class MyPrefetcher(Prefetcher):
-        ...
+:data:`PREFETCHERS` maps each ``SimParams.prefetcher`` name to its
+class; the simulator builds the one its parameters name.  The names
+``"none"`` (no prefetcher) and ``"perfect"`` (every L1I access hits)
+build no prefetcher object.  A new prefetcher is a
+:class:`~repro.prefetch.base.Prefetcher` subclass plus an entry here.
 """
 
-from repro.common.registry import Registry
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.djolt import DJoltPrefetcher
 from repro.prefetch.eip import EIP27, EIP128, EIPPrefetcher
@@ -25,32 +16,24 @@ from repro.prefetch.profile_guided import ProfileGuidedPrefetcher, build_profile
 from repro.prefetch.rdip import RDIPPrefetcher
 from repro.prefetch.sn4l_dis_btb import SN4LDisBTBPrefetcher, SN4LDisPrefetcher
 
-prefetchers = Registry("prefetcher")
-"""Registry of dedicated-prefetcher factories, keyed by CLI/params name.
-
-Factories are called as ``factory(params, memory, btb, program, stats)``
-(the :class:`~repro.prefetch.base.Prefetcher` constructor signature).
-"""
-
-prefetchers.register("nl1", NextLinePrefetcher)
-prefetchers.register("eip128", EIP128)
-prefetchers.register("eip27", EIP27)
-prefetchers.register("fnl_mma", FNLMMAPrefetcher)
-prefetchers.register("djolt", DJoltPrefetcher)
-prefetchers.register("rdip", RDIPPrefetcher)
-prefetchers.register("sn4l_dis", SN4LDisPrefetcher)
-prefetchers.register("sn4l_dis_btb", SN4LDisBTBPrefetcher)
-prefetchers.register("profile_guided", ProfileGuidedPrefetcher)
+PREFETCHERS: dict[str, type[Prefetcher]] = {
+    "nl1": NextLinePrefetcher,
+    "eip128": EIP128,
+    "eip27": EIP27,
+    "fnl_mma": FNLMMAPrefetcher,
+    "djolt": DJoltPrefetcher,
+    "rdip": RDIPPrefetcher,
+    "sn4l_dis": SN4LDisPrefetcher,
+    "sn4l_dis_btb": SN4LDisBTBPrefetcher,
+    "profile_guided": ProfileGuidedPrefetcher,
+}
+"""Dedicated-prefetcher classes by name; each is constructed as
+``cls(params, memory, btb, program, stats)``."""
 
 
 def prefetcher_names() -> list[str]:
-    """All registered dedicated-prefetcher names."""
-    return prefetchers.names()
-
-
-def create_prefetcher(name: str, *, params, memory, btb, program, stats) -> Prefetcher:
-    """Instantiate a registered prefetcher by name."""
-    return prefetchers.create(name, params, memory, btb, program, stats)
+    """Every dedicated-prefetcher name, sorted."""
+    return sorted(PREFETCHERS)
 
 
 __all__ = [
@@ -66,7 +49,6 @@ __all__ = [
     "SN4LDisBTBPrefetcher",
     "ProfileGuidedPrefetcher",
     "build_profile",
-    "create_prefetcher",
+    "PREFETCHERS",
     "prefetcher_names",
-    "prefetchers",
 ]

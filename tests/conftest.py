@@ -34,14 +34,14 @@ def _clean_repro_env(monkeypatch):
     """Shield every test from ambient ``REPRO_*`` behaviour knobs.
 
     A developer's shell (or a previous test that sets one directly) must
-    not leak warmup-mode, job-count, invariant-check or logging
-    configuration into tests; monkeypatch restores any value a test sets
-    itself.  ``REPRO_CACHE_DIR`` stays: the session fixture above pins
-    it to a per-run temporary directory.
+    not leak job-count, invariant-check or logging configuration into
+    tests; monkeypatch restores any value a test sets itself.
+    ``REPRO_CACHE_DIR`` stays: the session fixture above pins it to a
+    per-run temporary directory.
     """
-    for name in ("REPRO_WARMUP_MODE", "REPRO_JOBS", "REPRO_CHECK", "REPRO_CACHE",
-                 "REPRO_LOG", "REPRO_WORKLOADS", "REPRO_WARMUP", "REPRO_SIM",
-                 "REPRO_LEDGER", "REPRO_TRACES"):
+    for name in ("REPRO_JOBS", "REPRO_CHECK", "REPRO_CACHE", "REPRO_LOG",
+                 "REPRO_WORKLOADS", "REPRO_WARMUP", "REPRO_SIM", "REPRO_LEDGER",
+                 "REPRO_TRACES"):
         monkeypatch.delenv(name, raising=False)
 
 

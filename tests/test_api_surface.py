@@ -46,9 +46,7 @@ MODULES = [
     "repro.prefetch.profile_guided",
     "repro.prefetch.rdip",
     "repro.prefetch.sn4l_dis_btb",
-    "repro.common.registry",
     "repro.core.backend",
-    "repro.core.build",
     "repro.core.metrics",
     "repro.core.simulator",
     "repro.experiments.analysis",

@@ -1,225 +1,153 @@
-"""Tests for the registry-driven build layer (repro.core.build)."""
+"""Tests for simulator construction from its parameters (Simulator.__init__)."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.branch.btb import BTB
 from repro.branch.btb2l import TwoLevelBTB
 from repro.branch.gshare import Gshare
+from repro.branch.loop import LoopPredictor
 from repro.branch.perceptron import Perceptron
 from repro.branch.tage import TAGE
-from repro.common.params import (
-    BranchPredictorParams,
-    DirectionPredictorKind,
-    HistoryPolicy,
-    SimParams,
-)
-from repro.common.registry import Registry
-from repro.core.build import (
-    SimBuilder,
-    btb_variants,
-    direction_predictors,
-    history_policies,
-    resolve_btb_variant,
-    resolve_components,
-)
-from repro.prefetch import prefetchers
+from repro.common.params import DirectionPredictorKind, HistoryPolicy, SimParams
+from repro.core.simulator import Simulator, simulate
+from repro.core.warmup import functional_warmup
+from repro.prefetch import PREFETCHERS, prefetcher_names
 from repro.trace.workloads import make_trace
-
-
-class TestRegistry:
-    def test_register_and_create(self):
-        reg = Registry("widget")
-        reg.register("a", lambda x: x + 1)
-        assert reg.create("a", 1) == 2
-        assert "a" in reg
-        assert reg.names() == ["a"]
-
-    def test_decorator_registration(self):
-        reg = Registry("widget")
-
-        @reg.register("dec")
-        def factory():
-            return 7
-
-        assert factory() == 7  # decorator returns the object unchanged
-        assert reg.create("dec") == 7
-
-    def test_unknown_name_lists_known(self):
-        reg = Registry("widget")
-        reg.register("a", object())
-        reg.register("b", object())
-        with pytest.raises(ValueError, match=r"unknown widget 'zzz'; known: a, b"):
-            reg.get("zzz")
-
-    def test_duplicate_name_rejected(self):
-        reg = Registry("widget")
-        reg.register("a", object())
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register("a", object())
-
-    def test_unregister_roundtrip(self):
-        reg = Registry("widget")
-        sentinel = object()
-        reg.register("a", sentinel)
-        assert reg.unregister("a") is sentinel
-        assert "a" not in reg
-        reg.register("a", sentinel)  # name is reusable after unregister
-        assert reg.get("a") is sentinel
-
-    def test_create_rejects_non_factory(self):
-        reg = Registry("widget")
-        reg.register("raw", object())
-        with pytest.raises(TypeError, match="not a factory"):
-            reg.create("raw")
-
-    def test_iteration_and_len(self):
-        reg = Registry("widget")
-        reg.register("b", object())
-        reg.register("a", object())
-        assert list(reg) == ["a", "b"]
-        assert len(reg) == 2
-
-
-class TestDirectionPredictorRegistry:
-    def test_builtin_names_registered(self):
-        for kind in DirectionPredictorKind:
-            assert kind.value in direction_predictors
-
-    def test_roundtrip_types(self):
-        branch = BranchPredictorParams()
-        assert isinstance(direction_predictors.create("tage", branch, 64), TAGE)
-        assert isinstance(direction_predictors.create("gshare", branch, 64), Gshare)
-        assert isinstance(direction_predictors.create("perceptron", branch, 64), Perceptron)
-        assert direction_predictors.create("perfect", branch, 64) is None
-
-    def test_unknown_name_error_path(self):
-        with pytest.raises(ValueError, match="unknown direction predictor 'nope'"):
-            direction_predictors.get("nope")
-
-
-class TestHistoryPolicyRegistry:
-    def test_all_policies_registered_by_value(self):
-        for policy in HistoryPolicy:
-            assert history_policies.get(policy.value) is policy
-
-    def test_unknown_name_error_path(self):
-        with pytest.raises(ValueError, match="unknown history policy 'nope'"):
-            history_policies.get("nope")
-
-
-class TestBtbVariantRegistry:
-    def test_single_roundtrip(self):
-        btb = btb_variants.create("single", BranchPredictorParams())
-        assert isinstance(btb, BTB)
-
-    def test_two_level_roundtrip(self):
-        branch = BranchPredictorParams(btb_l1_entries=64)
-        btb = btb_variants.create("two_level", branch)
-        assert isinstance(btb, TwoLevelBTB)
-
-    def test_two_level_requires_l1(self):
-        with pytest.raises(ValueError, match="btb_l1_entries"):
-            btb_variants.create("two_level", BranchPredictorParams())
-
-    def test_unknown_name_error_path(self):
-        with pytest.raises(ValueError, match="unknown BTB variant 'nope'"):
-            btb_variants.get("nope")
-
-    def test_auto_resolution(self):
-        assert resolve_btb_variant(BranchPredictorParams()) == "single"
-        assert resolve_btb_variant(BranchPredictorParams(btb_l1_entries=64)) == "two_level"
-
-
-class TestPrefetcherRegistry:
-    def test_known_names(self):
-        for name in ("nl1", "eip128", "djolt", "rdip"):
-            assert name in prefetchers
-
-    def test_unknown_name_error_path(self):
-        with pytest.raises(ValueError, match="unknown prefetcher 'nope'"):
-            prefetchers.get("nope")
-
-
-class TestResolveComponents:
-    def test_default_params_resolve(self):
-        names = resolve_components(SimParams())
-        assert names == {
-            "direction": "tage",
-            "history": "THR",
-            "btb": "single",
-            "prefetcher": "none",
-        }
-
-    def test_special_prefetcher_names_pass(self):
-        resolve_components(SimParams(prefetcher="perfect"))
-        resolve_components(SimParams(prefetcher="nl1"))
-
-    def test_unknown_prefetcher_fails_fast(self):
-        with pytest.raises(ValueError, match="unknown prefetcher"):
-            resolve_components(SimParams(prefetcher="bogus"))
-
-    def test_unknown_direction_fails_fast(self):
-        params = SimParams().with_branch(direction_kind="bogus")
-        with pytest.raises(ValueError, match="unknown direction predictor"):
-            resolve_components(params)
-
-
-class TestSimBuilder:
-    def test_build_matches_direct_construction(self):
-        params = SimParams(warmup_instructions=1_000, sim_instructions=2_000)
-        program, stream = make_trace("spc_fp", 3_000)
-        sim = SimBuilder(params, program, stream).build()
-        assert isinstance(sim.btb, BTB)
-        assert sim.prefetcher is None
-        assert sim.checker is None
-        result = sim.run(workload_name="spc_fp")
-        assert result.instructions > 0
-
-    def test_two_level_btb_via_registry_path(self):
-        params = SimParams(warmup_instructions=1_000, sim_instructions=2_000).with_branch(
-            btb_l1_entries=64
-        )
-        program, stream = make_trace("spc_fp", 3_000)
-        sim = SimBuilder(params, program, stream).build()
-        assert isinstance(sim.btb, TwoLevelBTB)
-        assert sim.run().instructions > 0
-
-    def test_hooks_declared(self):
-        params = SimParams(
-            warmup_instructions=1_000, sim_instructions=2_000, prefetcher="nl1"
-        ).with_branch(loop_predictor_entries=64)
-        program, stream = make_trace("spc_fp", 3_000)
-        sim = SimBuilder(params, program, stream).build()
-        assert sim.loop.flush_spec in sim.hooks.spec_sync
-        assert sim.prefetcher.reset_queue in sim.hooks.warmup_boundary
-        assert "prefetcher" in sim.observables
-
-    def test_observables_cover_core_components(self):
-        params = SimParams(warmup_instructions=1_000, sim_instructions=2_000)
-        program, stream = make_trace("spc_fp", 3_000)
-        sim = SimBuilder(params, program, stream).build()
-        assert set(sim.observables) == {"ftq", "bpu", "fetch", "backend", "memory"}
-
 
 _PLAIN = SimParams(warmup_instructions=1_000, sim_instructions=2_000)
 
+_DIRECTION_CLASSES = {
+    DirectionPredictorKind.TAGE: TAGE,
+    DirectionPredictorKind.GSHARE: Gshare,
+    DirectionPredictorKind.PERCEPTRON: Perceptron,
+    DirectionPredictorKind.PERFECT: type(None),
+}
 
-def _plain_id(params):
-    kind = params.branch.direction_kind
-    return f"{params.prefetcher}-{getattr(kind, 'value', kind)}"
+
+def _sim(params: SimParams = _PLAIN, **kwargs) -> Simulator:
+    program, stream = make_trace("spc_fp", params.warmup_instructions + params.sim_instructions)
+    return Simulator(params, program, stream, **kwargs)
+
+
+class TestComponentsFromParams:
+    @pytest.mark.parametrize("kind", list(DirectionPredictorKind), ids=lambda k: k.value)
+    def test_direction_kind_builds_its_predictor(self, kind):
+        sim = _sim(_PLAIN.with_branch(direction_kind=kind))
+        assert type(sim.direction) is _DIRECTION_CLASSES[kind]
+        assert sim.trainer.direction is sim.direction
+        assert sim.run().instructions > 0
+
+    def test_perfect_direction_builds_no_predictor(self):
+        assert _sim(_PLAIN.with_branch(perfect_direction=True)).direction is None
+
+    def test_history_policy_picks_history_length(self):
+        thr = _sim(_PLAIN.with_frontend(history_policy=HistoryPolicy.THR))
+        ghr = _sim(_PLAIN.with_frontend(history_policy=HistoryPolicy.GHR2))
+        assert thr.hist_mgr.policy is HistoryPolicy.THR
+        assert thr.hist_mgr.bits == _PLAIN.branch.history_bits
+        assert ghr.hist_mgr.policy is HistoryPolicy.GHR2
+        assert ghr.hist_mgr.bits == _PLAIN.branch.direction_history_bits
+
+    def test_single_level_btb_by_default(self):
+        sim = _sim()
+        assert type(sim.btb) is BTB
+        assert sim.prefetcher is None
+        assert sim.checker is None
+        assert sim.run(workload_name="spc_fp").instructions > 0
+
+    def test_btb_l1_entries_builds_two_level_btb(self):
+        sim = _sim(_PLAIN.with_branch(btb_l1_entries=64))
+        assert isinstance(sim.btb, TwoLevelBTB)
+        assert sim.bpu.btb is sim.btb
+        assert sim.run().instructions > 0
+
+    @pytest.mark.parametrize("name", prefetcher_names())
+    def test_prefetcher_built_from_its_name(self, name):
+        sim = _sim(_PLAIN.replace(prefetcher=name))
+        assert type(sim.prefetcher) is PREFETCHERS[name]
+        assert sim.fetch.prefetcher is sim.prefetcher
+        assert not sim.memory.perfect
+
+    @pytest.mark.parametrize("name", ["none", "perfect"])
+    def test_special_prefetcher_names_build_none(self, name):
+        sim = _sim(_PLAIN.replace(prefetcher=name))
+        assert sim.prefetcher is None
+        assert sim.memory.perfect == (name == "perfect")
+
+
+class TestBtbVariantRegistry:
+    """Which BTB a simulator builds: a single-level BTB of the configured
+    geometry, or a two-level one exactly when ``btb_l1_entries`` is set."""
+
+    def test_single_roundtrip(self):
+        sim = _sim(_PLAIN.with_branch(btb_entries=512, btb_assoc=8))
+        assert type(sim.btb) is BTB
+        assert (sim.btb.n_entries, sim.btb.assoc) == (512, 8)
+
+    def test_auto_resolution(self):
+        assert type(_sim().btb) is BTB
+        btb = _sim(_PLAIN.with_branch(btb_l1_entries=64, btb_l1_assoc=2)).btb
+        assert type(btb) is TwoLevelBTB
+        assert (btb.l1.n_entries, btb.l1.assoc) == (64, 2)
+        assert (btb.l2.n_entries, btb.l2.assoc) == (
+            _PLAIN.branch.btb_entries,
+            _PLAIN.branch.btb_assoc,
+        )
+
+
+class TestSpeculativeResync:
+    """A flush re-synchronises the loop predictor; the functional-warmup
+    boundary does that and then drops the prefetcher's queue."""
+
+    PARAMS = _PLAIN.replace(prefetcher="nl1").with_branch(loop_predictor_entries=64)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(LoopPredictor, "flush_spec", lambda self: seen.append("flush_spec"))
+        monkeypatch.setattr(
+            PREFETCHERS["nl1"], "reset_queue", lambda self: seen.append("reset_queue")
+        )
+        return seen
+
+    def test_flush_resyncs_loop_predictor(self, calls):
+        _sim(self.PARAMS)._on_flush(SimpleNamespace(kind_label="test"), 0)
+        assert calls == ["flush_spec"]
+
+    def test_warmup_boundary_resyncs_then_resets_queue(self, calls):
+        functional_warmup(_sim(self.PARAMS))
+        assert calls == ["flush_spec", "reset_queue"]
+
+
+class TestSimBuilder:
+    """What the public entry point builds, and the components a built
+    simulator exposes to a telemetry hub."""
+
+    def test_build_matches_direct_construction(self):
+        direct = _sim().run(workload_name="spc_fp")
+        built = simulate("spc_fp", _PLAIN)
+        assert (built.workload, built.label) == (direct.workload, direct.label)
+        assert (built.instructions, built.cycles) == (direct.instructions, direct.cycles)
+        assert built.stats.as_dict() == direct.stats.as_dict()
+
+    def test_observables_cover_core_components(self):
+        sim = _sim()
+        assert set(sim.observables) == {"ftq", "bpu", "fetch", "backend", "memory"}
+
+    def test_prefetcher_is_observable(self):
+        sim = _sim(_PLAIN.replace(prefetcher="nl1"))
+        assert sim.observables["prefetcher"] is sim.prefetcher
 
 
 @pytest.mark.parametrize(
     "params, traced",
     [
-        pytest.param(params, False, id=_plain_id(params))
+        pytest.param(params, False, id=f"{params.prefetcher}-{params.branch.direction_kind.value}")
         for params in [
-            *(_PLAIN.replace(prefetcher=name) for name in ["none", "perfect", *prefetchers.names()]),
-            # The registered oracle predictor runs only with perfect_direction.
-            *(
-                _PLAIN.with_branch(direction_kind=name, perfect_direction=name == "perfect")
-                for name in direction_predictors.names()
-            ),
+            *(_PLAIN.replace(prefetcher=name) for name in ["none", "perfect", *prefetcher_names()]),
+            *(_PLAIN.with_branch(direction_kind=kind) for kind in DirectionPredictorKind),
         ]
     ]
     + [
@@ -241,9 +169,7 @@ def test_finished_simulator_freed_without_cyclic_gc(params, traced):
     gc.collect()
     gc.disable()
     try:
-        sim = SimBuilder(params, program, stream).build(
-            telemetry=Telemetry() if traced else None
-        )
+        sim = Simulator(params, program, stream, telemetry=Telemetry() if traced else None)
         sim.run()
         ref = weakref.ref(sim)
         del sim
@@ -251,7 +177,6 @@ def test_finished_simulator_freed_without_cyclic_gc(params, traced):
     finally:
         if was_enabled:
             gc.enable()
-
 
 
 def test_failed_run_frees_simulator_without_cyclic_gc():
@@ -268,8 +193,8 @@ def test_failed_run_frees_simulator_without_cyclic_gc():
     gc.collect()
     gc.disable()
     try:
-        sim = SimBuilder(_PLAIN.replace(check_invariants=True), program, stream).build(
-            telemetry=Telemetry()
+        sim = Simulator(
+            _PLAIN.replace(check_invariants=True), program, stream, telemetry=Telemetry()
         )
         sim.decode_queue.total_instrs += 5  # fails the first cycle's sweep
         with pytest.raises(InvariantViolation, match="occupancy counter"):
@@ -281,11 +206,10 @@ def test_failed_run_frees_simulator_without_cyclic_gc():
         if was_enabled:
             gc.enable()
 
+
 class TestBranchListenerHook:
     def _trainer(self):
-        params = SimParams(warmup_instructions=1_000, sim_instructions=2_000)
-        program, stream = make_trace("spc_fp", 3_000)
-        return SimBuilder(params, program, stream).build().trainer
+        return _sim().trainer
 
     def test_single_listener_stays_plain(self):
         trainer = self._trainer()

@@ -39,6 +39,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--history", "XYZ"])
 
+    def test_rejects_unknown_prefetcher(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--prefetcher", "nl2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nl2'" in capsys.readouterr().err
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -218,8 +224,13 @@ class TestBadFlagValue:
             (["trace", *WINDOW, "--out", "{out}", "--stride", "0"], "interval_stride"),
             (["trace", *WINDOW, "--out", "{out}", "--events", "0"], "ring_capacity"),
             (["profile", *WINDOW, "--max-taken", "0"], "max_taken_per_cycle"),
+            (["check", "--workloads", "srv_web", "--instructions", "0"], "instruction windows"),
+            (["check", "--workloads", "srv_web", "--warmup", "-5"], "instruction windows"),
         ],
-        ids=["run-ftq", "run-btb", "run-instructions", "trace-stride", "trace-events", "profile"],
+        ids=[
+            "run-ftq", "run-btb", "run-instructions", "trace-stride", "trace-events", "profile",
+            "check-instructions", "check-warmup",
+        ],
     )
     def test_one_line_and_exit_2(self, argv, expected, tmp_path, caplog, monkeypatch, capsys):
         monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)

@@ -52,23 +52,23 @@ class TestBranchPredictorParams:
         p = BranchPredictorParams(direction_kind="gshare")
         assert p.direction_kind is DirectionPredictorKind.GSHARE
 
-    def test_direction_kind_custom_string_kept(self):
-        # Unknown names stay strings: resolved (or rejected) by the
-        # registry at build time, so plugins can register new kinds.
-        assert BranchPredictorParams(direction_kind="my_plugin").direction_kind == "my_plugin"
-
-    def test_btb_variant_default_auto(self):
-        assert BranchPredictorParams().btb_variant == "auto"
-
-    def test_btb_variant_two_level_requires_l1(self):
-        with pytest.raises(ValueError, match="btb_l1_entries"):
-            BranchPredictorParams(btb_variant="two_level")
-        p = BranchPredictorParams(btb_variant="two_level", btb_l1_entries=64)
-        assert p.btb_variant == "two_level"
+    def test_rejects_unknown_direction_kind(self):
+        with pytest.raises(
+            ValueError,
+            match=r"unknown direction predictor 'tagee'; known: gshare, perceptron, perfect, tage$",
+        ):
+            BranchPredictorParams(direction_kind="tagee")
 
     def test_history_policy_string_coerced(self):
         f = FrontendParams(history_policy="GHR2")
         assert f.history_policy is HistoryPolicy.GHR2
+
+    def test_rejects_unknown_history_policy(self):
+        with pytest.raises(
+            ValueError,
+            match=r"unknown history policy 'thr2'; known: GHR0, GHR1, GHR2, GHR3, Ideal, THR$",
+        ):
+            FrontendParams(history_policy="thr2")
 
 
 class TestFrontendParams:
@@ -141,6 +141,14 @@ class TestSimParams:
     def test_replace_prefetcher(self):
         p = SimParams().replace(prefetcher="nl1")
         assert p.prefetcher == "nl1"
+
+    def test_rejects_unknown_prefetcher(self):
+        with pytest.raises(
+            ValueError, match=r"unknown prefetcher 'nl2'; known: none, perfect, djolt, "
+        ):
+            SimParams(prefetcher="nl2")
+        for name in ("none", "perfect", "nl1"):
+            assert SimParams(prefetcher=name).prefetcher == name
 
     def test_label_contains_key_facts(self):
         p = SimParams()

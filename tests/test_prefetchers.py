@@ -7,7 +7,7 @@ from repro.common.params import SimParams
 from repro.common.stats import StatSet
 from repro.isa.instructions import BranchKind, Instruction
 from repro.memory.hierarchy import InstructionMemory
-from repro.prefetch import create_prefetcher, prefetcher_names
+from repro.prefetch import PREFETCHERS, prefetcher_names
 from repro.prefetch.base import MAX_ISSUE_PER_CYCLE, Prefetcher
 from repro.prefetch.djolt import DJoltPrefetcher
 from repro.prefetch.eip import EIP27, EIP128, EIPPrefetcher
@@ -36,14 +36,12 @@ class TestRegistry:
         assert "eip128" in prefetcher_names()
 
     def test_create(self):
-        params, memory, btb, prog, stats = make_ctx()
-        pf = create_prefetcher("nl1", params=params, memory=memory, btb=btb, program=prog, stats=stats)
+        pf, *_ = build(PREFETCHERS["nl1"])
         assert isinstance(pf, NextLinePrefetcher)
 
     def test_unknown_raises(self):
-        params, memory, btb, prog, stats = make_ctx()
-        with pytest.raises(ValueError):
-            create_prefetcher("nope", params=params, memory=memory, btb=btb, program=prog, stats=stats)
+        with pytest.raises(ValueError, match="unknown prefetcher 'nope'"):
+            SimParams(prefetcher="nope")
 
 
 class TestBase:

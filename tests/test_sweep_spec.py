@@ -34,6 +34,7 @@ from repro.check.sweepdiff import (
 )
 from repro.cli import main
 from repro.common.ledger import read_ledger
+from repro.common.log import configure as configure_logging
 from repro.common.params import SimParams
 from repro.experiments import figures, runner
 from repro.experiments.cache import run_key
@@ -151,6 +152,36 @@ class TestParse:
     def test_removed_l1i_latency_is_an_unknown_key(self):
         with pytest.raises(SweepSpecError, match="unknown base parameter key 'memory.l1i_latency'"):
             expand(parse_spec(spec_data(base={"memory.l1i_latency": 4})))
+
+    def test_removed_btb_variant_is_an_unknown_key(self):
+        with pytest.raises(SweepSpecError, match="unknown base parameter key 'branch.btb_variant'"):
+            expand(parse_spec(spec_data(base={"branch.btb_variant": "two_level"})))
+
+    @pytest.mark.parametrize(
+        ("key", "value", "known"),
+        [
+            ("frontend.history_policy", "thr2", "known: GHR0, GHR1, GHR2, GHR3, Ideal, THR"),
+            ("branch.direction_kind", "tagee", "known: gshare, perceptron, perfect, tage"),
+            ("prefetcher", "nl2", "known: none, perfect, djolt, eip128, "),
+        ],
+    )
+    def test_misspelled_component_fails_in_one_line(
+        self, key, value, known, tmp_path, caplog, monkeypatch, capsys
+    ):
+        base = {"warmup_instructions": 300, "sim_instructions": 1500, key: value}
+        path = write_spec(tmp_path, spec_data(base=base))
+        # configure() stops the repro logger propagating to the root,
+        # where caplog listens; configure first, then let records through.
+        configure_logging()
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            assert main(["sweep", str(path), "--dry-run"]) == 2
+        [record] = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        message = record.getMessage()
+        assert record.exc_info is None and "\n" not in message
+        assert f"invalid value for {key!r}" in message
+        assert repr(value) in message and known in message
+        assert capsys.readouterr().out == ""
 
     def test_yaml_and_json_specs_are_equivalent(self, tmp_path):
         yaml = pytest.importorskip("yaml")

@@ -18,16 +18,21 @@ import pytest
 from repro.branch.history import HistoryManager
 from repro.branch.tage import NEVER, TAGE, TageConfig, TageRecord
 from repro.common.params import HistoryPolicy, SimParams
-from repro.core.build import direction_predictors
+from repro.core import simulator
 from repro.core.simulator import Simulator
 from repro.isa.instructions import BranchKind
 from repro.trace.fbmeta import StreamMeta, stream_meta
 from repro.trace.workloads import make_trace
 
-SMALL_TAGE = "tage_4x64"
-"""A registered TAGE of four 64-entry tables: its entries are often
-weak and new, so its lookups consult ``use_alt_on_na`` while other
-updates move it, and a read-set slip shows in the counters."""
+
+def small_tage(branch, bits: int) -> TAGE:
+    """A TAGE of four 64-entry tables: its entries are often weak and
+    new, so its lookups consult ``use_alt_on_na`` while other updates
+    move it, and a read-set slip shows in the counters.  The
+    ``small_tage`` point builds it in place of the configured TAGE."""
+    return TAGE(TageConfig(4, 64, 256, 8, 2, bits))
+
+
 BASE = SimParams(warmup_instructions=2_000, sim_instructions=6_000)
 NO_FDP = BASE.with_frontend(ftq_entries=2, pfc_enabled=False)
 POINTS = {
@@ -39,18 +44,9 @@ POINTS = {
     "functional": BASE.replace(warmup_mode="functional"),
     "tage9": BASE.with_branch(tage_storage_kib=9),
     "tage36_ftq2": NO_FDP.with_branch(tage_storage_kib=36),
-    "small_tage": BASE.with_branch(direction_kind=SMALL_TAGE),
+    "small_tage": BASE,
 }
 POLICIES = (HistoryPolicy.THR, HistoryPolicy.IDEAL)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def small_tage():
-    direction_predictors.register(
-        SMALL_TAGE, lambda branch, bits: TAGE(TageConfig(4, 64, 256, 8, 2, bits))
-    )
-    yield
-    direction_predictors.unregister(SMALL_TAGE)
 
 
 def _run(params: SimParams, workload: str):
@@ -69,8 +65,11 @@ def _run(params: SimParams, workload: str):
 @pytest.mark.parametrize("workload", ["srv_web", "clt_browser"])
 def test_withheld_record_changes_no_counter(workload, name, policy, monkeypatch):
     params = POINTS[name].with_frontend(history_policy=policy)
+    if name == "small_tage":
+        monkeypatch.setattr(simulator, "_direction_predictor", small_tage)
     sim, served = _run(params, workload)
     assert sim.direction.record is not None
+    assert (sim.direction.config.table_entries == 64) == (name == "small_tage")
     monkeypatch.setattr(StreamMeta, "tage_record", lambda self, mgr, config: None)
     sim, walked = _run(params, workload)
     assert sim.direction.record is None

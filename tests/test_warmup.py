@@ -47,23 +47,13 @@ class TestWarmupModeParam:
 
 
 class TestResolveWarmupMode:
-    def test_auto_resolves_to_functional(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WARMUP_MODE", raising=False)
+    def test_auto_resolves_to_functional(self):
         assert resolve_warmup_mode(fast()).warmup_mode == "functional"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WARMUP_MODE", "cycle")
-        assert resolve_warmup_mode(fast()).warmup_mode == "cycle"
-
-    def test_explicit_mode_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WARMUP_MODE", "functional")
-        p = fast(warmup_mode="cycle")
-        assert resolve_warmup_mode(p) is p
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WARMUP_MODE", "warp")
-        with pytest.raises(ValueError):
-            resolve_warmup_mode(fast())
+    def test_explicit_mode_passes_through(self):
+        for mode in ("cycle", "functional"):
+            p = fast(warmup_mode=mode)
+            assert resolve_warmup_mode(p) is p
 
     def test_modes_get_distinct_cache_keys(self):
         from repro.experiments.cache import run_key
