@@ -54,7 +54,6 @@ violation is a one-command repro.
 from __future__ import annotations
 
 import gc
-import os
 import random
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -70,6 +69,7 @@ from repro.common.params import (
     HistoryPolicy,
     MemoryParams,
     SimParams,
+    params_from_dict,
 )
 from repro.common.telemetry import Telemetry, TelemetryConfig
 from repro.core.simulator import Simulator
@@ -363,12 +363,10 @@ def decode_mutant_problem(trial: FuzzTrial, stream: OracleStream) -> str | None:
     the collector is left as it was; a decoded trace must hold no more
     instructions than the file has records and must run clean under
     invariants and the differential check against an independent
-    re-decode.  Any other exception is a failure.  The decoder's chunk
-    artifacts go to a private cache directory, deleted afterwards.
+    re-decode.  Any other exception is a failure.
     """
     n = trial.params.warmup_instructions + trial.params.sim_instructions
     rng = random.Random(f"decode-mutant-{trial.seed}")
-    saved_cache_dir = os.environ.get("REPRO_CACHE_DIR")
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-decode-") as tmp:
         path = Path(tmp) / "mutant.champsim"
         write_champsim_trace(path, stream)
@@ -376,7 +374,6 @@ def decode_mutant_problem(trial: FuzzTrial, stream: OracleStream) -> str | None:
         path.write_bytes(data)
         source = ChampSimTrace(str(path))
         collector_enabled = gc.isenabled()
-        os.environ["REPRO_CACHE_DIR"] = str(Path(tmp) / "cache")
         try:
             try:
                 program, decoded = make_trace(source, n)
@@ -401,11 +398,6 @@ def decode_mutant_problem(trial: FuzzTrial, stream: OracleStream) -> str | None:
             )
         except Exception as exc:
             return f"{mutation}: {type(exc).__name__}: {exc}"
-        finally:
-            if saved_cache_dir is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = saved_cache_dir
     return None
 
 
@@ -689,7 +681,7 @@ def fuzz(
 
 def replay(record: dict) -> FuzzFailure | None:
     """Re-run a loaded reproducer record; None when it no longer fails."""
-    from repro.check.reproducer import params_from_dict, spec_from_dict
+    from repro.check.reproducer import spec_from_dict
 
     trial = FuzzTrial(
         seed=record["seed"],

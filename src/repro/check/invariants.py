@@ -199,7 +199,7 @@ class InvariantChecker:
     def _check_accounting(self, problems: list[str], result) -> None:
         """Cycle-accounting buckets sum to the measured cycle count."""
         tel = self.sim.telemetry
-        if tel is None or not tel.config.accounting:
+        if tel is None:
             return
         measured = self.sim.cycle - self.sim._measure_start_cycle
         if measured <= 0:

@@ -9,24 +9,17 @@ trial from it, so any violation becomes a one-command repro::
     python -m repro check --replay results/check/failure-<seed>.json
 
 The JSON uses the same canonical dataclass encoding as the result
-cache's content fingerprints (:func:`repro.experiments.cache._canonical`),
-so a reproducer file doubles as a human-readable record of the exact
-configuration.
+cache's entries (:func:`repro.experiments.cache._canonical`, decoded
+by :func:`repro.common.params.params_from_dict`), so a reproducer file
+doubles as a human-readable record of the exact configuration.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
-from repro.common.params import (
-    BranchPredictorParams,
-    CoreParams,
-    FrontendParams,
-    MemoryParams,
-    SimParams,
-)
+from repro.common.params import SimParams, from_dict
 from repro.experiments.cache import _canonical
 from repro.trace.cfg import ProgramSpec
 
@@ -43,39 +36,9 @@ def spec_to_dict(spec: ProgramSpec) -> dict:
     return _canonical(spec)
 
 
-def _fields_from_dict(cls, data: dict) -> dict:
-    """Rebuild constructor kwargs, restoring tuples from JSON lists."""
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue  # field added after the reproducer was written
-        value = data[f.name]
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[f.name] = value
-    return kwargs
-
-
 def spec_from_dict(data: dict) -> ProgramSpec:
     """Inverse of :func:`spec_to_dict`."""
-    return ProgramSpec(**_fields_from_dict(ProgramSpec, data))
-
-
-def params_from_dict(data: dict) -> SimParams:
-    """Inverse of :func:`params_to_dict` (restores nested enums too).
-
-    Component names stay strings: the parameter dataclasses coerce them
-    to their enums and reject unknown ones.  Keys that are no longer
-    fields (a reproducer written by an older version) are ignored.
-    """
-    frontend = _fields_from_dict(FrontendParams, data["frontend"])
-    branch = _fields_from_dict(BranchPredictorParams, data["branch"])
-    top = _fields_from_dict(SimParams, data)
-    top["frontend"] = FrontendParams(**frontend)
-    top["branch"] = BranchPredictorParams(**branch)
-    top["memory"] = MemoryParams(**_fields_from_dict(MemoryParams, data["memory"]))
-    top["core"] = CoreParams(**_fields_from_dict(CoreParams, data["core"]))
-    return SimParams(**top)
+    return from_dict(ProgramSpec, data)
 
 
 def failure_to_dict(

@@ -23,10 +23,12 @@ re-runs one point with the stage profiler and prints where
 the cycle loop's wall time goes (see docs/OBSERVABILITY.md).
 ``report`` prints each experiment's table and archives the same text
 under ``results/<name>.txt``.  It honours ``REPRO_JOBS`` (parallel
-sweep workers), the persistent result cache (``REPRO_CACHE_DIR``) and
-the run ledger (``REPRO_LEDGER``, read back with ``sweep-report``);
-see docs/PERFORMANCE.md.  The global ``--log-level`` flag (or the
-``REPRO_LOG`` environment variable) controls diagnostic logging.
+sweep workers), the persistent result cache (one JSON entry per result
+under ``REPRO_CACHE_DIR``; ``cache info --manifests`` lists their
+provenance) and the run ledger (``REPRO_LEDGER``, read back with
+``sweep-report``); see docs/PERFORMANCE.md.  The global
+``--log-level`` flag (or the ``REPRO_LOG`` environment variable)
+controls diagnostic logging.
 
 Every ``--workload``/``--workloads`` flag accepts catalogue names,
 registered trace sources (``REPRO_TRACES``) and ChampSim trace file
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--manifests",
         action="store_true",
-        help="info only: list the provenance manifest of each cached result",
+        help="info only: list the provenance fields of each cached entry",
     )
     cache.add_argument(
         "--limit",
@@ -977,11 +979,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     info = cache.info()
     print(f"cache dir: {info['directory']}")
     print(f"schema:    v{info['schema']}")
-    print(f"entries:   {info['entries']} ({info['total_bytes']:,} bytes, "
-          f"{info['manifests']} manifest(s))")
-    if info["trace_files"]:
-        print(f"traces:    {info['trace_files']} decode artifact(s) "
-              f"({info['trace_bytes']:,} bytes)")
+    print(f"entries:   {info['entries']} ({info['total_bytes']:,} bytes)")
     session = cache_stats().as_dict()
     if session:
         print(f"this session (hit rate {100.0 * info['session_hit_rate']:.0f}%):")

@@ -344,3 +344,36 @@ class SimParams:
         else:
             btb = f"{entries // 1024}k"
         return f"{fdp}{pfc}{pf}/{self.frontend.history_policy.value}/btb{btb}"
+
+
+def from_dict(cls, data: dict):
+    """An instance of dataclass ``cls`` from its JSON encoding.
+
+    JSON lists become tuples again.  Keys that are no longer fields (a
+    document written by an older version) are ignored, and missing
+    fields take their defaults.
+    """
+    return cls(
+        **{
+            f.name: tuple(data[f.name]) if isinstance(data[f.name], list) else data[f.name]
+            for f in dataclasses.fields(cls)
+            if f.name in data
+        }
+    )
+
+
+def params_from_dict(data: dict) -> SimParams:
+    """Rebuild a :class:`SimParams` from its canonical JSON encoding.
+
+    The inverse of :func:`repro.experiments.cache._canonical`, the
+    encoding result-cache entries and fuzz reproducers store.  Component
+    names stay strings: the dataclasses coerce them to their enums and
+    reject unknown ones.
+    """
+    nested = {
+        "frontend": from_dict(FrontendParams, data["frontend"]),
+        "branch": from_dict(BranchPredictorParams, data["branch"]),
+        "memory": from_dict(MemoryParams, data["memory"]),
+        "core": from_dict(CoreParams, data["core"]),
+    }
+    return from_dict(SimParams, {**data, **nested})

@@ -103,12 +103,6 @@ class TelemetryConfig:
     """Committed instructions between interval samples."""
     ring_capacity: int = 8192
     """Event-ring size; older events are overwritten (and counted)."""
-    accounting: bool = True
-    """Attribute every measured cycle to a :data:`CYCLE_BUCKETS` cause."""
-    sampling: bool = True
-    """Emit periodic counter snapshots (warmup included)."""
-    events: bool = True
-    """Attach the structured event trace hooks to pipeline components."""
 
     def __post_init__(self) -> None:
         if self.interval_stride < 1:
@@ -221,8 +215,8 @@ class Telemetry:
         self.config = config or TelemetryConfig()
         self.now = 0
         """Current simulation cycle; refreshed at the top of every cycle."""
-        self.ring = EventRing(self.config.ring_capacity) if self.config.events else None
-        self.sampler = IntervalSampler(self.config.interval_stride) if self.config.sampling else None
+        self.ring = EventRing(self.config.ring_capacity)
+        self.sampler = IntervalSampler(self.config.interval_stride)
         self._sim = None
         self._retire_width = 1
         self._finalized = False
@@ -249,20 +243,16 @@ class Telemetry:
             raise RuntimeError("Telemetry objects are single-use; build a new one per run")
         self._sim = sim
         self._retire_width = sim.params.core.retire_width
-        if self.config.events:
-            # The builder declares which components are observable; the
-            # hub hooks each one rather than hand-listing them here.
-            for component in sim.observables.values():
-                component.telemetry = self
+        # The simulator declares which components are observable; the
+        # hub hooks each one rather than hand-listing them here.
+        for component in sim.observables.values():
+            component.telemetry = self
 
     def event(self, kind: str, **payload) -> None:
         """Record one structured event at the current cycle."""
-        ring = self.ring
-        if ring is None:
-            return
         record = {"cycle": self.now, "kind": kind}
         record.update(payload)
-        ring.emit(record)
+        self.ring.emit(record)
 
     # ------------------------------------------------------------------
     # Per-cycle path
@@ -274,11 +264,10 @@ class Telemetry:
         backend committed this cycle.
         """
         sampler = self.sampler
-        if sampler is not None:
-            committed = self._sim.backend.committed
-            if committed >= sampler.next_at:
-                sampler.sample(cycle, committed, self._sim.stats, measuring)
-        if not measuring or not self.config.accounting:
+        committed = self._sim.backend.committed
+        if committed >= sampler.next_at:
+            sampler.sample(cycle, committed, self._sim.stats, measuring)
+        if not measuring:
             return
         if retired >= self._retire_width:
             self.c_retiring += 1
@@ -352,13 +341,11 @@ class Telemetry:
             return
         self._finalized = True
         stats = sim.stats
-        if self.config.accounting:
-            for name, value in self.accounting().items():
-                stats.set(f"cyc_{name}", value)
+        for name, value in self.accounting().items():
+            stats.set(f"cyc_{name}", value)
         stats.set("prefetch_inflight_end", sim.memory.mshrs.inflight_prefetches())
         stats.set("prefetch_resident_end", sim.memory.untouched_prefetched_lines)
-        if self.sampler is not None:
-            self.sampler.sample(sim.cycle, sim.backend.committed, stats, sim._measuring)
+        self.sampler.sample(sim.cycle, sim.backend.committed, stats, sim._measuring)
         memory = sim.memory
         mshrs = memory.mshrs
         self._end_stats = (sim.warmup_stats, stats)
@@ -415,9 +402,9 @@ class Telemetry:
 
     def summary(self, result) -> dict:
         """One JSON-able report dict for a finished run."""
-        accounting = self.accounting() if self.config.accounting else {}
+        accounting = self.accounting()
         total = sum(accounting.values())
-        out = {
+        return {
             "workload": result.workload,
             "label": result.label,
             "instructions": result.instructions,
@@ -431,28 +418,26 @@ class Telemetry:
             "fdp_miss_exposure": result.miss_exposure(),
             "mshr": self._end_mshr,
             "caches": self._end_caches,
-            "samples": len(self.sampler.rows) if self.sampler is not None else 0,
-        }
-        if self.ring is not None:
-            out["events"] = {
+            "samples": len(self.sampler.rows),
+            "events": {
                 "emitted": self.ring.total,
                 "retained": min(self.ring.total, self.ring.capacity),
                 "capacity": self.ring.capacity,
                 "dropped": self.ring.dropped,
                 "by_kind": dict(sorted(self.ring.counts.items())),
-            }
-        return out
+            },
+        }
 
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------
     def write_events_jsonl(self, path: str | Path) -> Path:
         """Write retained events, one JSON object per line; returns the path."""
-        return _write_jsonl(path, self.ring.events() if self.ring is not None else [])
+        return _write_jsonl(path, self.ring.events())
 
     def write_timeseries_jsonl(self, path: str | Path) -> Path:
         """Write interval samples, one JSON object per line; returns the path."""
-        return _write_jsonl(path, self.sampler.rows if self.sampler is not None else [])
+        return _write_jsonl(path, self.sampler.rows)
 
 
 def _write_jsonl(path: str | Path, rows: list[dict]) -> Path:

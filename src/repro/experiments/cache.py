@@ -8,13 +8,18 @@ later invocation.  Keys are stable SHA-256 fingerprints of the
 identity), so equal-but-distinct param objects built through
 ``dataclasses.replace`` hash to the same entry.
 
-Layout: one pickle file per result under ``results/.cache/`` (override
-with ``REPRO_CACHE_DIR``), named ``<key>.pkl``.  Each payload carries a
-schema tag; entries written by an older schema are *stale* and treated
-as misses (and deleted on sight).  Bump :data:`SIM_SCHEMA_VERSION`
-whenever a change to the simulator, trace generators or predictors can
-alter results -- the key embeds it, so every old entry invalidates at
-once.
+Layout: one JSON document per result under ``results/.cache/``
+(override with ``REPRO_CACHE_DIR``), named ``<key>.json``.  It holds
+the run's provenance (:func:`build_manifest`), its parameters in their
+canonical encoding and its counters: data only, so a cache directory
+shared between machines executes nothing it reads.  An entry that is
+not valid JSON, lacks a field, carries another schema tag or another
+key is *stale*: a miss, deleted on sight.  Bump
+:data:`SIM_SCHEMA_VERSION` whenever a change to the simulator, trace
+generators or predictors can alter results -- the key embeds it, so
+every old entry invalidates at once.  Files an older version wrote
+(``<key>.pkl``, ``<key>.manifest.json``, ``traces/``) are never read,
+counted or deleted.
 
 Session counters (hits/misses/stale/stores plus the runner's memo and
 simulation counts) live in a :class:`repro.common.stats.StatSet`
@@ -28,16 +33,14 @@ import datetime
 import hashlib
 import json
 import os
-import pickle
 import platform as platform_mod
-import shutil
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 
 from repro import __version__ as repro_version
 from repro.common.log import get_logger
-from repro.common.params import SimParams
+from repro.common.params import SimParams, params_from_dict
 from repro.common.stats import StatSet
 from repro.core.metrics import RunResult
 from repro.core.typed import kernel_backend_for_params
@@ -194,18 +197,28 @@ def run_key(workload: WorkloadSource | WorkloadSpec | str, params: SimParams) ->
 run_key.cache_clear = _run_key_by_name.cache_clear  # type: ignore[attr-defined]
 
 
-MANIFEST_SCHEMA_VERSION = 2
-"""Schema tag of the provenance sidecar manifests (``<key>.manifest.json``)."""
+MANIFEST_SCHEMA_VERSION = 3
+"""Layout tag of a cache entry (see :func:`build_manifest`).
+
+v3: one ``<key>.json`` document per result holds its provenance, its
+canonical parameters and its counters; v2 paired a pickle with a
+``<key>.manifest.json`` provenance sidecar.
+"""
+
+_ENTRY_GLOB = "?" * 64 + ".json"
+"""Entry file names: the 64 hex digits of a key plus ``.json``.  An
+older version's ``<key>.manifest.json`` sidecar never matches."""
 
 
 def build_manifest(key: str, result: RunResult, meta: dict | None = None) -> dict:
-    """The provenance record written alongside one cached result.
+    """The JSON document cached for one result.
 
     Answers "where did this number come from" for a warm cache: what
     was simulated (workload, config digest, resolved warmup/check
     modes), by which code (simulation schema + package version), on
     what host, and at what cost (wall seconds, peak RSS, worker pid --
-    supplied by the runner through ``meta``).
+    supplied by the runner through ``meta``).  ``params`` (canonical
+    encoding) and ``counters`` hold the rest of the :class:`RunResult`.
     """
     params = result.params
     try:
@@ -251,31 +264,55 @@ def build_manifest(key: str, result: RunResult, meta: dict | None = None) -> dic
     }
     if meta:
         manifest.update(meta)
+    manifest["params"] = _canonical(params)
+    manifest["counters"] = result.stats.as_dict()
     return manifest
+
+
+def _result_of(entry: dict) -> RunResult:
+    """Rebuild the :class:`RunResult` an entry holds.
+
+    Raises ``KeyError``, ``TypeError`` or ``ValueError`` when the entry
+    lacks a field, a field has the wrong type or a schema tag differs.
+    """
+    if (entry["schema"], entry["manifest_schema"]) != (SIM_SCHEMA_VERSION, MANIFEST_SCHEMA_VERSION):
+        raise ValueError("entry written under another schema")
+    counters = entry["counters"]
+    if not isinstance(counters, dict):
+        raise TypeError("entry counters are not an object")
+    texts = (entry["key"], entry["workload"], entry["label"])
+    numbers = (entry["instructions"], entry["cycles"], *counters.values())
+    if not all(isinstance(t, str) for t in texts) or not all(type(n) is int for n in numbers):
+        raise TypeError("entry field of the wrong type")
+    stats = StatSet()
+    for name, value in counters.items():
+        stats.set(name, value)
+    return RunResult(
+        workload=entry["workload"],
+        label=entry["label"],
+        params=params_from_dict(entry["params"]),
+        instructions=entry["instructions"],
+        cycles=entry["cycles"],
+        stats=stats,
+    )
 
 
 # ----------------------------------------------------------------------
 # Disk cache
 # ----------------------------------------------------------------------
 class ResultCache:
-    """Pickle-per-entry result store keyed by :func:`run_key`.
-
-    Each stored result gets a human-readable provenance sidecar
-    (``<key>.manifest.json``, see :func:`build_manifest`), surfaced via
-    ``repro cache info --manifests``.  Manifests are best-effort
-    derived data: a missing or unreadable manifest never invalidates
-    its result entry.
-    """
+    """One JSON entry per result (:func:`build_manifest`), keyed by
+    :func:`run_key`; ``repro cache info --manifests`` lists them."""
 
     def __init__(self, directory: Path | str | None = None, stats: StatSet | None = None) -> None:
         self.directory = Path(directory) if directory is not None else default_cache_dir()
         self.stats = stats if stats is not None else CACHE_STATS
 
     def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.pkl"
+        return self.directory / f"{key}.json"
 
-    def _manifest_path(self, key: str) -> Path:
-        return self.directory / f"{key}.manifest.json"
+    def _entries(self):
+        return self.directory.glob(_ENTRY_GLOB)
 
     def contains(self, key: str) -> bool:
         """Whether an entry exists on disk, without loading it.
@@ -286,58 +323,48 @@ class ResultCache:
         return self._path(key).is_file()
 
     def get(self, key: str) -> RunResult | None:
-        """Load a cached result; None on miss or stale/corrupt entry.
+        """Load a cached result; None on miss or stale entry.
 
         An entry must carry the requested key: one stored under another
         key's file name (a copied or swapped file) is stale, logged
         with both keys and deleted, so the caller re-simulates.
         """
-        path = self._path(key)
         try:
-            with path.open("rb") as fh:
-                payload = pickle.load(fh)
-                bytes_read = fh.tell()
+            blob = self._path(key).read_bytes()
+            entry = json.loads(blob)
+            result = _result_of(entry)
         except FileNotFoundError:
             self.stats.bump("cache_disk_miss")
             return None
-        except Exception:
-            # Unreadable/corrupt entry: stale by definition.
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
+            # Unreadable, truncated or malformed entry: stale by definition.
             self._discard(key)
             return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != SIM_SCHEMA_VERSION
-            or not isinstance(payload.get("result"), RunResult)
-        ):
-            self._discard(key)
-            return None
-        if payload.get("key") != key:
+        if entry["key"] != key:
             log.warning(
-                "cache entry %s holds the result for key %s; discarding it", key, payload.get("key")
+                "cache entry %s holds the result for key %s; discarding it", key, entry["key"]
             )
             self._discard(key)
             return None
         self.stats.bump("cache_disk_hit")
-        self.stats.bump("cache_bytes_read", bytes_read)
-        return payload["result"]
+        self.stats.bump("cache_bytes_read", len(blob))
+        return result
 
     def _discard(self, key: str) -> None:
-        """Count a stale entry and delete it with its manifest."""
+        """Count a stale entry and delete it."""
         self.stats.bump("cache_stale")
         self._path(key).unlink(missing_ok=True)
-        self._manifest_path(key).unlink(missing_ok=True)
 
     def put(self, key: str, result: RunResult, meta: dict | None = None) -> None:
         """Store one result atomically (tmp file + rename).
 
         ``meta`` carries runner-supplied provenance fields (wall time,
-        peak RSS, worker pid) merged into the sidecar manifest.
+        peak RSS, worker pid) merged into the entry.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        payload = {"schema": SIM_SCHEMA_VERSION, "key": key, "result": result}
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = json.dumps(build_manifest(key, result, meta), indent=2).encode()
         try:
             tmp.write_bytes(blob)
             tmp.replace(path)
@@ -348,94 +375,41 @@ class ResultCache:
             return
         self.stats.bump("cache_store")
         self.stats.bump("cache_bytes_written", len(blob))
-        self._put_manifest(key, result, meta)
-
-    def _put_manifest(self, key: str, result: RunResult, meta: dict | None) -> None:
-        """Write the provenance sidecar (best-effort, atomic)."""
-        path = self._manifest_path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            tmp.write_text(
-                json.dumps(build_manifest(key, result, meta), indent=2, sort_keys=True)
-                + "\n"
-            )
-            tmp.replace(path)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-
-    def get_manifest(self, key: str) -> dict | None:
-        """Load one provenance manifest; None when absent or unreadable."""
-        try:
-            payload = json.loads(self._manifest_path(key).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        return payload if isinstance(payload, dict) else None
 
     def manifests(self) -> list[dict]:
-        """Every readable provenance manifest, newest first."""
-        if not self.directory.is_dir():
-            return []
+        """Every readable entry, newest first."""
         out = []
-        for path in self.directory.glob("*.manifest.json"):
+        for path in self._entries():
             try:
-                payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
+                entry = json.loads(path.read_bytes())
+            except (OSError, ValueError):
                 continue
-            if isinstance(payload, dict):
-                out.append(payload)
+            if isinstance(entry, dict):
+                out.append(entry)
         out.sort(key=lambda m: m.get("created_utc", ""), reverse=True)
         return out
 
-    def _traces_dir(self) -> Path:
-        """The trace chunk-artifact store (``traces/<digest>/``), written
-        by :mod:`repro.trace.champsim` under the same cache root."""
-        return self.directory / "traces"
-
     def clear(self) -> int:
-        """Delete every cache entry; returns the number removed.
-
-        Manifests, stray temp files and the ``traces/`` decode-artifact
-        store are removed too (all derived data; none count toward
-        ``removed``).
-        """
+        """Delete every entry and stray temp file; returns the number of
+        entries removed."""
         removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for path in self.directory.glob("*.pkl"):
+        for path in self._entries():
             path.unlink(missing_ok=True)
             removed += 1
-        for path in self.directory.glob("*.manifest.json"):
-            path.unlink(missing_ok=True)
         for path in self.directory.glob("*.tmp.*"):
             path.unlink(missing_ok=True)
-        shutil.rmtree(self._traces_dir(), ignore_errors=True)
         return removed
 
     def info(self) -> dict:
         """Entry count and total bytes on disk plus session counters."""
         entries = 0
         total_bytes = 0
-        manifests = 0
-        trace_files = 0
-        trace_bytes = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.pkl"):
-                try:
-                    total_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                entries += 1
-            manifests = sum(1 for _ in self.directory.glob("*.manifest.json"))
-        traces_dir = self._traces_dir()
-        if traces_dir.is_dir():
-            for path in traces_dir.rglob("*"):
-                try:
-                    if not path.is_file():
-                        continue
-                    trace_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                trace_files += 1
+        for path in self._entries():
+            try:
+                total_bytes += path.stat().st_size
+            except OSError:
+                continue
+            entries += 1
         session = self.stats.as_dict()
         hits = session.get("cache_disk_hit", 0) + session.get("cache_memo_hit", 0)
         lookups = hits + session.get("cache_disk_miss", 0)
@@ -443,10 +417,7 @@ class ResultCache:
             "directory": str(self.directory),
             "schema": SIM_SCHEMA_VERSION,
             "entries": entries,
-            "manifests": manifests,
             "total_bytes": total_bytes,
-            "trace_files": trace_files,
-            "trace_bytes": trace_bytes,
             "session": session,
             "session_hit_rate": (hits / lookups) if lookups else 0.0,
         }

@@ -19,16 +19,13 @@ does the same, vectorised over numpy record arrays.
 
 The pipeline is built for multi-GB files:
 
-* **chunked streaming decode** -- the (de)compressed byte stream is
-  consumed in fixed ``chunk_records`` slices; only the prefix the
-  requested window needs is ever decoded, and per-record validation
-  reports absolute record indices (truncated tail, corrupt record,
-  empty file) so a bad trace fails with a pinpoint message.
-* **content-addressed chunk artifacts** -- each decoded chunk is
-  persisted as an ``.npz`` under ``<result-cache>/traces/<digest>/``
-  keyed by the file's SHA-256 and the decoder version, so the second
-  run of the same trace reads arrays instead of re-decoding (the
-  acceptance contract for multi-GB inputs: one decode, ever).
+* **bounded chunked decode** -- the (de)compressed byte stream is
+  consumed in fixed ``chunk_records`` slices and decoding stops at the
+  first chunk boundary past the requested window, so a multi-GB file
+  costs only the prefix a run needs.  Nothing is persisted: each
+  process decodes its own prefix.  Per-record validation reports
+  absolute record indices (truncated tail, corrupt record, empty file)
+  so a bad trace fails with a pinpoint message.
 * **address remapping** -- trace IPs are variable-length x86 addresses;
   the simulator's ISA is fixed 4-byte.  Unique static IPs are ranked
   and remapped to ``base + 4*rank``, which preserves code locality and
@@ -48,7 +45,6 @@ from __future__ import annotations
 
 import gzip
 import hashlib
-import json
 import lzma
 import os
 from dataclasses import dataclass, field
@@ -63,7 +59,8 @@ from repro.trace.source import TRACE_SLACK, trace_name_for_path
 
 CHAMPSIM_DECODER_VERSION = 1
 """Bump when decode/classification/remap changes can alter the stream;
-invalidates every persisted chunk artifact at once."""
+it is part of every trace's workload fingerprint, so every cached
+result of a trace invalidates at once."""
 
 RECORD_BYTES = 64
 
@@ -186,7 +183,7 @@ def classify_records(records: np.ndarray, first_index: int) -> tuple[np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# Chunk artifact store
+# Chunked decode
 # ----------------------------------------------------------------------
 @dataclass
 class DecodedPrefix:
@@ -195,35 +192,26 @@ class DecodedPrefix:
     ips: np.ndarray
     kinds: np.ndarray
     takens: np.ndarray
-    complete: bool
-    """Whether the arrays cover the entire file (EOF reached)."""
 
     def __len__(self) -> int:
         return len(self.ips)
 
 
-def _chunk_cache_dir(digest: str) -> Path:
-    from repro.experiments.cache import default_cache_dir
-
-    return default_cache_dir() / "traces" / digest[:24]
-
-
-def _decode_stream(
-    path: Path, needed_records: int, chunk_records: int, sink=None
+def load_decoded_prefix(
+    path: str | Path, needed_records: int, chunk_records: int = DEFAULT_CHUNK_RECORDS
 ) -> DecodedPrefix:
     """Stream-decode a prefix of at least ``needed_records`` records.
 
-    Decoding always stops on a chunk boundary (or EOF) so persisted
-    artifacts are extendable; ``sink(chunk_index, ips, kinds, takens)``
-    receives each chunk as it is decoded.
+    Records are read and classified ``chunk_records`` at a time, and
+    decoding stops at the first chunk boundary past the window (or at
+    EOF); nothing is written anywhere.
     """
+    path = Path(path)
     chunk_bytes = chunk_records * RECORD_BYTES
     out_ips: list[np.ndarray] = []
     out_kinds: list[np.ndarray] = []
     out_takens: list[np.ndarray] = []
     decoded = 0
-    chunk_index = 0
-    complete = False
     try:
         fh = _open_trace(path)
     except OSError as exc:
@@ -237,7 +225,6 @@ def _decode_stream(
                     f"{path.name}: compressed stream error after record {decoded}: {exc}"
                 ) from exc
             if not blob:
-                complete = True
                 break
             extra = len(blob) % RECORD_BYTES
             if extra:
@@ -251,14 +238,8 @@ def _decode_stream(
             out_ips.append(ips)
             out_kinds.append(kinds)
             out_takens.append(takens)
-            if sink is not None:
-                sink(chunk_index, ips, kinds, takens)
             decoded += len(records)
-            chunk_index += 1
-            if len(blob) < chunk_bytes:
-                complete = True
-                break
-            if decoded >= needed_records:
+            if len(blob) < chunk_bytes or decoded >= needed_records:
                 break
     if decoded == 0:
         raise TraceFormatError(f"{path.name}: empty trace (contains no records)")
@@ -266,113 +247,7 @@ def _decode_stream(
         ips=np.concatenate(out_ips),
         kinds=np.concatenate(out_kinds),
         takens=np.concatenate(out_takens),
-        complete=complete,
     )
-
-
-def _load_meta(cache_dir: Path, digest: str, chunk_records: int) -> dict | None:
-    try:
-        meta = json.loads((cache_dir / "meta.json").read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if (
-        not isinstance(meta, dict)
-        or meta.get("decoder") != CHAMPSIM_DECODER_VERSION
-        or meta.get("digest") != digest
-        or meta.get("chunk_records") != chunk_records
-    ):
-        return None
-    return meta
-
-
-def _load_cached_prefix(
-    cache_dir: Path, meta: dict, needed_records: int
-) -> DecodedPrefix | None:
-    """Reassemble a prefix from persisted chunk artifacts; None if any
-    chunk is missing/unreadable (falls back to a fresh decode)."""
-    from repro.experiments.cache import CACHE_STATS
-
-    out_ips, out_kinds, out_takens = [], [], []
-    loaded = 0
-    for index in range(int(meta["chunks"])):
-        try:
-            with np.load(cache_dir / f"chunk-{index:06d}.npz") as npz:
-                out_ips.append(npz["ips"])
-                out_kinds.append(npz["kinds"])
-                out_takens.append(npz["takens"])
-        except (OSError, KeyError, ValueError):
-            return None
-        loaded += len(out_ips[-1])
-        if loaded >= needed_records:
-            break
-    CACHE_STATS.bump("trace_chunk_hit", index + 1)
-    return DecodedPrefix(
-        ips=np.concatenate(out_ips),
-        kinds=np.concatenate(out_kinds),
-        takens=np.concatenate(out_takens),
-        complete=bool(meta["complete"]) and loaded == int(meta["records"]),
-    )
-
-
-def load_decoded_prefix(
-    path: str | Path,
-    needed_records: int,
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    digest: str | None = None,
-    use_cache: bool = True,
-) -> DecodedPrefix:
-    """Decoded (ip, kind, taken) arrays covering ``needed_records`` (or EOF).
-
-    Chunk artifacts are read and written under the result cache when
-    enabled; ``use_cache=False`` forces a fresh end-to-end decode (the
-    differential oracle's independent derivation).
-    """
-    from repro.experiments.cache import CACHE_STATS, cache_enabled
-
-    path = Path(path)
-    if not use_cache or not cache_enabled():
-        prefix = _decode_stream(path, needed_records, chunk_records)
-        CACHE_STATS.bump("trace_records_decoded", len(prefix))
-        return prefix
-
-    digest = digest or file_digest(path)
-    cache_dir = _chunk_cache_dir(digest)
-    meta = _load_meta(cache_dir, digest, chunk_records)
-    if meta is not None and (meta["complete"] or meta["records"] >= needed_records):
-        cached = _load_cached_prefix(cache_dir, meta, needed_records)
-        if cached is not None:
-            return cached
-
-    cache_dir.mkdir(parents=True, exist_ok=True)
-
-    def sink(index: int, ips, kinds, takens) -> None:
-        target = cache_dir / f"chunk-{index:06d}.npz"
-        tmp = target.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, ips=ips, kinds=kinds, takens=takens)
-            tmp.replace(target)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-
-    prefix = _decode_stream(path, needed_records, chunk_records, sink=sink)
-    CACHE_STATS.bump("trace_records_decoded", len(prefix))
-    meta = {
-        "decoder": CHAMPSIM_DECODER_VERSION,
-        "digest": digest,
-        "source": str(path),
-        "chunk_records": chunk_records,
-        "chunks": (len(prefix) + chunk_records - 1) // chunk_records,
-        "records": len(prefix),
-        "complete": prefix.complete,
-    }
-    tmp = cache_dir / f"meta.tmp.{os.getpid()}"
-    try:
-        tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        tmp.replace(cache_dir / "meta.json")
-    except OSError:
-        tmp.unlink(missing_ok=True)
-    return prefix
 
 
 # ----------------------------------------------------------------------
@@ -543,38 +418,25 @@ class ChampSimTrace:
             self._digest = file_digest(self.path)
         return self._digest
 
+    def _decode(self, n_instructions: int) -> tuple[Program, OracleStream, dict]:
+        prefix = load_decoded_prefix(self.path, n_instructions + TRACE_SLACK + 1, self.chunk_records)
+        return build_workload(prefix, n_instructions)
+
     def materialize(self, n_instructions: int) -> tuple[Program, OracleStream]:
-        """Decode (via the chunk cache) and rebuild program + stream.
+        """Decode the window's prefix and rebuild program + stream.
 
         The stream carries up to :data:`TRACE_SLACK` instructions of
         run-ahead margin past ``n_instructions`` when the file is long
         enough; shorter files fail with the usable window named.
         """
-        prefix = load_decoded_prefix(
-            self.path,
-            n_instructions + TRACE_SLACK + 1,
-            chunk_records=self.chunk_records,
-            digest=self.digest(),
-        )
-        program, stream, anomalies = build_workload(prefix, n_instructions)
-        self._anomalies = anomalies
+        program, stream, self._anomalies = self._decode(n_instructions)
         program.fetch_meta()
         return program, stream
 
     def expected_stream(self, n_instructions: int) -> OracleStream:
-        """Independent re-decode for the differential oracle.
-
-        Bypasses the chunk-artifact cache entirely, so a corrupted
-        artifact (or a buggy cache layer) cannot agree with itself.
-        """
-        prefix = load_decoded_prefix(
-            self.path,
-            n_instructions + TRACE_SLACK + 1,
-            chunk_records=self.chunk_records,
-            use_cache=False,
-        )
-        _program, stream, _anomalies = build_workload(prefix, n_instructions)
-        return stream
+        """Independent re-decode of the file for the differential oracle
+        (never the object :meth:`materialize` returned)."""
+        return self._decode(n_instructions)[1]
 
     def fingerprint_data(self) -> dict:
         return {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import tempfile
 
 import pytest
@@ -43,6 +44,20 @@ def _clean_repro_env(monkeypatch):
                  "REPRO_WORKLOADS", "REPRO_WARMUP", "REPRO_SIM", "REPRO_LEDGER",
                  "REPRO_TRACES"):
         monkeypatch.delenv(name, raising=False)
+
+
+@pytest.fixture
+def repro_records(monkeypatch):
+    """Let ``repro`` log records reach ``caplog``, also in a test run alone.
+
+    :func:`repro.common.log.configure` stops the ``repro`` logger
+    propagating to the root logger, where ``caplog`` listens.  Configure
+    first, as the CLI's ``main`` does, then let records propagate.
+    """
+    from repro.common.log import configure
+
+    configure()
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
 
 
 @pytest.fixture(autouse=True)

@@ -139,7 +139,7 @@ class TestDecodeErrors:
         path = tmp_path / "empty.champsim"
         path.write_bytes(b"")
         with pytest.raises(TraceFormatError, match="empty trace"):
-            load_decoded_prefix(path, 100, use_cache=False)
+            load_decoded_prefix(path, 100)
 
     def test_truncated_file(self, tmp_path):
         records = encode_stream(small_stream(500))
@@ -147,7 +147,7 @@ class TestDecodeErrors:
         path = tmp_path / "cut.champsim"
         path.write_bytes(blob)
         with pytest.raises(TraceFormatError, match=r"truncated trace: 57 trailing byte"):
-            load_decoded_prefix(path, len(records), use_cache=False)
+            load_decoded_prefix(path, len(records))
 
     def test_corrupt_record_is_pinpointed(self, tmp_path):
         records = encode_stream(small_stream(500)).copy()
@@ -155,7 +155,7 @@ class TestDecodeErrors:
         path = tmp_path / "bad.champsim"
         path.write_bytes(records.tobytes())
         with pytest.raises(TraceFormatError, match=r"corrupt record #123"):
-            load_decoded_prefix(path, len(records), use_cache=False)
+            load_decoded_prefix(path, len(records))
 
     def test_corrupt_record_index_is_absolute_across_chunks(self, tmp_path):
         records = encode_stream(small_stream(500)).copy()
@@ -163,13 +163,13 @@ class TestDecodeErrors:
         path = tmp_path / "bad2.champsim"
         path.write_bytes(records.tobytes())
         with pytest.raises(TraceFormatError, match=r"corrupt record #200"):
-            load_decoded_prefix(path, len(records), chunk_records=64, use_cache=False)
+            load_decoded_prefix(path, len(records), chunk_records=64)
 
     def test_corrupt_compressed_stream(self, tmp_path):
         path = tmp_path / "garbage.champsim.xz"
         path.write_bytes(b"\xfd7zXZ\x00" + b"\x00" * 64)
         with pytest.raises(TraceFormatError, match="compressed stream error"):
-            load_decoded_prefix(path, 10, use_cache=False)
+            load_decoded_prefix(path, 10)
 
     def test_window_longer_than_trace(self, tmp_path):
         path, _ = small_trace_file(tmp_path, n=3_000)
@@ -181,13 +181,13 @@ class TestDecodeErrors:
         records = encode_stream(small_stream(500))[:1]
         path = tmp_path / "one.champsim"
         path.write_bytes(records.tobytes())
-        prefix = load_decoded_prefix(path, 10, use_cache=False)
+        prefix = load_decoded_prefix(path, 10)
         with pytest.raises(TraceFormatError, match="at least 2 records"):
             build_workload(prefix, 1)
 
 
 # ----------------------------------------------------------------------
-# Chunked decode and the artifact cache
+# Chunked decode
 # ----------------------------------------------------------------------
 class TestChunking:
     def test_chunk_boundary_branch_is_seamless(self, tmp_path):
@@ -197,50 +197,23 @@ class TestChunking:
         chunked = ChampSimTrace(str(path), name="web1c", chunk_records=64).materialize(1_200)[1]
         assert structure(chunked) == structure(whole)
 
-    def test_decode_artifacts_cache_hit_on_second_load(self, tmp_path):
-        from repro.experiments.cache import CACHE_STATS
-
-        path, _ = small_trace_file(tmp_path, n=2_000)
-        before = CACHE_STATS.as_dict().get("trace_records_decoded", 0)
-        ChampSimTrace(str(path)).materialize(1_200)
-        decoded_once = CACHE_STATS.as_dict().get("trace_records_decoded", 0)
-        assert decoded_once > before
-        # A brand-new source object for the same file: chunks served
-        # from the artifact store, zero records re-decoded.
-        ChampSimTrace(str(path)).materialize(1_200)
-        after = CACHE_STATS.as_dict()
-        assert after.get("trace_records_decoded", 0) == decoded_once
-        assert after.get("trace_chunk_hit", 0) >= 1
-
     def test_prefix_extension_redecodes(self, tmp_path):
-        """Asking for a longer window than the cached prefix re-decodes."""
+        """A longer window decodes further, and its prefix agrees."""
         path, _ = small_trace_file(tmp_path, n=3_500)
-        short = load_decoded_prefix(path, 512, chunk_records=256)
-        assert len(short) == 512 and not short.complete
+        short = load_decoded_prefix(path, 300, chunk_records=256)
+        assert len(short) == 512  # stops at the first chunk boundary past the window
         longer = load_decoded_prefix(path, 3_000, chunk_records=256)
         assert len(longer) >= 3_000
         assert np.array_equal(longer.ips[:512], short.ips)
 
-    def test_cache_disabled_writes_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
+    def test_decode_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         path, _ = small_trace_file(tmp_path, n=2_000)
-        ChampSimTrace(str(path)).materialize(1_000)
-        assert not (tmp_path / "cache" / "traces").exists()
-
-    def test_cache_info_and_clear_cover_trace_artifacts(self, tmp_path, monkeypatch):
-        from repro.experiments.cache import ResultCache
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        path, _ = small_trace_file(tmp_path, n=2_000)
-        ChampSimTrace(str(path)).materialize(1_000)
-        cache = ResultCache()
-        info = cache.info()
-        assert info["trace_files"] > 0
-        assert info["trace_bytes"] > 0
-        cache.clear()
-        info = cache.info()
-        assert info["trace_files"] == 0 and info["trace_bytes"] == 0
+        source = ChampSimTrace(str(path))
+        source.materialize(1_000)
+        source.expected_stream(1_000)
+        assert not (tmp_path / "cache").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +225,7 @@ class TestRoundTrip:
         stream = small_stream(3_000)
         path = write_champsim_trace(tmp_path / f"rt.{suffix}", stream)
         n = stream.total_instructions - 1  # final record only carries a target
-        prefix = load_decoded_prefix(path, n + 1, use_cache=False)
+        prefix = load_decoded_prefix(path, n + 1)
         _program, decoded, anomalies = build_workload(prefix, n)
         assert decoded.total_instructions == n
         # The synthetic encoder emits unambiguous patterns: a clean
@@ -452,7 +425,7 @@ class TestTraceSweeps:
         assert evaluation_workloads() == ["srv_web", "golden"]
 
     def test_manifest_records_workload_source(self, monkeypatch, tmp_path):
-        from repro.experiments.cache import ResultCache, build_manifest, run_key
+        from repro.experiments.cache import build_manifest, run_key
 
         register_workload(ChampSimTrace(str(GOLDEN)))
         result = simulate("golden", fast())

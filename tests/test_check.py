@@ -23,11 +23,11 @@ from repro.check.differential import flatten_branches
 from repro.check.fuzz import FuzzTrial, fuzz, random_params, random_spec, run_trial
 from repro.check.reproducer import (
     failure_to_dict,
-    params_from_dict,
     params_to_dict,
     spec_from_dict,
     spec_to_dict,
 )
+from repro.common.params import params_from_dict
 from repro.core.simulator import Simulator
 from repro.isa.instructions import BranchKind
 from repro.trace.oracle import run_oracle

@@ -184,10 +184,7 @@ class TestBadWorkload:
     """An unknown workload name or a malformed trace file exits 2 with
     one error line, never a traceback."""
 
-    def _run(self, command, workload, tmp_path, caplog, monkeypatch):
-        # configure() stops the repro logger propagating to the root,
-        # where caplog listens; let records through for this test.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    def _run(self, command, workload, tmp_path, caplog):
         argv = [a.format(out=tmp_path / "out") for a in BAD_WORKLOAD_COMMANDS[command]]
         with caplog.at_level(logging.ERROR, logger="repro"):
             assert main([*argv, workload]) == 2
@@ -199,15 +196,15 @@ class TestBadWorkload:
     # ``check`` and ``workload info`` name-check up front; their unknown
     # names are covered in TestCheckCommand and tests/test_champsim.py.
     @pytest.mark.parametrize("command", ["run", "trace", "profile"])
-    def test_unknown_name(self, command, tmp_path, caplog, monkeypatch):
-        message = self._run(command, "nope", tmp_path, caplog, monkeypatch)
+    def test_unknown_name(self, command, tmp_path, caplog, repro_records):
+        message = self._run(command, "nope", tmp_path, caplog)
         assert "nope" in message
 
     @pytest.mark.parametrize("command", BAD_WORKLOAD_COMMANDS)
-    def test_junk_trace_file(self, command, tmp_path, caplog, monkeypatch):
+    def test_junk_trace_file(self, command, tmp_path, caplog, repro_records):
         junk = tmp_path / "junk.champsim"
         junk.write_bytes(bytes(range(35)))
-        message = self._run(command, str(junk), tmp_path, caplog, monkeypatch)
+        message = self._run(command, str(junk), tmp_path, caplog)
         assert "junk.champsim" in message and "truncated" in message
 
 
@@ -232,8 +229,7 @@ class TestBadFlagValue:
             "check-instructions", "check-warmup",
         ],
     )
-    def test_one_line_and_exit_2(self, argv, expected, tmp_path, caplog, monkeypatch, capsys):
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    def test_one_line_and_exit_2(self, argv, expected, tmp_path, caplog, repro_records, capsys):
         argv = [a.format(out=tmp_path / "out") for a in argv]
         with caplog.at_level(logging.ERROR, logger="repro"):
             assert main(argv) == 2

@@ -275,10 +275,12 @@ class TestManifests:
         import repro.experiments.runner as runner
 
         params = runner._resolve(fast())
-        run_config("spc_fp", fast())
+        result = run_config("spc_fp", fast())
         key = run_key("spc_fp", params)
-        m = ResultCache().get_manifest(key)
-        assert m is not None and m["key"] == key
+        cache = ResultCache()
+        m = json.loads((cache.directory / f"{key}.json").read_text())
+        assert m["key"] == key and m["label"] == result.label
+        assert m["counters"] == result.stats.as_dict()
 
     def test_prefetcher_sweep_manifest_per_point(self):
         # Prefetcher configs take the typed kernel, and each point is
@@ -293,16 +295,16 @@ class TestManifests:
     def test_clear_removes_manifests(self):
         run_config("spc_fp", fast())
         cache = ResultCache()
-        assert cache.info()["manifests"] == 1
+        assert len(cache.manifests()) == cache.info()["entries"] == 1
         cache.clear()
-        assert cache.info()["manifests"] == 0
+        assert cache.info()["entries"] == 0
         assert cache.manifests() == []
 
     def test_info_counts_and_hit_rate(self):
         run_config("spc_fp", fast())
         run_config("spc_fp", fast())  # memo hit
         info = ResultCache().info()
-        assert info["manifests"] == info["entries"] == 1
+        assert info["entries"] == 1
         assert 0.0 <= info["session_hit_rate"] <= 1.0
 
 

@@ -143,11 +143,8 @@ class TestBadTrace:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_point_fails_once_and_the_ledger_ends(
-        self, jobs, junk, ledger_events, caplog, monkeypatch
+        self, jobs, junk, ledger_events, caplog, repro_records
     ):
-        # configure() stops the repro logger propagating to the root,
-        # where caplog listens; let records through for this test.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
         with caplog.at_level(logging.ERROR, logger="repro"):
             with pytest.raises(TraceFormatError):
                 run_points(fdp_points(junk), jobs=jobs)

@@ -1,8 +1,8 @@
 """Tests for the persistent content-addressed result cache."""
 
 import dataclasses
+import json
 import logging
-import pickle
 import shutil
 
 import pytest
@@ -13,6 +13,7 @@ from repro.core.metrics import RunResult
 from repro.experiments import runner
 from repro.experiments.cache import (
     CACHE_STATS,
+    MANIFEST_SCHEMA_VERSION,
     SIM_SCHEMA_VERSION,
     ResultCache,
     cache_enabled,
@@ -43,7 +44,26 @@ def make_result(params=None) -> RunResult:
 
 def _btb_entries(path) -> int:
     """BTB size of the run a cache entry file holds."""
-    return pickle.loads(path.read_bytes())["result"].params.branch.btb_entries
+    return json.loads(path.read_text())["params"]["branch"]["btb_entries"]
+
+
+def _edited(text: str, change) -> str:
+    """An entry's text after ``change`` mutates its JSON document."""
+    entry = json.loads(text)
+    change(entry)
+    return json.dumps(entry)
+
+
+MALFORMED_ENTRIES = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "not_an_object": lambda text: json.dumps([json.loads(text)]),
+    "no_counters": lambda text: _edited(text, lambda e: e.pop("counters")),
+    "counter_pairs": lambda text: _edited(text, lambda e: e.update(counters=[["l1i_miss", 42]])),
+    "float_counter": lambda text: _edited(text, lambda e: e["counters"].update(l1i_miss=42.5)),
+    "string_counter": lambda text: _edited(text, lambda e: e["counters"].update(l1i_miss="42")),
+    "no_params": lambda text: _edited(text, lambda e: e.pop("params")),
+}
+"""Ways an entry's text can be damaged; each must read as stale."""
 
 
 class TestFingerprints:
@@ -90,49 +110,99 @@ class TestResultCache:
         loaded = cache.get(key)
         assert stats.get("cache_disk_hit") == 1
         assert loaded is not None
+        assert loaded.workload == result.workload
+        assert loaded.label == result.label
         assert loaded.instructions == result.instructions
         assert loaded.cycles == result.cycles
         assert loaded.stats.as_dict() == result.stats.as_dict()
         assert loaded.params == result.params
 
+    def test_one_put_leaves_one_file(self, tmp_path):
+        cache = ResultCache(tmp_path, stats=StatSet())
+        key = run_key("spc_fp", fast())
+        cache.put(key, make_result(), meta={"wall_seconds": 0.5})
+        [path] = tmp_path.iterdir()
+        assert path.name == f"{key}.json"
+        entry = json.loads(path.read_text())
+        assert entry["key"] == key and entry["wall_seconds"] == 0.5
+        assert entry["counters"] == {"l1i_miss": 42}
+
     def test_schema_mismatch_is_stale(self, tmp_path):
         stats = StatSet()
         cache = ResultCache(tmp_path, stats=stats)
         key = run_key("spc_fp", fast())
-        path = tmp_path / f"{key}.pkl"
-        payload = {"schema": SIM_SCHEMA_VERSION + 1, "key": key, "result": make_result()}
-        with path.open("wb") as fh:
-            pickle.dump(payload, fh)
+        path = tmp_path / f"{key}.json"
+        tags = {"schema": SIM_SCHEMA_VERSION, "manifest_schema": MANIFEST_SCHEMA_VERSION}
+        for n, (tag, version) in enumerate(tags.items(), 1):
+            cache.put(key, make_result())
+            path.write_text(_edited(path.read_text(), lambda e: e.update({tag: version + 1})))
 
-        assert cache.get(key) is None
-        assert stats.get("cache_stale") == 1
-        assert not path.exists()  # stale entries are evicted on sight
+            assert cache.get(key) is None
+            assert stats.get("cache_stale") == n
+            assert not path.exists()  # stale entries are evicted on sight
 
     def test_corrupt_entry_is_stale(self, tmp_path):
         stats = StatSet()
         cache = ResultCache(tmp_path, stats=stats)
         key = run_key("spc_fp", fast())
-        (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
+        (tmp_path / f"{key}.json").write_bytes(b"not json")
 
         assert cache.get(key) is None
         assert stats.get("cache_stale") == 1
-        assert not (tmp_path / f"{key}.pkl").exists()
+        assert not (tmp_path / f"{key}.json").exists()
 
-    def test_swapped_entry_is_stale(self, tmp_path, caplog, monkeypatch):
-        # configure() stops the repro logger propagating to the root,
-        # where caplog listens; let records through for this test.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    @pytest.mark.parametrize("damage", MALFORMED_ENTRIES)
+    def test_malformed_entry_is_stale(self, tmp_path, damage):
+        stats = StatSet()
+        cache = ResultCache(tmp_path, stats=stats)
+        key = run_key("spc_fp", fast())
+        cache.put(key, make_result())
+        path = tmp_path / f"{key}.json"
+        path.write_text(MALFORMED_ENTRIES[damage](path.read_text()))
+
+        assert cache.get(key) is None
+        assert stats.get("cache_stale") == 1
+        assert not path.exists()
+
+    def test_older_version_files_are_inert(self, tmp_path):
+        # An older version wrote a pickle, a provenance sidecar and
+        # ChampSim chunk artifacts per trace; none of them is an entry.
+        stats = StatSet()
+        cache = ResultCache(tmp_path, stats=stats)
+        key = run_key("spc_fp", fast())
+        old = [
+            tmp_path / f"{key}.pkl",
+            tmp_path / f"{key}.manifest.json",
+            tmp_path / "traces" / "0123abcd" / "chunk-000000.npz",
+            tmp_path / "traces" / "0123abcd" / "meta.json",
+        ]
+        old[0].write_bytes(b"\x80\x05not read")
+        old[1].write_text(json.dumps({"manifest_schema": 2, "key": key, "workload": "spc_fp"}))
+        old[2].parent.mkdir(parents=True)
+        old[2].write_bytes(b"PK")
+        old[3].write_text("{}")
+
+        info = cache.info()
+        assert info["entries"] == 0 and info["total_bytes"] == 0
+        assert cache.manifests() == []
+        assert not cache.contains(key)
+        assert cache.get(key) is None
+        assert stats.get("cache_disk_miss") == 1 and stats.get("cache_stale") == 0
+        assert cache.clear() == 0
+        assert all(path.exists() for path in old)
+
+    def test_swapped_entry_is_stale(self, tmp_path, caplog, repro_records):
         stats = StatSet()
         cache = ResultCache(tmp_path, stats=stats)
         key_a = run_key("spc_fp", fast())
         key_b = run_key("spc_fp", fast().with_branch(btb_entries=1024))
         cache.put(key_a, make_result())
-        shutil.copyfile(tmp_path / f"{key_a}.pkl", tmp_path / f"{key_b}.pkl")
+        shutil.copyfile(tmp_path / f"{key_a}.json", tmp_path / f"{key_b}.json")
 
         with caplog.at_level(logging.WARNING, logger="repro"):
             assert cache.get(key_b) is None
         assert stats.get("cache_stale") == 1
-        assert not (tmp_path / f"{key_b}.pkl").exists()
+        assert not (tmp_path / f"{key_b}.json").exists()
         [record] = [r for r in caplog.records if r.name == "repro.experiments.cache"]
         assert key_a in record.getMessage() and key_b in record.getMessage()
         assert cache.get(key_a) is not None  # the genuine entry still serves
@@ -144,7 +214,7 @@ class TestResultCache:
         runner.clear_cache()
         want_b = runner.run_config("spc_fp", params_b)
         runner.run_config("spc_fp", params_a)
-        paths = {_btb_entries(path): path for path in tmp_path.glob("*.pkl")}
+        paths = {_btb_entries(path): path for path in tmp_path.glob("*.json")}
         path_a, path_b = paths[params_a.branch.btb_entries], paths[1024]
         shutil.copyfile(path_a, path_b)
 

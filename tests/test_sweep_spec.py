@@ -34,7 +34,6 @@ from repro.check.sweepdiff import (
 )
 from repro.cli import main
 from repro.common.ledger import read_ledger
-from repro.common.log import configure as configure_logging
 from repro.common.params import SimParams
 from repro.experiments import figures, runner
 from repro.experiments.cache import run_key
@@ -166,14 +165,10 @@ class TestParse:
         ],
     )
     def test_misspelled_component_fails_in_one_line(
-        self, key, value, known, tmp_path, caplog, monkeypatch, capsys
+        self, key, value, known, tmp_path, caplog, repro_records, capsys
     ):
         base = {"warmup_instructions": 300, "sim_instructions": 1500, key: value}
         path = write_spec(tmp_path, spec_data(base=base))
-        # configure() stops the repro logger propagating to the root,
-        # where caplog listens; configure first, then let records through.
-        configure_logging()
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
         with caplog.at_level(logging.ERROR, logger="repro"):
             assert main(["sweep", str(path), "--dry-run"]) == 2
         [record] = [r for r in caplog.records if r.levelno >= logging.ERROR]
@@ -481,7 +476,7 @@ class TestEquivalenceHarness:
         assert "bit-identical" in capsys.readouterr().out
         assert main(["check", "--sweep", str(tmp_path / "nope.json")]) == 2
 
-    def test_clean_check_logs_no_warning(self, tmp_path, caplog, monkeypatch):
+    def test_clean_check_logs_no_warning(self, tmp_path, caplog, repro_records):
         # The resume strategy stops a sweep half-way on purpose; that
         # requested stop logs at INFO, so a passing harness logs no
         # WARNING that would read like a failed sweep.
@@ -492,9 +487,6 @@ class TestEquivalenceHarness:
             exclude=[],
         )
         path = write_spec(tmp_path, data)
-        # configure() stops the repro logger propagating to the root,
-        # where caplog listens; let records through for this test.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
         with caplog.at_level(logging.INFO, logger="repro"):
             assert main(["--log-level", "info", "check", "--sweep", str(path)]) == 0
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []

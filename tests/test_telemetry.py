@@ -208,15 +208,6 @@ class TestTelemetryLifecycle:
         with pytest.raises(ValueError):
             TelemetryConfig(ring_capacity=0)
 
-    def test_disabled_pieces_stay_off(self):
-        tel, result = traced_run(
-            "srv_web", fast_params(), accounting=False, sampling=False, events=False
-        )
-        assert tel.ring is None
-        assert tel.sampler is None
-        assert sum(tel.accounting().values()) == 0
-        assert not result.has_cycle_accounting
-
     def test_summary_is_json_able(self):
         params = fast_params(replace=dict(prefetcher="nl1"))
         tel, result = traced_run("srv_web", params)

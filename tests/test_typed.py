@@ -258,10 +258,7 @@ class TestRunRecordsBackend:
         sim.run(WORKLOAD)
         assert sim.kernel_backend == "interp"
 
-    def test_fallback_reason_logged(self, caplog, monkeypatch):
-        # configure() stops the repro logger propagating to the root,
-        # where caplog listens; let records through for this test.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    def test_fallback_reason_logged(self, caplog, repro_records):
         program, stream = make_trace(WORKLOAD, 2_500)
         sim = Simulator(fast(check_invariants=True), program, stream)
         with caplog.at_level(logging.DEBUG, logger="repro"):
@@ -273,8 +270,7 @@ class TestRunRecordsBackend:
         assert WORKLOAD in message and "checker" in message
         assert supported(sim)[1] in message
 
-    def test_typed_and_reference_runs_log_nothing(self, caplog, monkeypatch):
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    def test_typed_and_reference_runs_log_nothing(self, caplog, repro_records):
         program, stream = make_trace(WORKLOAD, 2_500)
         with caplog.at_level(logging.DEBUG, logger="repro"):
             Simulator(fast(), program, stream).run(WORKLOAD)

@@ -139,9 +139,8 @@ class TestCollectorPause:
 
     def test_materialisation_leaves_no_repro_cyclic_garbage(self):
         """Nothing relies on the collector the pause defers: building a
-        catalogue shape, a fuzz spec and the golden ChampSim trace (twice,
-        so the second decode reads the chunk cache) creates no cycle of
-        ``repro`` objects."""
+        catalogue shape, a fuzz spec and the golden ChampSim trace creates
+        no cycle of ``repro`` objects."""
         from repro.check.fuzz import build_trial
 
         trial = build_trial(3)
@@ -158,7 +157,6 @@ class TestCollectorPause:
             for source in (
                 _unregistered("gc_garbage_probe", "clt_browser"),
                 fuzz_shape,
-                ChampSimTrace(str(GOLDEN_CHAMPSIM)),
                 ChampSimTrace(str(GOLDEN_CHAMPSIM)),
             ):
                 make_trace(source, 1_000)
