@@ -6,19 +6,24 @@ with increasing history lengths that capture correlated target
 sequences (e.g. round-robin dispatch).  The BTB supplies a fallback
 target when ITTAGE has nothing.
 
-Each lookup folds the history once for all tagged tables
-(:meth:`ITTAGE._folds`) and ``update`` reuses that fold for its
+Each lookup fetches the folds of the history once for all tagged
+tables (:meth:`ITTAGE._folds`) and ``update`` reuses them for its
 re-prediction, provider walk and allocation.  Like TAGE, ITTAGE reads
 the folds of the stream's committed-path histories from bulk rows
-(:meth:`ITTAGE.use_arch_histories`) and folds only the other histories
-in software.
+(:meth:`ITTAGE.use_arch_histories`), and every other history's from
+the stream's fold store for its geometry
+(:meth:`ITTAGE.use_fold_store`), which folds each of them once per
+trace and keeps the row.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.common.bits import fold, mix64
+from repro.branch.tage import FOLD_STORE_MAX
+from repro.common.bits import fold, mix64, row_typecode
 
 _CONF_MAX = 3
 
@@ -53,6 +58,8 @@ class ITTAGE:
         self._tag_mask = (1 << self.TAG_BITS) - 1
         self._arch_index: dict[int, int] = {}
         self._arch_rows = None
+        self._fold_store: dict[int, array] = {}
+        self._fold_code = row_typecode(self._idx_bits, self._tag_bits)
         self.predictions = 0
         self.updates = 0
 
@@ -62,19 +69,34 @@ class ITTAGE:
         self._arch_index = arch.index
         self._arch_rows = arch.fold_rows(self.lengths, self._idx_bits, self._tag_bits)
 
-    def _folds(self, hist: int) -> tuple[int, ...]:
+    def use_fold_store(self, meta) -> None:
+        """Keep software folds in the stream's fold store for this
+        geometry (see :meth:`repro.branch.tage.TAGE.use_fold_store`)."""
+        self._fold_store = meta.fold_store(self.lengths, self._idx_bits, self._tag_bits)
+
+    def _folds(self, hist: int) -> Sequence[int]:
         """Per-table ``(index_fold, tag_fold)`` of the masked history,
-        flattened as in :meth:`repro.branch.tage.TAGE._folds`."""
+        flattened and looked up as in :meth:`repro.branch.tage.TAGE._folds`."""
         row = self._arch_index.get(hist)
         if row is not None:
-            return tuple(self._arch_rows[row].tolist())
+            return self._arch_rows[row].tolist()
+        store = self._fold_store
+        folds = store.get(hist)
+        if folds is None:
+            if len(store) >= FOLD_STORE_MAX:
+                store.clear()
+            folds = store[hist] = array(self._fold_code, self._scalar_folds(hist))
+        return folds
+
+    def _scalar_folds(self, hist: int) -> list[int]:
+        """:meth:`_folds` by :func:`~repro.common.bits.fold`, table by table."""
         idx_bits = self._idx_bits
         tag_bits = self._tag_bits
         folds: list[int] = []
         for mask in self._hist_masks:
             masked = hist & mask
             folds += (fold(masked, idx_bits), fold(masked * 3, tag_bits))
-        return tuple(folds)
+        return folds
 
     def _index_and_tag(self, table: int, pc: int, folds) -> tuple[int, int]:
         pc_mix = mix64(pc >> 2) ^ (table * 0x85EBCA6B)

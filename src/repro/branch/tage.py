@@ -8,21 +8,25 @@ an 18KB TAGE with 260-bit taken-only target history; Fig 12 sweeps
 Simulation notes:
 
 * History is the :mod:`repro.branch.history` int; per-table indices and
-  tags are hashes of (pc, masked history).  The masked-history folds are
-  cached per history value because between taken branches every slot
-  shares the same history (paper footnote 1), so consecutive lookups
-  hit the cache.
-* A history missing from that cache is looked up next in the fold rows
-  of the stream's committed-path histories
+  tags are hashes of (pc, masked history).  The folds of a history are
+  one flat row, table ``t``'s ``(index, tag)`` pair at ``[2t]`` and
+  ``[2t + 1]``.
+* :meth:`TAGE._folds` reads a history's row from the fold rows of the
+  stream's committed-path histories first
   (:class:`repro.trace.fbmeta.ArchHistories`, attached by
   :meth:`TAGE.use_arch_histories`), folded in bulk once per trace.
   Under THR and Ideal they hold every history commit training passes
-  in and every correct-path history the frontend predicts with; only
-  wrong-path histories, and the direction histories of GHR0-3, fold
-  here in software.
-* Folds are flat tuples, table ``t``'s ``(index, tag)`` pair at
-  ``[2t]`` and ``[2t + 1]``: one object per history, which the cyclic
-  GC stops tracking, so a full fold cache adds no GC work.
+  in and every correct-path history the frontend predicts with.
+* Every other history (a wrong-path history, or any direction history
+  of GHR0-3) is folded in software once per trace and geometry: the
+  stream's fold store (:meth:`repro.trace.fbmeta.StreamMeta.fold_store`,
+  attached by :meth:`TAGE.use_fold_store`) keeps its row, and every
+  TAGE of the geometry on the stream reads it from there.  A fold
+  depends on the history and the geometry alone, so sharing rows
+  cannot change a result, and the same wrong paths recur on every
+  simulation of a trace.  A stored row is an ``array`` of the folds:
+  compact, and invisible to the cyclic GC.  At most
+  :data:`FOLD_STORE_MAX` rows are kept per store.
 * For the software folds, each table whose history fits in
   :data:`_MEMO_MAX_BITS` bits also memoises its ``(index, tag)`` fold
   pair by masked history.  A short table sees few distinct masked
@@ -51,9 +55,10 @@ Simulation notes:
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.common.bits import fold, mix64
+from repro.common.bits import fold, mix64, row_typecode
 from repro.isa.instructions import BranchKind
 
 _CTR_MAX = 3  # 3-bit signed counter in [-4, 3]
@@ -61,6 +66,8 @@ _CTR_MIN = -4
 _U_MAX = 3
 _MEMO_MAX_BITS = 16
 """Longest table history whose fold pairs are memoised per table."""
+FOLD_STORE_MAX = 8192
+"""Most rows one fold store keeps; a full store starts over empty."""
 NEVER = 2**31 - 1
 """``TageRecord.last_writer`` of a branch the record does not serve."""
 
@@ -133,7 +140,8 @@ class TAGE:
         "_bimodal_mask",
         "_use_alt_on_na",
         "_tick",
-        "_fold_cache",
+        "_fold_store",
+        "_fold_code",
         "_fold_plan",
         "_arch_index",
         "_arch_rows",
@@ -165,7 +173,8 @@ class TAGE:
         self._bimodal_mask = config.bimodal_entries - 1
         self._use_alt_on_na = 0  # in [-8, 7]
         self._tick = 0
-        self._fold_cache: dict[int, tuple[int, ...]] = {}
+        self._fold_store: dict[int, array] = {}
+        self._fold_code = row_typecode(self._idx_bits, self._tag_bits)
         # Per table: (history mask, fold-pair memo, or None to fold directly).
         self._fold_plan: list[tuple[int, dict[int, tuple[int, int]] | None]] = [
             (mask, {} if length <= _MEMO_MAX_BITS else None)
@@ -196,6 +205,13 @@ class TAGE:
         self._arch_index = arch.index
         self._arch_rows = arch.fold_rows(self.lengths, self._idx_bits, self._tag_bits)
 
+    def use_fold_store(self, meta) -> None:
+        """Keep software folds in the fold store of ``meta`` (the
+        stream's :class:`~repro.trace.fbmeta.StreamMeta`) for this
+        geometry, shared by every TAGE of the geometry on the stream.
+        Unattached, a TAGE keeps them in a store of its own."""
+        self._fold_store = meta.fold_store(self.lengths, self._idx_bits, self._tag_bits)
+
     def bind_record(self, record: TageRecord) -> None:
         """Train from ``record`` from now on (see :meth:`update`).
 
@@ -218,23 +234,25 @@ class TAGE:
             (1 << record.index_bits) - 1,
         )
 
-    def _folds(self, hist: int) -> tuple[int, ...]:
+    def _folds(self, hist: int) -> Sequence[int]:
         """Per-table ``(index_fold, tag_fold)`` of the masked history,
-        flattened: table ``t``'s pair is at ``[2t]`` and ``[2t + 1]``."""
-        cached = self._fold_cache.get(hist)
-        if cached is not None:
-            return cached
+        flattened: table ``t``'s pair is at ``[2t]`` and ``[2t + 1]``.
+
+        Read from the bulk rows, else from the fold store, else folded
+        by :meth:`_scalar_folds` and kept in the store.
+        """
         row = self._arch_index.get(hist)
         if row is not None:
-            folds = tuple(self._arch_rows[row].tolist())
-        else:
-            folds = self._scalar_folds(hist)
-        if len(self._fold_cache) >= 8192:
-            self._fold_cache.clear()
-        self._fold_cache[hist] = folds
+            return self._arch_rows[row].tolist()
+        store = self._fold_store
+        folds = store.get(hist)
+        if folds is None:
+            if len(store) >= FOLD_STORE_MAX:
+                store.clear()
+            folds = store[hist] = array(self._fold_code, self._scalar_folds(hist))
         return folds
 
-    def _scalar_folds(self, hist: int) -> tuple[int, ...]:
+    def _scalar_folds(self, hist: int) -> list[int]:
         """:meth:`_folds` by :func:`~repro.common.bits.fold`, table by table."""
         idx_bits = self._idx_bits
         tag_bits = self._tag_bits
@@ -248,7 +266,7 @@ class TAGE:
             if pair is None:
                 pair = memo[masked] = (fold(masked, idx_bits), fold(masked * 3, tag_bits))
             folds += pair
-        return tuple(folds)
+        return folds
 
     def _pc_mixes(self, pc: int) -> tuple[int, ...]:
         """Per-table PC hashes, flattened like the folds: table ``t``'s

@@ -37,7 +37,9 @@ simulator under the full correctness harness:
   (:meth:`repro.trace.fbmeta.StreamMeta.arch_histories`) exactly when
   the policy's commit history ignores BTB detection, and every row of
   its TAGE and ITTAGE geometry equals :func:`repro.common.bits.fold`
-  (simulation-free).
+  (simulation-free); after the trial's runs, so does every row those
+  runs left in the stream's fold stores
+  (:meth:`repro.trace.fbmeta.StreamMeta.fold_store`).
 * **mutated traces decode or fail cleanly** -- the trial's stream,
   written as a raw ChampSim trace and mutated from the trial seed (bit
   flips, a truncation or one random 64-byte record), either fails
@@ -75,6 +77,7 @@ from repro.common.telemetry import Telemetry, TelemetryConfig
 from repro.core.simulator import Simulator
 from repro.prefetch import prefetcher_names
 from repro.trace.cfg import ProgramSpec, generate_program
+from repro.trace.fbmeta import stream_meta
 from repro.trace.champsim import (
     RECORD_BYTES,
     ChampSimTrace,
@@ -318,14 +321,32 @@ def arch_fold_problem(params: SimParams, program, stream) -> str | None:
                 return f"{name}: bulk rows attached={rows is not None}"
             if rows is None:
                 continue
-            idx_bits = predictor._idx_bits
-            tag_bits = predictor._tag_bits
-            masks = predictor._hist_masks
+            geometry = (predictor.lengths, predictor._idx_bits, predictor._tag_bits)
             for hist, row in predictor._arch_index.items():
-                want = [f for m in masks for f in (fold(hist & m, idx_bits), fold((hist & m) * 3, tag_bits))]
-                if rows[row].tolist() != want:
+                if rows[row].tolist() != _scalar_fold_row(hist, *geometry):
                     return f"{name}: row {row} (history {hist:#x}) differs from the scalar folds"
     return None
+
+
+def fold_store_problem(stream) -> str | None:
+    """Property 10, after the trial's runs: every row those runs left in
+    the stream's fold stores (:meth:`~repro.trace.fbmeta.StreamMeta.fold_store`)
+    equals the scalar folds of its history.  Returns the first mismatch."""
+    for geometry, store in stream_meta(stream)._fold_stores.items():
+        for hist, row in store.items():
+            if list(row) != _scalar_fold_row(hist, *geometry):
+                return f"fold store of lengths {geometry[0]}: history {hist:#x} differs from the scalar folds"
+    return None
+
+
+def _scalar_fold_row(hist: int, lengths, idx_bits: int, tag_bits: int) -> list[int]:
+    """:func:`~repro.common.bits.fold` of ``hist`` masked to each length,
+    and of that times 3, in the flat layout of a fold row."""
+    row = []
+    for length in lengths:
+        masked = hist & ((1 << length) - 1)
+        row += (fold(masked, idx_bits), fold(masked * 3, tag_bits))
+    return row
 
 
 def mutate_trace(data: bytes, rng: random.Random) -> tuple[str, bytes]:
@@ -572,6 +593,12 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
                 f"worker-process run differs from in-process: cycles "
                 f"{w_cycles} vs {plain.cycles}",
             )
+
+    # Property 10, after the runs: the rows the runs above folded in
+    # software and kept in the stream's fold stores are the scalar folds.
+    problem = fold_store_problem(stream)
+    if problem is not None:
+        return FuzzFailure(trial, "bulk_fold_identity", problem)
 
     # Property 11: a mutated ChampSim encoding of the stream decodes to
     # a clean run or fails with a TraceFormatError, nothing else.

@@ -980,6 +980,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
     print(f"cache dir: {info['directory']}")
     print(f"schema:    v{info['schema']}")
     print(f"entries:   {info['entries']} ({info['total_bytes']:,} bytes)")
+    unreachable = f"{info['unreachable']} ({info['unreachable_bytes']:,} bytes)"
+    if info["unreachable"]:
+        unreachable += " of another schema, never read; `repro cache clear` removes them"
+    print(f"unreachable: {unreachable}")
     session = cache_stats().as_dict()
     if session:
         print(f"this session (hit rate {100.0 * info['session_hit_rate']:.0f}%):")

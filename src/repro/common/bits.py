@@ -58,9 +58,9 @@ def fold(value: int, out_bits: int) -> int:
     the finalizer is written out here because TAGE and ITTAGE index
     hashing call this for every table.  Histories the committed path
     produces are folded in bulk instead (:func:`fold_pair_rows`); this
-    scalar form serves the rest (wrong-path histories, and the
-    direction histories of GHR0-3) and is the reference the bulk form
-    is tested against.
+    scalar form folds the rest (wrong-path histories, and the
+    direction histories of GHR0-3) once per trace, into the stream's
+    fold stores, and is the reference both are tested against.
     """
     if out_bits <= 0:
         return 0
@@ -176,6 +176,13 @@ def fold_pair_rows(
         rows[:, 2 * table] = fold_limbs(masked, idx_bits)
         rows[:, 2 * table + 1] = fold_limbs(triple_limbs(masked), tag_bits)
     return rows
+
+
+def row_typecode(idx_bits: int, tag_bits: int) -> str:
+    """The narrowest unsigned :mod:`array` typecode that holds both fold
+    widths: a software fold row's twin of :func:`fold_pair_rows`'s dtype."""
+    widest = max(idx_bits, tag_bits)
+    return "H" if widest <= 16 else "I" if widest <= 32 else "Q"
 
 
 def align_down(addr: int, size: int) -> int:

@@ -140,10 +140,15 @@ class Simulator:
         self.loop = (
             LoopPredictor(branch.loop_predictor_entries) if branch.loop_predictor_entries else None
         )
-        # Under THR and Ideal the committed-path histories are known from
-        # the trace; TAGE and ITTAGE read their folds from bulk rows, and
-        # TAGE trains from the stream's record of its training.
+        # TAGE and ITTAGE keep the histories they fold in software in the
+        # stream's fold stores, under every policy.  Under THR and Ideal
+        # the committed-path histories are known from the trace; they
+        # read those folds from bulk rows, and TAGE trains from the
+        # stream's record of its training.
         smeta = stream_meta(stream)
+        if isinstance(self.direction, TAGE):
+            self.direction.use_fold_store(smeta)
+        self.ittage.use_fold_store(smeta)
         arch = smeta.arch_histories(self.hist_mgr)
         if arch is not None:
             if isinstance(self.direction, TAGE):

@@ -14,12 +14,16 @@ the run's provenance (:func:`build_manifest`), its parameters in their
 canonical encoding and its counters: data only, so a cache directory
 shared between machines executes nothing it reads.  An entry that is
 not valid JSON, lacks a field, carries another schema tag or another
-key is *stale*: a miss, deleted on sight.  Bump
+key, or whose parameters and workload fingerprint do not re-derive its
+key, is *stale*: a miss, deleted on sight.  Bump
 :data:`SIM_SCHEMA_VERSION` whenever a change to the simulator, trace
 generators or predictors can alter results -- the key embeds it, so
-every old entry invalidates at once.  Files an older version wrote
-(``<key>.pkl``, ``<key>.manifest.json``, ``traces/``) are never read,
-counted or deleted.
+every old entry invalidates at once.  An entry of another schema then
+sits under a key no lookup derives: ``repro cache info`` counts it as
+*unreachable*, the provenance listing leaves it out, and ``repro cache
+clear`` removes it.  Files an older version wrote (``<key>.pkl``,
+``<key>.manifest.json``, ``traces/``) are never read, counted or
+deleted.
 
 Session counters (hits/misses/stale/stores plus the runner's memo and
 simulation counts) live in a :class:`repro.common.stats.StatSet`
@@ -269,13 +273,21 @@ def build_manifest(key: str, result: RunResult, meta: dict | None = None) -> dic
     return manifest
 
 
+def _current(entry) -> bool:
+    """Whether a decoded entry carries this version's schema tags."""
+    return isinstance(entry, dict) and (
+        entry.get("schema"),
+        entry.get("manifest_schema"),
+    ) == (SIM_SCHEMA_VERSION, MANIFEST_SCHEMA_VERSION)
+
+
 def _result_of(entry: dict) -> RunResult:
     """Rebuild the :class:`RunResult` an entry holds.
 
     Raises ``KeyError``, ``TypeError`` or ``ValueError`` when the entry
     lacks a field, a field has the wrong type or a schema tag differs.
     """
-    if (entry["schema"], entry["manifest_schema"]) != (SIM_SCHEMA_VERSION, MANIFEST_SCHEMA_VERSION):
+    if not _current(entry):
         raise ValueError("entry written under another schema")
     counters = entry["counters"]
     if not isinstance(counters, dict):
@@ -325,14 +337,17 @@ class ResultCache:
     def get(self, key: str) -> RunResult | None:
         """Load a cached result; None on miss or stale entry.
 
-        An entry must carry the requested key: one stored under another
-        key's file name (a copied or swapped file) is stale, logged
+        An entry must carry the requested key, and its parameters and
+        workload fingerprint must re-derive that key: one stored under
+        another key's file name (a copied or swapped file), or edited
+        to claim other parameters or another workload, is stale, logged
         with both keys and deleted, so the caller re-simulates.
         """
         try:
             blob = self._path(key).read_bytes()
             entry = json.loads(blob)
             result = _result_of(entry)
+            derived = _run_key_blob(entry["workload_fingerprint"], result.params)
         except FileNotFoundError:
             self.stats.bump("cache_disk_miss")
             return None
@@ -340,9 +355,13 @@ class ResultCache:
             # Unreadable, truncated or malformed entry: stale by definition.
             self._discard(key)
             return None
-        if entry["key"] != key:
+        if entry["key"] != key or derived != key:
             log.warning(
-                "cache entry %s holds the result for key %s; discarding it", key, entry["key"]
+                "cache entry %s holds the result for key %s (its parameters and "
+                "workload re-derive %s); discarding it",
+                key,
+                entry["key"],
+                derived,
             )
             self._discard(key)
             return None
@@ -376,16 +395,16 @@ class ResultCache:
         self.stats.bump("cache_store")
         self.stats.bump("cache_bytes_written", len(blob))
 
+    def _read(self, path: Path):
+        """An entry file's decoded JSON, or ``None`` when unreadable."""
+        try:
+            return json.loads(path.read_bytes())
+        except (OSError, ValueError, RecursionError):
+            return None
+
     def manifests(self) -> list[dict]:
-        """Every readable entry, newest first."""
-        out = []
-        for path in self._entries():
-            try:
-                entry = json.loads(path.read_bytes())
-            except (OSError, ValueError):
-                continue
-            if isinstance(entry, dict):
-                out.append(entry)
+        """Every readable entry of this version's schema, newest first."""
+        out = [entry for path in self._entries() if _current(entry := self._read(path))]
         out.sort(key=lambda m: m.get("created_utc", ""), reverse=True)
         return out
 
@@ -401,15 +420,25 @@ class ResultCache:
         return removed
 
     def info(self) -> dict:
-        """Entry count and total bytes on disk plus session counters."""
-        entries = 0
-        total_bytes = 0
+        """Entry count and total bytes on disk plus session counters.
+
+        An entry of another schema is counted apart, as ``unreachable``
+        with ``unreachable_bytes``: no lookup derives its key, so only
+        :meth:`clear` removes it.
+        """
+        entries = total_bytes = unreachable = unreachable_bytes = 0
         for path in self._entries():
             try:
-                total_bytes += path.stat().st_size
+                size = path.stat().st_size
             except OSError:
                 continue
-            entries += 1
+            entry = self._read(path)
+            if isinstance(entry, dict) and not _current(entry):
+                unreachable += 1
+                unreachable_bytes += size
+            else:
+                entries += 1
+                total_bytes += size
         session = self.stats.as_dict()
         hits = session.get("cache_disk_hit", 0) + session.get("cache_memo_hit", 0)
         lookups = hits + session.get("cache_disk_miss", 0)
@@ -418,6 +447,8 @@ class ResultCache:
             "schema": SIM_SCHEMA_VERSION,
             "entries": entries,
             "total_bytes": total_bytes,
+            "unreachable": unreachable,
+            "unreachable_bytes": unreachable_bytes,
             "session": session,
             "session_hit_rate": (hits / lookups) if lookups else 0.0,
         }

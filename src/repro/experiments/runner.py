@@ -30,7 +30,13 @@ from repro.common.params import SimParams
 from repro.common.stats import amean, geomean
 from repro.core.metrics import RunResult
 from repro.core.simulator import simulate
-from repro.experiments.cache import CACHE_STATS, ResultCache, cache_enabled, run_key
+from repro.experiments.cache import (
+    CACHE_STATS,
+    ResultCache,
+    cache_enabled,
+    run_key,
+    workload_fingerprint,
+)
 from repro.experiments.configs import repro_jobs
 from repro.trace.workloads import make_trace
 
@@ -152,12 +158,15 @@ def _workload_name(workload) -> str:
     return workload if isinstance(workload, str) else workload.name
 
 
-def _manifest_meta(meta: dict) -> dict:
-    """Provenance-manifest fields derived from one unit's execution meta."""
+def _manifest_meta(meta: dict, workload) -> dict:
+    """Provenance-manifest fields derived from one unit's execution meta,
+    plus the fingerprint its key was derived from, which a later lookup
+    re-derives the key with."""
     return {
         "wall_seconds": meta["wall_seconds"],
         "peak_rss_kib": meta["peak_rss_kib"],
         "worker_pid": meta["pid"],
+        "workload_fingerprint": workload_fingerprint(workload),
     }
 
 
@@ -244,7 +253,7 @@ def run_points(
         resolved[key] = result
         _CACHE[key] = result
         if disk is not None:
-            disk.put(key, result, meta=_manifest_meta(meta))
+            disk.put(key, result, meta=_manifest_meta(meta, workload))
         n_finished += 1
         if ledger is not None:
             name = _workload_name(workload)

@@ -29,12 +29,17 @@ ITTAGE read instead of re-folding each of those histories in software.
 TAGE's training then depends on the trace alone too:
 :meth:`StreamMeta.tage_record` runs it once per geometry into a
 :class:`~repro.branch.tage.TageRecord`, which every simulator's TAGE
-replays.
+replays.  Every other history a predictor meets (wrong-path histories
+under every policy, and all histories of GHR0-3) is folded in software
+once per stream and geometry: :meth:`StreamMeta.fold_store` keeps the
+rows, and every TAGE and ITTAGE built on the stream reads and fills
+the store of its geometry.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from collections.abc import Sequence
 
 import numpy as np
@@ -173,6 +178,7 @@ class StreamMeta:
         "np_seg_limit",
         "_footprints",
         "_arch",
+        "_fold_stores",
     )
 
     def __init__(self, stream) -> None:
@@ -213,9 +219,23 @@ class StreamMeta:
         self.np_seg_limit.setflags(write=False)
         self._footprints: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
         self._arch: dict[tuple, ArchHistories] = {}
+        self._fold_stores: dict[tuple, dict[int, array]] = {}
 
     def __len__(self) -> int:
         return len(self.br_addr)
+
+    def fold_store(self, lengths: Sequence[int], idx_bits: int, tag_bits: int) -> dict[int, array]:
+        """The software fold rows of one predictor geometry on this stream.
+
+        Maps a history value to its flat ``(index, tag)`` fold row, in
+        the layout of :meth:`ArchHistories.fold_rows`.  TAGE and ITTAGE
+        fill it on their first software fold of a history (``_folds``),
+        whatever the history policy, and every simulator on the stream
+        reads what earlier ones folded: a fold depends on the history
+        and the geometry alone.  Kept per (``lengths``, ``idx_bits``,
+        ``tag_bits``); dropped with the stream, and from its pickles.
+        """
+        return self._fold_stores.setdefault((tuple(lengths), idx_bits, tag_bits), {})
 
     def arch_histories(self, mgr) -> ArchHistories | None:
         """The histories the commit trainer trains under, for ``mgr``'s policy.

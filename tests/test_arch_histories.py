@@ -74,7 +74,7 @@ def test_attached_rows_equal_scalar_folds(policy):
             assert rows[row].tolist() == _scalar_rows(predictor, hist)
         # Served folds equal the scalar ones whichever path serves them.
         hist = next(iter(predictor._arch_index))
-        assert predictor._folds(hist) == tuple(_scalar_rows(predictor, hist))
+        assert list(predictor._folds(hist)) == _scalar_rows(predictor, hist)
 
 
 @pytest.mark.parametrize(
@@ -125,4 +125,4 @@ def test_pickled_stream_drops_the_rows():
 def test_unattached_tage_folds_in_software():
     tage = _sim(HistoryPolicy.GHR3).direction
     assert isinstance(tage, TAGE)
-    assert tage._folds(12345) == tuple(_scalar_rows(tage, 12345))
+    assert list(tage._folds(12345)) == _scalar_rows(tage, 12345)

@@ -65,6 +65,14 @@ MALFORMED_ENTRIES = {
 }
 """Ways an entry's text can be damaged; each must read as stale."""
 
+REKEYED_ENTRIES = {
+    "params": lambda e: e["params"]["frontend"].update(ftq_entries=2),
+    "fingerprint": lambda e: e.update(workload_fingerprint="0" * 64),
+    "null_fingerprint": lambda e: e.update(workload_fingerprint=None),
+}
+"""Well-formed edits under the right key and file name whose parameters
+or workload no longer derive that key; each must read as stale."""
+
 
 class TestFingerprints:
     def test_rebuilt_params_share_key(self):
@@ -226,6 +234,102 @@ class TestResultCache:
         assert got_b.stats.as_dict() == want_b.stats.as_dict()
         assert _btb_entries(path_b) == 1024  # re-stored under its own key
         runner.clear_cache()
+
+    @pytest.mark.parametrize("edit", REKEYED_ENTRIES)
+    def test_entry_that_does_not_rederive_its_key_is_stale(
+        self, tmp_path, caplog, repro_records, edit
+    ):
+        # The stored key and file name are right; the stored parameters
+        # or workload are not the ones the key was derived from.
+        stats = StatSet()
+        cache = ResultCache(tmp_path, stats=stats)
+        key = run_key("spc_fp", fast())
+        cache.put(key, make_result())
+        path = tmp_path / f"{key}.json"
+        assert json.loads(path.read_text())["params"]["frontend"]["ftq_entries"] == 24
+        path.write_text(_edited(path.read_text(), REKEYED_ENTRIES[edit]))
+
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            assert cache.get(key) is None
+        assert stats.get("cache_stale") == 1 and stats.get("cache_disk_hit") == 0
+        assert not path.exists()
+        [record] = [r for r in caplog.records if r.name == "repro.experiments.cache"]
+        assert record.getMessage().count(key) == 2  # requested and stored
+        derived = record.getMessage().split("re-derive ")[1].split(")")[0]
+        assert len(derived) == 64 and derived != key
+
+    def test_untouched_entry_rederives_its_key(self, tmp_path):
+        stats = StatSet()
+        cache = ResultCache(tmp_path, stats=stats)
+        params = fast().with_frontend(ftq_entries=2)
+        key = run_key("spc_fp", params)
+        cache.put(key, make_result(params))
+        entry = json.loads((tmp_path / f"{key}.json").read_text())
+        assert entry["workload_fingerprint"] == workload_fingerprint("spc_fp")
+        assert cache.get(key).params == params
+        assert stats.get("cache_disk_hit") == 1 and stats.get("cache_stale") == 0
+
+    def test_runner_records_the_fingerprint_it_keyed_with(self, tmp_path, monkeypatch):
+        # A workload passed as an object that no name resolves to: the
+        # entry cannot look its fingerprint up by name, so the runner
+        # hands over the one it derived the key from.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec = dataclasses.replace(
+            workload_by_name("spc_fp"), name="spc_fp_unlisted", oracle_seed=99
+        )
+        runner.clear_cache()
+        first = runner.run_config(spec, fast())
+        [path] = tmp_path.glob("*.json")
+        assert json.loads(path.read_text())["workload_fingerprint"] == workload_fingerprint(spec)
+
+        runner.clear_cache()
+        hits, stale = CACHE_STATS.get("cache_disk_hit"), CACHE_STATS.get("cache_stale")
+        again = runner.run_config(spec, fast())
+        assert CACHE_STATS.get("cache_disk_hit") == hits + 1
+        assert CACHE_STATS.get("cache_stale") == stale
+        assert again.stats.as_dict() == first.stats.as_dict()
+        runner.clear_cache()
+
+    def test_other_schema_entries_are_unreachable(self, tmp_path):
+        # An entry of an older schema lies under a key no lookup derives:
+        # it is counted apart, listed nowhere, and clear removes it.
+        cache = ResultCache(tmp_path, stats=StatSet())
+        key = run_key("spc_fp", fast())
+        cache.put(key, make_result())
+        current = tmp_path / f"{key}.json"
+        for n, tag in enumerate(("schema", "manifest_schema")):
+            old = tmp_path / f"{n:064x}.json"
+            old.write_text(
+                _edited(current.read_text(), lambda e: e.update({tag: e[tag] - 1, "key": old.stem}))
+            )
+        info = cache.info()
+        assert info["entries"] == 1 and info["total_bytes"] == current.stat().st_size
+        assert info["unreachable"] == 2
+        assert info["unreachable_bytes"] == sum(
+            (tmp_path / f"{n:064x}.json").stat().st_size for n in range(2)
+        )
+        assert [m["key"] for m in cache.manifests()] == [key]
+        assert cache.clear() == 3
+        info = cache.info()
+        assert info["entries"] == info["unreachable"] == 0
+
+    def test_cache_info_prints_unreachable(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cache = ResultCache(tmp_path, stats=StatSet())
+        key = run_key("spc_fp", fast())
+        cache.put(key, make_result())
+        assert main(["cache", "info"]) == 0
+        out = capsys.readouterr().out
+        assert "entries:   1 " in out and "unreachable: 0 (0 bytes)\n" in out
+        path = tmp_path / f"{key}.json"
+        path.write_text(_edited(path.read_text(), lambda e: e.update(schema=SIM_SCHEMA_VERSION - 1)))
+        assert main(["cache", "info"]) == 0
+        out = capsys.readouterr().out
+        assert "entries:   0 (0 bytes)" in out
+        [line] = [line for line in out.splitlines() if line.startswith("unreachable:")]
+        assert line.startswith("unreachable: 1 (") and "repro cache clear" in line
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path, stats=StatSet())
