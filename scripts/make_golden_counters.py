@@ -32,6 +32,10 @@ SIM = 2_000
 HISTORY_WARMUP = 2_000
 HISTORY_SIM = 6_000
 """Windows of the history-policy points (see :func:`golden_matrix`)."""
+DJOLT_WARMUP = 20_000
+DJOLT_SIM = 40_000
+"""Windows of the D-JOLT MSHR-pressure point: D-JOLT needs recurring
+call contexts before it prefetches at all."""
 
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "tests" / "data" / "golden_counters.json"
 
@@ -56,9 +60,22 @@ def golden_matrix() -> list[tuple[str, str, SimParams]]:
         "eip128_small_mshr": base.replace(prefetcher="eip128").with_memory(
             mshr_entries=2, l1i_kib=16
         ),
+        # D-JOLT enqueues from committed branches, so the typed
+        # kernel's drain stops to issue its prefetches, here under MSHR
+        # pressure.
+        "djolt_small_mshr": base.replace(
+            prefetcher="djolt", warmup_instructions=DJOLT_WARMUP, sim_instructions=DJOLT_SIM
+        ).with_memory(mshr_entries=2, l1i_kib=16),
     }
     for name, params in variants.items():
         points.append((f"srv_web/{name}", "srv_web", params))
+    points.append(
+        (
+            "clt_browser/fnl_mma_mshr1",
+            "clt_browser",
+            base.replace(prefetcher="fnl_mma").with_memory(mshr_entries=1),
+        )
+    )
     # History policies other than THR, at longer windows: at the default
     # ones every policy leaves the direction predictor's counters equal.
     longer = base.replace(warmup_instructions=HISTORY_WARMUP, sim_instructions=HISTORY_SIM)

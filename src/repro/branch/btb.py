@@ -57,10 +57,6 @@ class BTB:
         "_set_mask",
         "_sets",
         "_chunk_index",
-        "lookups",
-        "hit_count",
-        "insertions",
-        "evictions",
     )
 
     def __init__(self, n_entries: int, assoc: int) -> None:
@@ -74,10 +70,6 @@ class BTB:
         self._sets: list[list[BTBEntry]] = [[] for _ in range(self.n_sets)]
         # Chunk number -> the held entries of that chunk, address-sorted.
         self._chunk_index: dict[int, list[BTBEntry]] = {}
-        self.lookups = 0
-        self.hit_count = 0
-        self.insertions = 0
-        self.evictions = 0
 
     def _set_index(self, addr: int) -> int:
         if self._set_mask >= 0:
@@ -87,19 +79,6 @@ class BTB:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def lookup(self, addr: int) -> BTBEntry | None:
-        """Single-branch probe with LRU update."""
-        self.lookups += 1
-        ways = self._sets[self._set_index(addr)]
-        for i, entry in enumerate(ways):
-            if entry.addr == addr:
-                self.hit_count += 1
-                if i:
-                    del ways[i]
-                    ways.insert(0, entry)
-                return entry
-        return None
-
     def scan_block(self, start: int, end: int) -> list[BTBEntry]:
         """Return all held branches with ``start <= addr <= end``, in
         address order, promoting each to MRU in that order.
@@ -109,7 +88,6 @@ class BTB:
         ``[start, end]`` in ascending order, whose entries are already
         address-sorted.
         """
-        self.lookups += 1
         index = self._chunk_index
         found: list[BTBEntry] = []
         chunk = start >> 4
@@ -122,7 +100,6 @@ class BTB:
                         found.append(entry)
             chunk += 1
         if found:
-            self.hit_count += 1
             sets = self._sets
             mask = self._set_mask
             for entry in found:
@@ -139,8 +116,8 @@ class BTB:
         return found
 
     def contains(self, addr: int) -> bool:
-        """Presence probe with no LRU update and no stats (commit-side
-        detection checks use this so they don't perturb replacement)."""
+        """Presence probe with no LRU update (commit-side detection
+        checks use this so they don't perturb replacement)."""
         held = self._chunk_index.get(addr >> 4)
         if held is not None:
             for entry in held:
@@ -171,7 +148,6 @@ class BTB:
         index = self._chunk_index
         if len(ways) >= self.assoc:
             self._unindex(ways.pop())
-            self.evictions += 1
         entry = BTBEntry(addr=addr, kind=kind, target=target)
         ways.insert(0, entry)
         held = index.get(addr >> 4)
@@ -182,7 +158,6 @@ class BTB:
             while i and held[i - 1].addr > addr:
                 i -= 1
             held.insert(i, entry)
-        self.insertions += 1
 
     def invalidate(self, addr: int) -> bool:
         ways = self._sets[self._set_index(addr)]
@@ -258,9 +233,3 @@ class BTB:
     @property
     def occupancy(self) -> int:
         return sum(len(ways) for ways in self._sets)
-
-    def reset_stats(self) -> None:
-        self.lookups = 0
-        self.hit_count = 0
-        self.insertions = 0
-        self.evictions = 0

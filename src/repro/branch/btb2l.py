@@ -45,23 +45,10 @@ class TwoLevelBTB:
         self.l2 = BTB(l2_entries, l2_assoc)
         self.l2_extra_latency = l2_extra_latency
         self._l2_sourced: set[int] = set()
-        self.promotions = 0
-        self.demotions = 0
 
     # ------------------------------------------------------------------
     # Lookup interface (BTB-compatible)
     # ------------------------------------------------------------------
-    def lookup(self, addr: int) -> BTBEntry | None:
-        entry = self.l1.lookup(addr)
-        if entry is not None:
-            self._l2_sourced.discard(addr)
-            return entry
-        entry = self.l2.lookup(addr)
-        if entry is not None:
-            self._l2_sourced.add(addr)
-            self._promote(entry)
-        return entry
-
     def scan_block(self, start: int, end: int) -> list[BTBEntry]:
         """Merged two-level scan; L2-only hits are promoted and flagged."""
         found = {e.addr: e for e in self.l1.scan_block(start, end)}
@@ -96,7 +83,6 @@ class TwoLevelBTB:
         return a or b
 
     def _promote(self, entry: BTBEntry) -> None:
-        self.promotions += 1
         self._install_l1(entry.addr, entry.kind, entry.target)
 
     def _install_l1(self, addr: int, kind: BranchKind, target: int) -> None:
@@ -107,7 +93,6 @@ class TwoLevelBTB:
             victim = ways[-1]
         self.l1.insert(addr, kind, target)
         if victim is not None:
-            self.demotions += 1
             self.l2.insert(victim.addr, victim.kind, victim.target)
 
     def validate(self) -> list[str]:
@@ -122,9 +107,3 @@ class TwoLevelBTB:
     @property
     def n_entries(self) -> int:
         return self.l1.n_entries + self.l2.n_entries
-
-    def reset_stats(self) -> None:
-        self.l1.reset_stats()
-        self.l2.reset_stats()
-        self.promotions = 0
-        self.demotions = 0

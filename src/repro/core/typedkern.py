@@ -42,20 +42,44 @@ stepping it cycle by cycle would.  The contract is pinned by
 ``tests/test_typed.py`` and the fuzzer's ``typed_interp_identity``
 property -- any drift is a test failure, not a tolerance.
 
-The inlined decode-queue push coalesces like
-:meth:`repro.core.backend.DecodeQueue.push`: a fault-free group joins a
-fault-free tail chunk on the same path, so retire makes one
-``trainer.advance`` call per run of such groups (most calls train no
-branch and return at once).  An empty BTB scan result is iterated as
-is, with no candidate list built.
+The kernel works on events, not on every cycle:
+
+* **Fills.**  It keeps the MSHR file's wake,
+  :attr:`repro.memory.mshr.MSHRFile.next_ready` (the earliest ready
+  cycle of the outstanding fills; a fill's ready cycle never changes
+  after allocation), in a local, written through at every inlined
+  allocation and re-read after ``MSHRFile.pop_ready`` and after the
+  drain's ``Prefetcher.cycle`` call, which allocates through the file.
+  The fill stage runs only on a cycle with a fill due, and the idle
+  skip reads the wake instead of scanning the file.
+* **Probes.**  The idle skip looks for an entry awaiting its probe
+  from ``ftq.probe_ptr`` on: no entry behind it awaits one
+  (:meth:`repro.frontend.ftq.FTQ.validate` checks this).
+* **Faults.**  The predict stage resolves ``compute_fault``'s two
+  no-fault outcomes from the oracle segment (the oracle runs on past
+  an entry predicted not-taken, or the entry ends at the oracle's
+  taken transfer with its target), so ``compute_fault`` is called
+  only on a divergence or at the stream's end.
+* **Commits.**  The inlined decode-queue push coalesces like
+  :meth:`repro.core.backend.DecodeQueue.push`: a fault-free group joins
+  a fault-free tail chunk on the same path.  Retire compares the
+  committed count with the commit index of the next untrained branch
+  (``StreamMeta.br_commit``) and advances ``trainer.committed`` itself
+  when no branch commits, so ``trainer.advance`` is called only when a
+  branch commits.
+
+An empty BTB scan result is iterated as is, with no candidate list
+built.
 
 Rare or cold paths stay calls into the real components so their logic
-is never duplicated: ``trainer.advance`` (commit training),
-``sim._on_flush`` (pipeline flush), ``fetch._predecode_checks`` (PFC),
-``memory._fill_latency`` (L2/DRAM fill path), ``l1i.fill``,
+is never duplicated: ``trainer.advance`` (commit training, the one
+authority once a branch commits), ``sim._on_flush`` (pipeline flush),
+``fetch._predecode_checks`` (PFC), ``memory._fill_latency`` (L2/DRAM
+fill path), ``mshrs.pop_ready`` and ``l1i.fill`` (a due fill),
 ``btb.scan_block``, ``direction.predict``, ``ittage.predict``,
-``loop.predict``, ``compute_fault``, ``sim._begin_measurement`` and
-the prefetcher's ``on_fill`` / ``on_access``.
+``loop.predict``, ``compute_fault`` (the one authority on a
+divergence), ``sim._begin_measurement`` and the prefetcher's
+``on_fill`` / ``on_access``.
 
 The module is written to be **mypyc-compilable**: plain functions,
 plain annotations, no dynamic class magic.  When a toolchain is
@@ -88,9 +112,13 @@ _INDIRECT = BranchKind.INDIRECT
 _INDIRECT_CALL = BranchKind.INDIRECT_CALL
 
 
-def _mshr_ready_key(entry) -> int:
-    # Sort key matching MSHRFile.pop_ready (stable sort on ready_cycle).
-    return entry.ready_cycle
+def _train_at(trainer, br_commit, stream_instructions: int) -> int:
+    """The commit index of ``trainer``'s next untrained branch (the
+    stream's length past the last one, where ``advance`` raises): a
+    retired group trains a branch only once the committed count passes
+    it."""
+    ptr = trainer.flat_br
+    return br_commit[ptr] if ptr < len(br_commit) else stream_instructions
 
 
 def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
@@ -111,6 +139,7 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
     memory = sim.memory
     mshrs = memory.mshrs
     by_line = mshrs._by_line
+    pop_ready = mshrs.pop_ready
     mshr_capacity: int = mshrs.n_entries
     l1i = memory.l1i
     l1i_sets = l1i._sets
@@ -137,7 +166,8 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
     dq_capacity: int = dq.capacity
 
     backend = sim.backend
-    trainer_advance = backend.trainer.advance
+    trainer = backend.trainer
+    trainer_advance = trainer.advance
     retire_width: int = backend._retire_width
     on_flush = sim._on_flush
 
@@ -189,6 +219,11 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
     smeta = stream_meta(stream)
     br_addr = smeta.br_addr
     seg_first_br = smeta.seg_first_br
+    # Only `trainer.advance` moves the trainer's branch cursor, so
+    # `train_at` changes only after a call to it.
+    br_commit = smeta.br_commit
+    stream_instructions: int = stream.total_instructions
+    train_at: int = _train_at(trainer, br_commit, stream_instructions)
 
     # Dedicated prefetcher hook points (all None / an empty queue when
     # the config builds no prefetcher component).
@@ -207,35 +242,38 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
     measuring: bool = sim._measuring
     committed: int = backend.committed
     cycle: int = sim.cycle
+    # The MSHR file's wake (MSHRFile.next_ready), kept here and written
+    # through by the inlined allocations: no fill completes before it.
+    # pop_ready and the drain's pf_cycle call move it behind the
+    # kernel's back, so it is re-read after each.
+    next_fill: int = mshrs.next_ready
 
     while committed < target:
         # ---- stage: memory_fill (InstructionMemory.tick inlined) -----
-        if by_line:
-            fills = [m for m in by_line.values() if m.ready_cycle <= cycle]
-            if fills:
-                for m in fills:
-                    del by_line[m.line]
-                if len(fills) > 1:
-                    fills.sort(key=_mshr_ready_key)
-                for m in fills:
-                    line = m.line
-                    victim = l1i_fill(line).victim
-                    if victim and victim in prefetched_untouched:
-                        prefetched_untouched.discard(victim)
-                        counters["prefetch_useless"] += 1
-                    if m.is_prefetch:
-                        counters["prefetch_fill"] += 1
-                        prefetched_untouched.add(line)
-                # FetchUnit.complete_fills: wake waiting FTQ entries,
-                # then tell the prefetcher about the fill.
-                for m in fills:
-                    for waiter in m.waiters:
-                        if waiter.state == 2:  # STATE_AWAIT_FILL
-                            waiter.state = 3  # STATE_READY
-                            waiter.way = 0
-                            waiter.ready_cycle = cycle
-                    if pf_on_fill is not None:
-                        pf_on_fill(m.line, cycle, m.is_prefetch)
+        if next_fill <= cycle:
+            # A fill is due: pop_ready moves the wake to the earliest
+            # fill left outstanding.
+            fills = pop_ready(cycle)
+            next_fill = mshrs.next_ready
+            for m in fills:
+                line = m.line
+                victim = l1i_fill(line).victim
+                if victim and victim in prefetched_untouched:
+                    prefetched_untouched.discard(victim)
+                    counters["prefetch_useless"] += 1
+                if m.is_prefetch:
+                    counters["prefetch_fill"] += 1
+                    prefetched_untouched.add(line)
+            # FetchUnit.complete_fills: wake waiting FTQ entries, then
+            # tell the prefetcher about the fill.
+            for m in fills:
+                for waiter in m.waiters:
+                    if waiter.state == 2:  # STATE_AWAIT_FILL
+                        waiter.state = 3  # STATE_READY
+                        waiter.way = 0
+                        waiter.ready_cycle = cycle
+                if pf_on_fill is not None:
+                    pf_on_fill(m.line, cycle, m.is_prefetch)
 
         # ---- stage: backend_retire (Backend.cycle inlined) -----------
         if dq.total_instrs < retire_width:
@@ -261,7 +299,11 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                     committed += take
                     backend.committed = committed
                     counters["committed_instructions"] += take
-                    trainer_advance(take)
+                    if committed <= train_at:
+                        trainer.committed = committed  # no branch commits
+                    else:
+                        trainer_advance(take)
+                        train_at = _train_at(trainer, br_commit, stream_instructions)
                 chunk.pos += take
                 dq.total_instrs -= take
                 if chunk.pos >= chunk.n:
@@ -473,16 +515,30 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                 fault = None
                 cont_seg = -1
                 if on_path:
-                    fault, cont_seg = compute_fault(
-                        stream,
-                        cursor_seg,
-                        start,
-                        term_addr,
-                        pred_taken,
-                        pred_target,
-                        detected_upto,
-                        program,
-                    )
+                    # compute_fault's two no-fault outcomes, read off the
+                    # segment: the oracle runs on past an entry predicted
+                    # not-taken, or the entry ends at the oracle's taken
+                    # transfer with its target.  A divergence, or the
+                    # stream's end, is compute_fault's to resolve.
+                    if seg.taken_branch is None or seg.next_start == 0:
+                        no_fault = False
+                    elif pred_taken:
+                        no_fault = seg.end == term_addr and pred_target == seg.next_start
+                    else:
+                        no_fault = seg.end > term_addr
+                    if no_fault:
+                        cont_seg = cursor_seg + 1 if pred_taken else cursor_seg
+                    else:
+                        fault, cont_seg = compute_fault(
+                            stream,
+                            cursor_seg,
+                            start,
+                            term_addr,
+                            pred_taken,
+                            pred_target,
+                            detected_upto,
+                            program,
+                        )
 
                 # FTQEntry construction without __init__/__post_init__
                 # (bounds are aligned by construction here).
@@ -627,14 +683,18 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                                     entry.missed = True
                                 else:
                                     counters["l1i_miss"] += 1
+                                    ready = cycle + tlb_lat + fill_latency(line)
                                     mshr = MSHREntry(
                                         line=line,
                                         issue_cycle=cycle,
-                                        ready_cycle=cycle + tlb_lat + fill_latency(line),
+                                        ready_cycle=ready,
                                         is_prefetch=False,
                                     )
                                     mshr.waiters.append(entry)
                                     by_line[line] = mshr
+                                    if ready < next_fill:
+                                        next_fill = ready
+                                        mshrs.next_ready = ready
                                     mshrs.allocations += 1
                                     occ = len(by_line)
                                     if occ > mshrs.peak_occupancy:
@@ -678,12 +738,16 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                 elif len(by_line) >= mshr_capacity:
                     counters["prefetch_mshr_reject"] += 1
                 else:
+                    ready = cycle + fill_latency(line)
                     by_line[line] = MSHREntry(
                         line=line,
                         issue_cycle=cycle,
-                        ready_cycle=cycle + fill_latency(line),
+                        ready_cycle=ready,
                         is_prefetch=True,
                     )
+                    if ready < next_fill:
+                        next_fill = ready
+                        mshrs.next_ready = ready
                     mshrs.allocations += 1
                     occ = len(by_line)
                     if occ > mshrs.peak_occupancy:
@@ -737,15 +801,17 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                     elif stall_until < wake:
                         wake = stall_until
                 if wake:
-                    for e in entries:
-                        if e.state == 1:  # AWAIT_PROBE: probe acts next cycle
+                    # No entry behind probe_ptr awaits its probe.
+                    idx = ftq.probe_ptr
+                    n = len(entries)
+                    while idx < n:
+                        if entries[idx].state == 1:  # AWAIT_PROBE: probe acts next cycle
                             wake = 0
                             break
+                        idx += 1
             if wake:
-                if by_line:
-                    next_fill = min(m.ready_cycle for m in by_line.values())
-                    if next_fill < wake:
-                        wake = next_fill
+                if next_fill < wake:
+                    wake = next_fill
                 if wake > guard + 1:
                     wake = guard + 1
             if wake > cycle + 1:
@@ -781,7 +847,13 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                                     committed += take
                                     backend.committed = committed
                                     counters["committed_instructions"] += take
-                                    trainer_advance(take)
+                                    if committed <= train_at:
+                                        trainer.committed = committed
+                                    else:
+                                        trainer_advance(take)
+                                        train_at = _train_at(
+                                            trainer, br_commit, stream_instructions
+                                        )
                                 chunk.pos += take
                                 dq.total_instrs -= take
                                 if chunk.pos >= chunk.n:
@@ -806,6 +878,7 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
                                 # issue it this cycle, as the prefetch
                                 # stage would, and go back to stepping.
                                 pf_cycle(c)
+                                next_fill = mshrs.next_ready
                                 break
                             if committed >= target:
                                 break

@@ -4,11 +4,19 @@ Tracks outstanding line fills.  A second request to a line already in
 flight *merges* -- it neither consumes a new entry nor issues new
 traffic, which is how redundant FDP probes and prefetches of the same
 line coalesce (Section VI-D's traffic discussion).
+
+A fill's ready cycle is fixed when it is allocated, so the file keeps
+the earliest one, :attr:`MSHRFile.next_ready`: no fill completes
+before it, and the cycle kernels skip the fill stage until then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+NO_FILL = 1 << 62
+"""``MSHRFile.next_ready`` of a file with no outstanding fill: later
+than any simulated cycle."""
 
 
 @dataclass(slots=True)
@@ -26,13 +34,26 @@ class MSHREntry:
 class MSHRFile:
     """A bounded set of outstanding line-fill requests."""
 
-    __slots__ = ("n_entries", "_by_line", "allocations", "merges", "rejections", "peak_occupancy")
+    __slots__ = (
+        "n_entries",
+        "_by_line",
+        "next_ready",
+        "allocations",
+        "merges",
+        "rejections",
+        "peak_occupancy",
+    )
 
     def __init__(self, n_entries: int) -> None:
         if n_entries <= 0:
             raise ValueError("need at least one MSHR")
         self.n_entries = n_entries
         self._by_line: dict[int, MSHREntry] = {}
+        self.next_ready = NO_FILL
+        """Earliest ``ready_cycle`` of the outstanding fills
+        (:data:`NO_FILL` when there is none).  Kept exact by
+        :meth:`allocate` and :meth:`pop_ready`, and by the typed
+        kernel's inlined allocations."""
         self.allocations = 0
         self.merges = 0
         self.rejections = 0
@@ -85,6 +106,8 @@ class MSHRFile:
         if waiter is not None:
             entry.waiters.append(waiter)
         self._by_line[line] = entry
+        if ready_cycle < self.next_ready:
+            self.next_ready = ready_cycle
         self.allocations += 1
         if len(self._by_line) > self.peak_occupancy:
             self.peak_occupancy = len(self._by_line)
@@ -95,17 +118,27 @@ class MSHRFile:
         return sum(1 for e in self._by_line.values() if e.is_prefetch)
 
     def pop_ready(self, cycle: int) -> list[MSHREntry]:
-        """Remove and return all entries whose fill completes by ``cycle``."""
-        by_line = self._by_line
-        if not by_line:  # fast path: this runs every simulated cycle
+        """Remove and return all entries whose fill completes by
+        ``cycle``, in ready-cycle order.
+
+        Returns at once before :attr:`next_ready`; the reference kernel
+        calls this every cycle, and most cycles complete no fill.
+        """
+        if cycle < self.next_ready:
             return []
-        ready = [e for e in by_line.values() if e.ready_cycle <= cycle]
-        if not ready:
-            return ready
+        by_line = self._by_line
+        ready: list[MSHREntry] = []
+        next_ready = NO_FILL
+        for entry in by_line.values():
+            if entry.ready_cycle <= cycle:
+                ready.append(entry)
+            elif entry.ready_cycle < next_ready:
+                next_ready = entry.ready_cycle
         for entry in ready:
             del by_line[entry.line]
         if len(ready) > 1:
             ready.sort(key=lambda e: e.ready_cycle)
+        self.next_ready = next_ready
         return ready
 
     def validate(self) -> list[str]:
@@ -113,9 +146,16 @@ class MSHRFile:
 
         Occupancy bound, key/entry line agreement (no duplicate lines by
         construction of the dict, but a corrupted key would alias two),
-        and causal fill timing.
+        causal fill timing, and :attr:`next_ready` naming the earliest
+        outstanding fill.
         """
         problems: list[str] = []
+        earliest = min((e.ready_cycle for e in self._by_line.values()), default=NO_FILL)
+        if self.next_ready != earliest:
+            problems.append(
+                f"MSHR next_ready {self.next_ready} but the earliest outstanding "
+                f"fill is due at {earliest}"
+            )
         if len(self._by_line) > self.n_entries:
             problems.append(f"MSHR holds {len(self._by_line)} fills, capacity {self.n_entries}")
         for line, entry in self._by_line.items():

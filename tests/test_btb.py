@@ -23,16 +23,17 @@ class TestGeometry:
 class TestLookupInsert:
     def test_miss_then_hit(self):
         btb = BTB(64, 4)
-        assert btb.lookup(0x4000) is None
+        assert btb.scan_block(0x4000, 0x4000) == []
         btb.insert(0x4000, BranchKind.UNCOND_DIRECT, 0x5000)
-        entry = btb.lookup(0x4000)
-        assert entry is not None and entry.target == 0x5000
+        [entry] = btb.scan_block(0x4000, 0x4000)
+        assert entry.target == 0x5000
 
     def test_update_in_place(self):
         btb = BTB(64, 4)
         btb.insert(0x4000, BranchKind.INDIRECT, 0x5000)
         btb.insert(0x4000, BranchKind.INDIRECT, 0x6000)
-        assert btb.lookup(0x4000).target == 0x6000
+        [entry] = btb.scan_block(0x4000, 0x4000)
+        assert entry.target == 0x6000
         assert btb.occupancy == 1
 
     def test_rejects_non_branch(self):
@@ -40,12 +41,14 @@ class TestLookupInsert:
             BTB(64, 4).insert(0x4000, BranchKind.NONE, 0)
 
     def test_contains_is_silent(self):
-        btb = BTB(64, 4)
+        btb = BTB(8, 2)  # 4 sets
+        span = btb.n_sets * 16
         btb.insert(0x4000, BranchKind.RETURN, 0)
-        lookups = btb.lookups
+        btb.insert(0x4000 + span, BranchKind.RETURN, 0)
+        order = [e.addr for e in btb._sets[btb._set_index(0x4000)]]
         assert btb.contains(0x4000)
         assert not btb.contains(0x4004)
-        assert btb.lookups == lookups
+        assert [e.addr for e in btb._sets[btb._set_index(0x4000)]] == order
 
 
 class TestSetMapping:
@@ -61,11 +64,10 @@ class TestSetMapping:
         a, b, c = 0x4000, 0x4000 + span, 0x4000 + 2 * span
         btb.insert(a, BranchKind.UNCOND_DIRECT, 0x100)
         btb.insert(b, BranchKind.UNCOND_DIRECT, 0x100)
-        btb.lookup(a)  # a MRU
+        btb.scan_block(a, a)  # a MRU
         btb.insert(c, BranchKind.UNCOND_DIRECT, 0x100)  # evicts b
         assert btb.contains(a) and btb.contains(c)
         assert not btb.contains(b)
-        assert btb.evictions == 1
 
 
 class TestScanBlock:
@@ -104,13 +106,6 @@ class TestInvalidate:
         assert btb.invalidate(0x4000)
         assert not btb.contains(0x4000)
         assert not btb.invalidate(0x4000)
-
-    def test_reset_stats(self):
-        btb = BTB(64, 4)
-        btb.insert(0x4000, BranchKind.RETURN, 0)
-        btb.lookup(0x4000)
-        btb.reset_stats()
-        assert btb.lookups == 0 and btb.insertions == 0
 
 
 class TestValidate:
@@ -166,7 +161,7 @@ class TestValidate:
 class SetWalkBTB:
     """Reference model: the BTB as it was before the chunk index.
 
-    Same geometry, replacement and statistics; ``scan_block`` walks
+    Same geometry and replacement; ``scan_block`` walks
     every set the block's chunks map to (each once), filters by
     address and sorts, and ``contains`` walks the set.  Set indexing is
     always the ``%`` form.
@@ -177,25 +172,11 @@ class SetWalkBTB:
         self.assoc = assoc
         self.n_sets = n_entries // assoc
         self._sets = [[] for _ in range(self.n_sets)]
-        self.lookups = self.hit_count = self.insertions = self.evictions = 0
 
     def _set_index(self, addr):
         return (addr // 16) % self.n_sets
 
-    def lookup(self, addr):
-        self.lookups += 1
-        ways = self._sets[self._set_index(addr)]
-        for i, entry in enumerate(ways):
-            if entry.addr == addr:
-                self.hit_count += 1
-                if i:
-                    ways.remove(entry)
-                    ways.insert(0, entry)
-                return entry
-        return None
-
     def scan_block(self, start, end):
-        self.lookups += 1
         found = []
         chunk = start & ~15
         seen_sets = []
@@ -206,7 +187,6 @@ class SetWalkBTB:
                 found += [e for e in self._sets[set_idx] if start <= e.addr <= end]
             chunk += 16
         if found:
-            self.hit_count += 1
             found.sort(key=lambda e: e.addr)
             for entry in found:
                 ways = self._sets[self._set_index(entry.addr)]
@@ -233,9 +213,7 @@ class SetWalkBTB:
                 return
         if len(ways) >= self.assoc:
             ways.pop()
-            self.evictions += 1
         ways.insert(0, BTBEntry(addr, kind, target))
-        self.insertions += 1
 
     def invalidate(self, addr):
         ways = self._sets[self._set_index(addr)]
@@ -276,7 +254,6 @@ def op_sequences(draw, n_sets):
     addr = st.sampled_from(pool)
     op = st.one_of(
         st.tuples(st.just("insert"), addr, st.sampled_from(KINDS), st.integers(0, 2**20)),
-        st.tuples(st.just("lookup"), addr),
         st.tuples(st.just("scan"), addr, st.sampled_from((16, 32, 64))),
         st.tuples(st.just("contains"), addr),
         st.tuples(st.just("invalidate"), addr),
@@ -289,9 +266,6 @@ def _apply(btb, op):
     if name == "insert":
         btb.insert(op[1], op[2], op[3])
         return None
-    if name == "lookup":
-        entry = btb.lookup(op[1])
-        return None if entry is None else (entry.addr, entry.kind, entry.target)
     if name == "scan":
         start, block = op[1], op[2]
         end = (start & ~(block - 1)) + block - 4
@@ -302,14 +276,7 @@ def _apply(btb, op):
 
 
 def _state(btb):
-    return (
-        [[e.addr for e in ways] for ways in btb._sets],
-        btb.lookups,
-        btb.hit_count,
-        btb.insertions,
-        btb.evictions,
-        btb.occupancy,
-    )
+    return ([[e.addr for e in ways] for ways in btb._sets], btb.occupancy)
 
 
 @settings(max_examples=150, deadline=None)
@@ -341,5 +308,4 @@ def test_two_level_matches_set_walking_reference(data):
         assert btb._l2_sourced == ref._l2_sourced, op
         assert _state(btb.l1) == _state(ref.l1), op
     assert _state(btb.l2) == _state(ref.l2)
-    assert (btb.promotions, btb.demotions) == (ref.promotions, ref.demotions)
     assert btb.validate() == []

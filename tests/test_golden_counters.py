@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.branch.btb import BTB
 from repro.branch.btb2l import TwoLevelBTB
 from repro.check.fuzz import _strip_telemetry
 from repro.common.telemetry import Telemetry, TelemetryConfig
@@ -104,13 +105,24 @@ def test_observed_reference_loop_matches_golden_fixture():
 
 
 @pytest.mark.parametrize("name", sorted(_load_script().replacement_points()))
-def test_replacement_points_evict(name):
+def test_replacement_points_evict(name, monkeypatch):
     """Each BTB replacement point must exercise eviction (both levels of
     a two-level BTB), or its golden counters cannot pin eviction order."""
+    # An eviction drops the victim from the chunk index; nothing in a
+    # run invalidates, so every `_unindex` call is an eviction.
+    evictions: dict[int, int] = {}
+    unindex = BTB._unindex
+
+    def counted(btb, entry):
+        evictions[id(btb)] = evictions.get(id(btb), 0) + 1
+        unindex(btb, entry)
+
+    monkeypatch.setattr(BTB, "_unindex", counted)
     params = _load_script().replacement_points()[name]
     program, stream = make_trace("srv_web", params.warmup_instructions + params.sim_instructions)
     sim = Simulator(params, program, stream)
     sim.run("srv_web")
     btb = sim.bpu.btb
     levels = (btb.l1, btb.l2) if isinstance(btb, TwoLevelBTB) else (btb,)
-    assert all(level.evictions > 0 for level in levels), [lvl.evictions for lvl in levels]
+    counts = [evictions.get(id(level), 0) for level in levels]
+    assert all(counts), counts

@@ -9,9 +9,11 @@ so these tests pin that claim across every registered prefetcher and
 direction predictor, through the typed kernel's idle skip and drain
 against a reference that steps every cycle (including the drain's
 stop for prefetchers that train on committed branches), through
-every outcome of the inlined prefetch issue stage, and for both
-warmup modes -- plus the derived backend choice and the label
-that records which backend produced a number.
+every outcome of the inlined prefetch issue stage, under MSHR
+pressure with one and two MSHRs (where the kernel's MSHR wake moves
+on nearly every fill, also behind its back at the drain's stops), and
+for both warmup modes -- plus the derived backend choice and the
+label that records which backend produced a number.
 """
 
 import logging
@@ -211,15 +213,26 @@ class TestTypedInterpIdentity:
         typed, interp, _ = run_pair(params)
         identity(typed, interp)
 
-    @pytest.mark.parametrize("prefetcher", ["nl1", "eip128", "fnl_mma"])
-    def test_small_mshr_pressure_issue_paths(self, prefetcher):
+    @pytest.mark.parametrize(
+        "prefetcher, mshrs, l1i_kib",
+        [
+            ("nl1", 2, 16),
+            ("eip128", 2, 16),
+            ("fnl_mma", 2, 16),
+            ("eip128", 1, 32),
+            ("fnl_mma", 1, 32),
+        ],
+        ids=["nl1", "eip128", "fnl_mma", "eip128-1mshr", "fnl_mma-1mshr"],
+    )
+    def test_small_mshr_pressure_issue_paths(self, prefetcher, mshrs, l1i_kib):
         # The typed kernel inlines the prefetch issue stage
         # (Prefetcher.cycle -> InstructionMemory.prefetch_line); two
         # MSHRs and a 16 KiB L1I drive every one of its four outcomes,
-        # so a reordered or dropped branch breaks identity here.
-        params = fast(prefetcher=prefetcher).replace(
-            memory=fast().memory.__class__(mshr_entries=2, l1i_kib=16)
-        )
+        # so a reordered or dropped branch breaks identity here.  With
+        # one MSHR every miss and prefetch contends for the single
+        # fill, so the kernel's MSHR wake moves on nearly every
+        # allocation and completion.
+        params = fast(prefetcher=prefetcher).with_memory(mshr_entries=mshrs, l1i_kib=l1i_kib)
         program, stream = make_trace(WORKLOAD, 2_500)
         typed_sim = Simulator(params, program, stream)
         typed = typed_sim.run(WORKLOAD)
@@ -232,6 +245,48 @@ class TestTypedInterpIdentity:
         # The issue stage also updates component-level counters that a
         # RunResult does not carry.
         assert component_counters(typed_sim) == component_counters(ref_sim)
+        # The kernel keeps the MSHR file's wake exact.
+        assert typed_sim.memory.mshrs.validate() == []
+
+    @pytest.mark.parametrize(
+        "prefetcher, memory, windows",
+        [
+            # D-JOLT prefetches only once call contexts recur.
+            ("djolt", {"mshr_entries": 2, "l1i_kib": 16}, (20_000, 40_000)),
+            ("profile_guided", {"mshr_entries": 1}, (500, 2_000)),
+            ("rdip", {"mshr_entries": 1}, (500, 2_000)),
+        ],
+        ids=["djolt-2mshr", "profile_guided-1mshr", "rdip-1mshr"],
+    )
+    def test_drain_stop_issues_under_mshr_pressure(
+        self, prefetcher, memory, windows, monkeypatch
+    ):
+        # These prefetchers enqueue from committed branches, so the
+        # typed drain stops and issues through Prefetcher.cycle, which
+        # allocates behind the kernel's back: the kernel must re-read
+        # the MSHR file's wake after it.
+        params = fast(
+            prefetcher=prefetcher, warmup_instructions=windows[0], sim_instructions=windows[1]
+        ).with_memory(**memory)
+        program, stream = make_trace(WORKLOAD, sum(windows))
+        stop_issues = []
+        issue_stage = Prefetcher.cycle
+
+        def counted(prefetcher, cycle):
+            before = prefetcher.memory.mshrs.allocations
+            issue_stage(prefetcher, cycle)
+            stop_issues.append(prefetcher.memory.mshrs.allocations - before)
+
+        monkeypatch.setattr(Prefetcher, "cycle", counted)
+        typed_sim = Simulator(params, program, stream)
+        typed = typed_sim.run(WORKLOAD)
+        monkeypatch.undo()
+        assert typed_sim.kernel_backend == backend_name()
+        assert sum(stop_issues) > 0, stop_issues
+        ref_sim = Simulator(params, program, stream)
+        identity(typed, ref_sim.run(WORKLOAD, reference=True))
+        assert component_counters(typed_sim) == component_counters(ref_sim)
+        assert typed_sim.memory.mshrs.validate() == []
 
     def test_no_prefetcher_overrides_issue_stage(self):
         # The typed kernel inlines Prefetcher.cycle (it calls the method
