@@ -14,7 +14,7 @@ Three composable layers (see ``docs/TESTING.md``):
   minimisation and JSON reproducers (:mod:`repro.check.reproducer`);
 * :mod:`repro.check.sweepdiff` -- the differential sweep-equivalence
   harness (``repro check --sweep``): serial, parallel, sharded and
-  interrupted-then-resumed executions of one declarative sweep spec
+  killed-then-rerun executions of one declarative sweep spec
   must produce bit-identical merged tables with no point run twice.
 
 Everything is driven from the ``repro check`` CLI subcommand.

@@ -219,22 +219,30 @@ def random_params(rng: random.Random) -> SimParams:
         wrong_path_fills=rng.random() < 0.85,
     )
     btb_entries = rng.choice([384, 512, 1024, 2048, 8192])
+    direction_kind = rng.choice(
+        [
+            DirectionPredictorKind.TAGE,
+            DirectionPredictorKind.TAGE,
+            DirectionPredictorKind.GSHARE,
+            DirectionPredictorKind.PERCEPTRON,
+            DirectionPredictorKind.PERFECT,
+        ]
+    )
+    tage_storage_kib = rng.choice([9, 18, 36])
+    btb_latency = rng.randint(1, 3)
+    btb_l1_entries = rng.choice([0, 0, 0, 256]) if btb_entries > 256 else 0
+    if rng.random() < 0.1:
+        # A tenth of the trials predict directions perfectly whatever
+        # kind was drawn; the draw keeps its place in the sequence, so
+        # a seed draws the configuration it always has.
+        direction_kind = DirectionPredictorKind.PERFECT
     branch = BranchPredictorParams(
-        direction_kind=rng.choice(
-            [
-                DirectionPredictorKind.TAGE,
-                DirectionPredictorKind.TAGE,
-                DirectionPredictorKind.GSHARE,
-                DirectionPredictorKind.PERCEPTRON,
-                DirectionPredictorKind.PERFECT,
-            ]
-        ),
-        tage_storage_kib=rng.choice([9, 18, 36]),
+        direction_kind=direction_kind,
+        tage_storage_kib=tage_storage_kib,
         btb_entries=btb_entries,
         btb_assoc=4,
-        btb_latency=rng.randint(1, 3),
-        btb_l1_entries=rng.choice([0, 0, 0, 256]) if btb_entries > 256 else 0,
-        perfect_direction=rng.random() < 0.1,
+        btb_latency=btb_latency,
+        btb_l1_entries=btb_l1_entries,
         perfect_indirect=rng.random() < 0.1,
         loop_predictor_entries=rng.choice([0, 0, 64]),
         ras_entries=rng.choice([16, 64]),
@@ -303,9 +311,7 @@ def arch_fold_problem(params: SimParams, program, stream) -> str | None:
     must equal :func:`~repro.common.bits.fold` of the masked history
     and of the masked history times 3.  Returns the first mismatch.
     """
-    branch = replace(
-        params.branch, direction_kind=DirectionPredictorKind.TAGE, perfect_direction=False
-    )
+    branch = replace(params.branch, direction_kind=DirectionPredictorKind.TAGE)
     for policy in HistoryPolicy:
         sim = Simulator(
             params.replace(check_invariants=False, branch=branch).with_frontend(
@@ -555,7 +561,9 @@ def run_trial(trial: FuzzTrial, pool: ProcessPoolExecutor | None = None) -> Fuzz
     # runs, a perfect BTB must not materially hurt.
     if not trial.params.branch.perfect_btb:
         oracle_pred = replace(
-            trial.params.branch, perfect_direction=True, perfect_indirect=True
+            trial.params.branch,
+            direction_kind=DirectionPredictorKind.PERFECT,
+            perfect_indirect=True,
         )
         finite, _ = _run(
             trial.params.replace(check_invariants=False, branch=oracle_pred),

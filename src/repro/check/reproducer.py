@@ -23,7 +23,14 @@ from repro.common.params import SimParams, from_dict
 from repro.experiments.cache import _canonical
 from repro.trace.cfg import ProgramSpec
 
-REPRODUCER_VERSION = 1
+REPRODUCER_VERSION = 2
+"""Layout tag of a reproducer file; :func:`load_reproducer` refuses others.
+
+v2: ``BranchPredictorParams.perfect_direction`` is gone
+(``direction_kind="perfect"`` says the same).  A v1 file that set it
+would replay another configuration, since decoding ignores keys that
+are no longer fields.
+"""
 
 
 def params_to_dict(params: SimParams) -> dict:

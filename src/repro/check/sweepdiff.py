@@ -1,6 +1,6 @@
 """Differential sweep-equivalence harness (``repro check --sweep``).
 
-Shard/resume/dedup bookkeeping is exactly the kind of distributed
+Shard and rerun bookkeeping is exactly the kind of distributed
 machinery that silently drops or double-counts points, so the sweep
 scheduler ships with a harness that *proves*, for a given spec, that
 every execution strategy yields the identical result set:
@@ -8,10 +8,11 @@ every execution strategy yields the identical result set:
 * **serial**       -- one process, ``jobs=1``;
 * **parallel**     -- one run fanned across a worker pool;
 * **shard2/shard3**-- every shard of a 2-way and a 3-way partition run
-  sequentially against a shared cache, then merged;
-* **resume**       -- a run interrupted after half its points (the
-  scheduler's deterministic interruption injection), then re-run with
-  ``--resume`` against the same cache.
+  sequentially against a shared cache, the last one writing the table;
+* **resume**       -- a sweep killed after half its points (the first
+  half of the expansion goes through ``run_points``, then the memo is
+  dropped, as the killed process's would be), then run again in full
+  against the same cache.
 
 Each strategy executes in its own isolated result-cache and ledger
 directories (the in-process memo is cleared between runs), so every
@@ -21,9 +22,9 @@ strategy actually recomputes its points.  The harness then asserts:
    **byte-identical** across all strategies;
 2. every strategy's ledgers reconcile: each expansion point has exactly
    one terminal event per run, **no point is simulated more than once**
-   across a strategy's runs (resume must not redo finished work), and
+   across a strategy's runs (a rerun must not redo finished work), and
    **no point is missed**;
-3. the resumed run started only the points the interrupted run had not
+3. the rerun started only the points the killed run had not
    completed.
 
 The fuzzer reuses the expansion-layer half of this module:
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.common.ledger import invalid_sequences, read_ledger
-from repro.experiments.runner import clear_cache
+from repro.experiments.runner import clear_cache, run_points
 from repro.experiments.spec import (
     SweepSpec,
     expand,
@@ -88,8 +89,10 @@ class SweepEquivalenceReport:
 
 @contextmanager
 def _isolated(cache_dir: Path, ledger_dir: Path):
-    """Point the cache and ledger env at strategy-private directories."""
-    saved = {k: os.environ.get(k) for k in ("REPRO_CACHE_DIR", "REPRO_LEDGER")}
+    """Point the cache and ledger env at strategy-private directories
+    (the cache is on: the shard and resume strategies read it back)."""
+    saved = {k: os.environ.get(k) for k in ("REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_LEDGER")}
+    os.environ["REPRO_CACHE"] = "1"
     os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
     os.environ["REPRO_LEDGER"] = str(ledger_dir)
     clear_cache()
@@ -149,7 +152,7 @@ def _reconcile_ledgers(
     if ran_twice:
         outcome.problems.append(
             f"{len(ran_twice)} point(s) simulated more than once across runs "
-            "(resume/shard dedup failure)"
+            "(rerun/shard dedup failure)"
         )
     strangers = set(outcome.terminal) - expected_ids
     if strangers:
@@ -204,14 +207,12 @@ def check_sweep_equivalence(
                                 out_dir=out_dir,
                             )
                     else:  # resume
-                        half = max(1, (len(shard_points(points, 1, 1)) + 1) // 2)
-                        run_sweep(
-                            spec, points, jobs=jobs, out_dir=out_dir, limit=half
-                        )
+                        half = max(1, (len(points) + 1) // 2)
+                        run_points(((p.workload, p.params) for p in points[:half]), jobs=jobs)
                         # A killed sweep loses its process; drop the memo so
-                        # the resumed run must go through the disk cache.
+                        # the rerun must go through the disk cache.
                         clear_cache()
-                        run_sweep(spec, points, jobs=jobs, out_dir=out_dir, resume=True)
+                        run_sweep(spec, points, jobs=jobs, out_dir=out_dir)
             except Exception as exc:
                 strategy.problems.append(f"execution failed: {type(exc).__name__}: {exc}")
                 continue

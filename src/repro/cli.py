@@ -11,7 +11,7 @@ Eleven subcommands::
     python -m repro check [--fuzz N]      # correctness harness (docs/TESTING.md)
     python -m repro kernel                # which cycle-kernel backend runs here
     python -m repro cache info|clear      # persistent result cache
-    python -m repro sweep spec.yaml       # declarative sweep (--shard k/N, --resume)
+    python -m repro sweep spec.yaml       # declarative sweep (--shard k/N, --merge)
     python -m repro sweep-report [LEDGER] # sweep progress/summary from a run ledger
 
 ``run`` simulates one (workload, configuration) pair and prints the
@@ -108,7 +108,6 @@ def _add_sim_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--predict-width", type=int, default=12)
     cmd.add_argument("--max-taken", type=int, default=1)
     cmd.add_argument("--perfect-btb", action="store_true")
-    cmd.add_argument("--perfect-direction", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser(
-        "sweep", help="run a declarative sweep spec (sharded, resumable; docs/SWEEPS.md)"
+        "sweep", help="run a declarative sweep spec (sharded; docs/SWEEPS.md)"
     )
     sweep.add_argument("spec", help="sweep spec file (.yaml/.yml via PyYAML, else JSON)")
     sweep.add_argument(
@@ -207,25 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the expansion and this shard's points without simulating",
     )
     sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="report how many shard points the result cache already holds, then "
-        "run only the remainder (any sweep is implicitly resumable; this "
-        "flag adds the pre-scan and tags the ledger)",
-    )
-    sweep.add_argument(
         "--merge",
         action="store_true",
-        help="merge existing per-shard manifests into the final table instead "
-        "of running anything",
-    )
-    sweep.add_argument(
-        "--limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after the shard's first N points and skip the shard "
-        "manifest (testing aid: models a sweep killed mid-flight)",
+        help="write the table from the result cache without simulating; "
+        "exit 1 when any point has no cached result",
     )
 
     sweep_report = sub.add_parser(
@@ -308,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         default=None,
         help="differential sweep-equivalence harness: run SPEC serially, in "
-        "parallel, sharded 2- and 3-way, and interrupted-then-resumed; all "
+        "parallel, sharded 2- and 3-way, and killed half-way then re-run; all "
         "five merged tables must be bit-identical with every point run at "
         "most once (docs/SWEEPS.md)",
     )
@@ -358,7 +342,6 @@ def _params_from_args(args: argparse.Namespace) -> SimParams:
         direction_kind=args.direction,
         tage_storage_kib=args.tage_kib,
         perfect_btb=args.perfect_btb,
-        perfect_direction=args.perfect_direction,
     )
     return params
 
@@ -377,28 +360,6 @@ def _resolve_workload(name: str):
     except KeyError as exc:
         log.error("%s", exc.args[0])
         return None
-
-
-def _resolve_workload_names(raw: str) -> list[str] | None:
-    """Resolve a comma-separated ``--workloads`` value to registry names.
-
-    Entries may be catalogue names, registered trace names or trace
-    file paths (auto-registered).  Logs and returns ``None`` when any
-    entry is unknown, so callers can exit 2.
-    """
-    from repro.trace.source import resolve_workload
-
-    names: list[str] = []
-    unknown: list[str] = []
-    for entry in [n.strip() for n in raw.split(",") if n.strip()]:
-        try:
-            names.append(resolve_workload(entry).name)
-        except KeyError:
-            unknown.append(entry)
-    if unknown:
-        log.error("unknown workloads: %s", ", ".join(unknown))
-        return None
-    return names
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -438,7 +399,6 @@ def _write_stats_json(result, output: str) -> Path:
     backend that ran, so a stats dump is comparable across PRs without
     guessing which defaults were in force.
     """
-    from repro.core.typed import kernel_backend_for_params
     from repro.experiments.cache import SIM_SCHEMA_VERSION
 
     path = Path(output)
@@ -456,7 +416,7 @@ def _write_stats_json(result, output: str) -> Path:
         "modes": {
             "warmup_mode": "cycle" if warmup_mode == "auto" else warmup_mode,
             "check_invariants": params.check_invariants,
-            "kernel_backend": kernel_backend_for_params(params),
+            "kernel_backend": result.kernel_backend,
         },
         "counters": {name: result.stats.get(name) for name in result.stats.names()},
     }
@@ -681,23 +641,16 @@ def _check_catalogue(args: argparse.Namespace) -> int:
     """Differential + invariant check of catalogue workloads."""
     from repro.check import DifferentialDivergence, check_workload
     from repro.check.invariants import InvariantViolation
-    from repro.experiments.configs import QUICK_WORKLOADS, default_params
+    from repro.experiments.configs import default_params, parse_workloads
 
     try:
         params = default_params().replace(
             warmup_instructions=args.warmup, sim_instructions=args.instructions
         )
+        names = parse_workloads(args.workloads, "--workloads")
     except ValueError as exc:
         log.error("%s", exc)
         return 2
-    if args.workloads == "quick":
-        names = list(QUICK_WORKLOADS)
-    elif args.workloads == "all":
-        names = [w.name for w in default_workloads()]
-    else:
-        names = _resolve_workload_names(args.workloads)
-        if names is None:
-            return 2
     failures = 0
     for name in names:
         try:
@@ -819,7 +772,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run (or merge) one shard of a declarative sweep spec."""
+    """Run one shard of a declarative sweep spec, or write its table
+    from the result cache (``--merge``)."""
+    from repro.experiments.cache import cache_enabled
     from repro.experiments.spec import (
         SweepSpecError,
         expand,
@@ -827,7 +782,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         parse_shard,
         shard_points,
     )
-    from repro.experiments.sweep import default_sweep_dir, merge_sweep, run_sweep
+    from repro.experiments.sweep import (
+        SweepIncomplete,
+        default_sweep_dir,
+        merge_sweep,
+        run_sweep,
+    )
 
     try:
         spec = load_spec(args.spec)
@@ -838,11 +798,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     out_dir = Path(args.out) if args.out else default_sweep_dir(spec)
     k, total = shard
+    # A fresh process has an empty memo, so results that other shards
+    # (or earlier runs) made reach it only through the disk cache.
+    if (args.merge or (total > 1 and not args.dry_run)) and not cache_enabled():
+        what = "--merge" if args.merge else f"shard {k}/{total}"
+        log.error(
+            "%s reads other runs' results from the result cache, which "
+            "REPRO_CACHE=0 turns off; unset REPRO_CACHE",
+            what,
+        )
+        return 2
 
     if args.merge:
         try:
             written = merge_sweep(spec, points, out_dir)
-        except SweepSpecError as exc:
+        except SweepIncomplete as exc:
             log.error("%s", exc)
             return 1
         for path in written:
@@ -861,28 +831,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  {point.point_id[:16]}  {point.workload:14s} {point.label}")
         return 0
 
-    outcome = run_sweep(
-        spec,
-        points,
-        shard=shard,
-        jobs=args.jobs,
-        out_dir=out_dir,
-        resume=args.resume,
-        limit=args.limit,
-    )
+    outcome = run_sweep(spec, points, shard=shard, jobs=args.jobs, out_dir=out_dir)
     print(
         f"sweep {spec.name} shard {k}/{total}: {outcome.points_shard} of "
         f"{outcome.points_total} point(s), {outcome.executed} simulated, "
         f"{outcome.cache_hits} from cache"
     )
-    if outcome.interrupted:
-        print("interrupted before the shard completed; re-run with --resume")
-        return 1
-    if outcome.shard_file is not None:
-        print(f"wrote {outcome.shard_file}")
     for path in outcome.merged_files:
         print(f"wrote {path}")
-    if not outcome.merged_files and total > 1:
+    if not outcome.merged_files:
         print("merge deferred: run the sibling shards, then repro sweep ... --merge")
     return 0
 

@@ -101,7 +101,6 @@ class BranchPredictorParams:
     """Extra prediction-pipeline cycles when a taken prediction's entry
     was served from the L2 BTB."""
     perfect_btb: bool = False
-    perfect_direction: bool = False
     perfect_indirect: bool = False
 
     ittage_entries: int = 2048
@@ -116,10 +115,6 @@ class BranchPredictorParams:
             "direction_kind",
             _coerce(DirectionPredictorKind, self.direction_kind, "direction predictor"),
         )
-        if self.direction_kind is DirectionPredictorKind.PERFECT and not self.perfect_direction:
-            # The perfect kind builds no predictor object; the oracle
-            # direction path is keyed on the flag, so the kind sets it.
-            object.__setattr__(self, "perfect_direction", True)
         if self.btb_entries <= 0 or self.btb_assoc <= 0:
             raise ValueError("BTB geometry must be positive")
         if self.btb_entries % self.btb_assoc:

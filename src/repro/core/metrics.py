@@ -76,6 +76,12 @@ class RunResult:
     instructions: int
     cycles: int
     stats: StatSet = field(repr=False, default_factory=StatSet)
+    kernel_backend: str = field(default="", compare=False)
+    """The cycle kernel that produced the counters (``typed-compiled``,
+    ``typed-python`` or ``interp``), set by :meth:`Simulator.run
+    <repro.core.simulator.Simulator.run>`.  Provenance, not content:
+    both kernels give bit-identical counters, so results compare equal
+    across backends and the cache key leaves it out."""
 
     @property
     def ipc(self) -> float:

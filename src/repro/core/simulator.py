@@ -66,9 +66,9 @@ def _direction_predictor(branch: BranchPredictorParams, hist_bits: int):
     ``None`` under perfect direction prediction: the oracle stream
     supplies every outcome.
     """
-    if branch.perfect_direction:
-        return None
     kind = branch.direction_kind
+    if kind is DirectionPredictorKind.PERFECT:
+        return None
     if kind is DirectionPredictorKind.TAGE:
         return TAGE(TageConfig.for_budget_kib(branch.tage_storage_kib, hist_bits))
     if kind is DirectionPredictorKind.GSHARE:
@@ -169,7 +169,7 @@ class Simulator:
             direction=self.direction,
             ittage=self.ittage,
             stats=self.stats,
-            train_direction=not branch.perfect_direction,
+            train_direction=branch.direction_kind is not DirectionPredictorKind.PERFECT,
             loop=self.loop,
         )
         self.backend = Backend(
@@ -338,7 +338,7 @@ class Simulator:
         every cycle (only the typed kernel skips idle cycles): it is the
         reference path the correctness harness compares the typed
         kernel against.  The backend that ran is recorded in
-        :attr:`kernel_backend`.
+        :attr:`kernel_backend` and on the result.
 
         Observers (telemetry hub, invariant checker) point back at the
         simulator until the run ends, also when the kernel raises, so a
@@ -390,6 +390,7 @@ class Simulator:
             instructions=self.backend.committed - self._measure_start_committed,
             cycles=max(self.cycle - self._measure_start_cycle, 1),
             stats=self.stats,
+            kernel_backend=self.kernel_backend,
         )
         if self.telemetry is not None:
             self.telemetry.finalize(self, result)

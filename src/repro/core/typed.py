@@ -23,21 +23,20 @@ The backend is derived, never configured: :meth:`Simulator.run
 <repro.core.simulator.Simulator.run>` takes the typed kernel whenever
 :func:`supported` holds and the interpreted kernel otherwise.  Because
 both backends are bit-identical, the backend is not part of a result's
-identity (cache keys hash content only); it is recorded as
-``kernel_backend`` in manifests and ``--stats-json`` so every result
-names the backend that produced it.  The
-interpreted kernel stays the reference path the correctness harness
-compares against, reached through ``Simulator.run(reference=True)``.
+identity (cache keys hash content only); :meth:`Simulator.run` records
+the one it took as ``RunResult.kernel_backend``, which cache entries,
+manifests and ``--stats-json`` keep, so every result names the backend
+that produced it.  The interpreted kernel stays the reference path the
+correctness harness compares against, reached through
+``Simulator.run(reference=True)``.
 """
 
 from __future__ import annotations
 
-from repro.common.params import SimParams
 from repro.core.typedkern import typed_kernel
 
 __all__ = [
     "backend_name",
-    "kernel_backend_for_params",
     "supported",
     "typed_kernel",
 ]
@@ -72,14 +71,3 @@ def backend_name() -> str:
 
     source = getattr(typedkern, "__file__", "") or ""
     return "typed-python" if source.endswith(".py") else "typed-compiled"
-
-
-def kernel_backend_for_params(params: SimParams) -> str:
-    """The backend label an uninstrumented run of ``params`` records:
-    ``typed-compiled`` / ``typed-python`` / ``interp``.
-
-    Mirrors :func:`supported` from params alone: the only observer
-    params can switch on is the checker (``check_invariants``).
-    Manifests and ``--stats-json`` record this label.
-    """
-    return "interp" if params.check_invariants else backend_name()

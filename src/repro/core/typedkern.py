@@ -189,7 +189,7 @@ def typed_kernel(sim, target: int, warmup: int, guard: int) -> None:
     ideal: bool = mgr._ideal
     push_outcome = mgr.push_outcome
     ideal_pushes = bpu._ideal_pushes
-    direction = bpu.direction  # None under perfect_direction
+    direction = bpu.direction  # None under the perfect direction kind
     direction_predict = direction.predict if direction is not None else None
     # A TAGE trained from the stream's record (THR, Ideal) serves its
     # on-path predictions from there; see the predict stage.

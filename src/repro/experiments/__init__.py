@@ -1,7 +1,8 @@
 """Experiment harness: canonical configurations, cached/parallel runner,
 the persistent result cache, declarative sweep specs with sharded
-resumable execution (docs/SWEEPS.md), and one function per table/figure
-of the paper (see DESIGN.md section 4 and docs/PERFORMANCE.md)."""
+execution through that cache (docs/SWEEPS.md), and one function per
+table/figure of the paper (see DESIGN.md section 4 and
+docs/PERFORMANCE.md)."""
 
 from repro.experiments.cache import (
     ResultCache,

@@ -47,13 +47,12 @@ from repro.common.log import get_logger
 from repro.common.params import SimParams, params_from_dict
 from repro.common.stats import StatSet
 from repro.core.metrics import RunResult
-from repro.core.typed import kernel_backend_for_params
 from repro.trace.source import WorkloadSource, resolve_workload
 from repro.trace.workloads import WorkloadSpec
 
 log = get_logger("experiments.cache")
 
-SIM_SCHEMA_VERSION = 9
+SIM_SCHEMA_VERSION = 10
 """Bump when simulator/trace/predictor changes can alter RunResults.
 
 v2: the sweep runner defaults ``SimParams.warmup_mode`` to
@@ -91,6 +90,12 @@ it was part of every parameter fingerprint, so every key changes.
 v9: ``BranchPredictorParams.btb_variant`` is gone.  A two-level BTB is
 built exactly when ``btb_l1_entries`` is set, as ``auto`` did, but the
 field was part of every parameter fingerprint, so every key changes.
+
+v10: ``BranchPredictorParams.perfect_direction`` is gone; the
+``perfect`` direction kind is the one spelling of perfect direction
+prediction, so one simulation has one key (a TAGE or Gshare config with
+the flag keyed apart from the kind).  Entries also record the
+``kernel_backend`` that ran (:attr:`RunResult.kernel_backend`).
 """
 
 _ENV_DIR = "REPRO_CACHE_DIR"
@@ -248,7 +253,7 @@ def build_manifest(key: str, result: RunResult, meta: dict | None = None) -> dic
         "params_fingerprint": params_fingerprint(params),
         "warmup_mode": params.warmup_mode,
         "check_invariants": params.check_invariants,
-        "kernel_backend": kernel_backend_for_params(params),
+        "kernel_backend": result.kernel_backend,
         "prefetcher": params.prefetcher,
         "warmup_instructions": params.warmup_instructions,
         "sim_instructions": params.sim_instructions,
@@ -292,7 +297,7 @@ def _result_of(entry: dict) -> RunResult:
     counters = entry["counters"]
     if not isinstance(counters, dict):
         raise TypeError("entry counters are not an object")
-    texts = (entry["key"], entry["workload"], entry["label"])
+    texts = (entry["key"], entry["workload"], entry["label"], entry["kernel_backend"])
     numbers = (entry["instructions"], entry["cycles"], *counters.values())
     if not all(isinstance(t, str) for t in texts) or not all(type(n) is int for n in numbers):
         raise TypeError("entry field of the wrong type")
@@ -306,6 +311,7 @@ def _result_of(entry: dict) -> RunResult:
         instructions=entry["instructions"],
         cycles=entry["cycles"],
         stats=stats,
+        kernel_backend=entry["kernel_backend"],
     )
 
 
@@ -325,14 +331,6 @@ class ResultCache:
 
     def _entries(self):
         return self.directory.glob(_ENTRY_GLOB)
-
-    def contains(self, key: str) -> bool:
-        """Whether an entry exists on disk, without loading it.
-
-        A cheap pre-scan probe (the sweep scheduler's ``--resume``
-        reporting); the entry may still turn out stale on ``get``.
-        """
-        return self._path(key).is_file()
 
     def get(self, key: str) -> RunResult | None:
         """Load a cached result; None on miss or stale entry.
@@ -380,17 +378,18 @@ class ResultCache:
         ``meta`` carries runner-supplied provenance fields (wall time,
         peak RSS, worker pid) merged into the entry.
         """
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         blob = json.dumps(build_manifest(key, result, meta), indent=2).encode()
         try:
+            self.directory.mkdir(parents=True, exist_ok=True)
             tmp.write_bytes(blob)
             tmp.replace(path)
-        except OSError:
-            # Caching is best-effort; a full/read-only disk must not
-            # fail the experiment run.
+        except OSError as exc:
+            # Caching is best-effort: a full or read-only disk must not
+            # fail the run, but a sharded sweep's merge reads this entry.
             tmp.unlink(missing_ok=True)
+            log.warning("could not store result %s in %s: %s", key[:12], self.directory, exc)
             return
         self.stats.bump("cache_store")
         self.stats.bump("cache_bytes_written", len(blob))

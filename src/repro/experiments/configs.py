@@ -79,16 +79,18 @@ def baseline_params() -> SimParams:
     return no_fdp(default_params())
 
 
-def evaluation_workloads() -> list[str]:
-    """Workload names selected by ``REPRO_WORKLOADS``.
+def parse_workloads(raw: str, source: str) -> list[str]:
+    """Workload names a ``quick`` / ``all`` / comma-separated value selects.
 
     Explicit names may be catalogue entries, registered trace sources
     (e.g. discovered through ``REPRO_TRACES``), or trace file paths
-    (auto-registered under their canonical names).
+    (auto-registered under their canonical names).  Raises
+    ``ValueError`` naming ``source`` (the variable or flag the value
+    came from) for an unknown entry or an empty selection.
     """
     from repro.trace.source import resolve_workload
 
-    raw = os.environ.get("REPRO_WORKLOADS", "all").strip()
+    raw = raw.strip()
     if raw == "all":
         return [w.name for w in default_workloads()]
     if raw == "quick":
@@ -102,7 +104,12 @@ def evaluation_workloads() -> list[str]:
         except KeyError:
             unknown.append(entry)
     if unknown:
-        raise ValueError(f"unknown workloads in REPRO_WORKLOADS: {unknown}")
+        raise ValueError(f"unknown workloads in {source}: {', '.join(unknown)}")
     if not names:
-        raise ValueError("REPRO_WORKLOADS selected no workloads")
+        raise ValueError(f"{source} selected no workloads")
     return names
+
+
+def evaluation_workloads() -> list[str]:
+    """Workload names selected by ``REPRO_WORKLOADS`` (default ``all``)."""
+    return parse_workloads(os.environ.get("REPRO_WORKLOADS", "all"), "REPRO_WORKLOADS")

@@ -38,7 +38,7 @@ def fig1(workloads: list[str] | None = None) -> dict:
     """
     workloads = workloads or evaluation_workloads()
     perfect_bp = default_params().with_branch(
-        perfect_btb=True, perfect_direction=True, perfect_indirect=True
+        direction_kind=DirectionPredictorKind.PERFECT, perfect_btb=True, perfect_indirect=True
     )
     shallow = no_fdp(perfect_bp)
     configs: dict[str, SimParams] = {"base": shallow}
@@ -455,9 +455,9 @@ def fig12(workloads: list[str] | None = None) -> dict:
         "tage9k": fdp.with_branch(tage_storage_kib=9),
         "tage18k": fdp,
         "tage36k": fdp.with_branch(tage_storage_kib=36),
-        "perfdir": fdp.with_branch(perfect_direction=True),
+        "perfdir": fdp.with_branch(direction_kind=DirectionPredictorKind.PERFECT),
         "perfall": fdp.with_branch(
-            perfect_direction=True, perfect_btb=True, perfect_indirect=True
+            direction_kind=DirectionPredictorKind.PERFECT, perfect_btb=True, perfect_indirect=True
         ),
     }
     configs: dict[str, SimParams] = {"base": base}

@@ -153,6 +153,36 @@ def cache_size() -> int:
     return len(_CACHE)
 
 
+def _lookup(key: str, disk: ResultCache | None) -> tuple[RunResult | None, str]:
+    """A run key's memoised result, else its disk-cached one (memoised
+    on the way), and which of the two held it."""
+    result = _CACHE.get(key)
+    if result is not None:
+        CACHE_STATS.bump("cache_memo_hit")
+        return result, "memo"
+    if disk is not None:
+        result = disk.get(key)
+        if result is not None:
+            _CACHE[key] = result
+            return result, "disk"
+    return None, "miss"
+
+
+def cached_results(keys: Iterable[str]) -> dict[str, RunResult]:
+    """The memoised or disk-cached result of each run key that has one.
+
+    Never simulates and never writes to the ledger: a sweep's merge
+    reads the points that other shards ran this way.
+    """
+    disk = _disk()
+    found: dict[str, RunResult] = {}
+    for key in keys:
+        result, _ = _lookup(key, disk)
+        if result is not None:
+            found[key] = result
+    return found
+
+
 def _workload_name(workload) -> str:
     """Catalogue name of a workload argument (string or explicit spec)."""
     return workload if isinstance(workload, str) else workload.name
@@ -209,23 +239,13 @@ def run_points(
             continue
         if ledger is not None:
             ledger.queued(key, _workload_name(workload), params.label())
-        result = _CACHE.get(key)
+        result, source = _lookup(key, disk)
         if result is not None:
-            CACHE_STATS.bump("cache_memo_hit")
             resolved[key] = result
             n_hits += 1
             if ledger is not None:
-                ledger.cache_hit(key, _workload_name(workload), params.label(), "memo")
+                ledger.cache_hit(key, _workload_name(workload), params.label(), source)
             continue
-        if disk is not None:
-            result = disk.get(key)
-            if result is not None:
-                _CACHE[key] = result
-                resolved[key] = result
-                n_hits += 1
-                if ledger is not None:
-                    ledger.cache_hit(key, _workload_name(workload), params.label(), "disk")
-                continue
         pending[key] = (workload, params)
 
     log.debug(

@@ -70,7 +70,7 @@ from repro.trace.source import (
 from repro.trace.workloads import default_workloads
 
 SWEEP_SPEC_VERSION = 1
-"""Schema tag stamped into shard manifests and merged tables."""
+"""Schema tag stamped into merged tables."""
 
 PARAM_GROUPS = ("frontend", "branch", "memory", "core")
 """Dotted-key prefixes addressing the nested parameter dataclasses."""
@@ -406,7 +406,7 @@ class SweepPoint:
 
     ``point_id`` is the content-addressed cache key of the
     environment-resolved parameters -- the same key the runner and the
-    disk cache use -- so shards, resumed runs and independent machines
+    disk cache use -- so shards, re-runs and independent machines
     all agree on point identity.
     """
 

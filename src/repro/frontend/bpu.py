@@ -31,7 +31,7 @@ from repro.branch.btb import BTB
 from repro.branch.history import HistoryManager
 from repro.branch.ittage import ITTAGE
 from repro.branch.ras import ReturnAddressStack
-from repro.common.params import SimParams
+from repro.common.params import DirectionPredictorKind, SimParams
 from repro.common.stats import StatSet
 from repro.frontend.ftq import FTQ, FTQEntry
 from repro.isa.instructions import BranchKind
@@ -198,7 +198,9 @@ class BranchPredictionUnit:
         self._max_taken = params.frontend.max_taken_per_cycle
         self._two_level_btb = bool(params.branch.btb_l1_entries)
         self._perfect_btb = params.branch.perfect_btb
-        self._perfect_direction = params.branch.perfect_direction
+        self._perfect_direction = (
+            params.branch.direction_kind is DirectionPredictorKind.PERFECT
+        )
         self._perfect_indirect = params.branch.perfect_indirect
         self._segments = stream.segments
         # Precompiled static-image branch arrays (repro.trace.fbmeta):

@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from repro.branch.history import HistoryManager
-from repro.common.params import SimParams
+from repro.common.params import DirectionPredictorKind, SimParams
 from repro.common.stats import StatSet
 from repro.frontend.bpu import WRONG_PATH, BranchPredictionUnit, compute_fault
 from repro.frontend.ftq import (
@@ -295,7 +295,7 @@ class FetchUnit:
         """The EV8-style per-slot direction hint bit (lazily evaluated
         with the history the prediction pipeline held for this slot)."""
         hist = entry.hist_before(addr, self.mgr)
-        if self.params.branch.perfect_direction:
+        if self.params.branch.direction_kind is DirectionPredictorKind.PERFECT:
             if entry.cursor_seg == WRONG_PATH:
                 return False
             seg = self.stream.segments[entry.cursor_seg]

@@ -40,7 +40,7 @@ class TestComponentsFromParams:
         assert sim.run().instructions > 0
 
     def test_perfect_direction_builds_no_predictor(self):
-        assert _sim(_PLAIN.with_branch(perfect_direction=True)).direction is None
+        assert _sim(_PLAIN.with_branch(direction_kind="perfect")).direction is None
 
     def test_history_policy_picks_history_length(self):
         thr = _sim(_PLAIN.with_frontend(history_policy=HistoryPolicy.THR))

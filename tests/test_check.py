@@ -306,6 +306,20 @@ class TestReproducer:
         with pytest.raises(ValueError):
             load_reproducer(path)
 
+    def test_rejects_v1_reproducer(self, tmp_path):
+        # A v1 file may set the deleted perfect_direction flag, which
+        # decoding would ignore: replaying it would run another config.
+        trial = build_trial(3)
+        record = failure_to_dict(
+            trial.seed, "demo", "msg", trial.spec, trial.program_seed,
+            trial.oracle_seed, trial.params,
+        )
+        record["version"] = 1
+        record["params"]["branch"]["perfect_direction"] = True
+        path = write_reproducer(tmp_path / "v1.json", record)
+        with pytest.raises(ValueError, match="v2 reproducer"):
+            load_reproducer(path)
+
     @pytest.mark.slow
     def test_replay_of_passing_trial_is_clean(self):
         trial = build_trial(1)

@@ -1,6 +1,5 @@
 """Tests for the command-line interface (repro.cli)."""
 
-import json
 import logging
 from pathlib import Path
 
@@ -110,14 +109,15 @@ class TestCommands:
         )
         assert code == 0
 
-    def test_run_perfect_direction_kind(self, tmp_path, capsys):
+    def test_run_perfect_direction_kind(self, capsys):
+        # `--direction perfect` is the one spelling; the duplicate flag
+        # that split one simulation over several cache keys is gone.
         run = ["run", "--workload", "srv_web", "--warmup", "1000", "--instructions", "2500"]
-        kind, flag = tmp_path / "kind.json", tmp_path / "flag.json"
-        assert main(run + ["--direction", "perfect", "--stats-json", str(kind)]) == 0
-        assert main(run + ["--perfect-direction", "--stats-json", str(flag)]) == 0
-        kind, flag = json.loads(kind.read_text()), json.loads(flag.read_text())
-        assert kind["counters"] == flag["counters"]
-        assert kind["cycles"] == flag["cycles"]
+        assert main(run + ["--direction", "perfect"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(run + ["--perfect-direction"])
+        assert exc.value.code == 2
+        assert "--perfect-direction" in capsys.readouterr().err
 
     def test_report_stdout_is_archived_text(self, capsys, archive):
         assert main(["report", "table3"]) == 0
@@ -252,6 +252,16 @@ class TestCheckCommand:
 
     def test_rejects_unknown_workload(self):
         assert main(["check", "--workloads", "nope"]) == 2
+
+    @pytest.mark.parametrize("workloads", [",", " , ,"])
+    def test_rejects_empty_workload_list(self, workloads, caplog, repro_records, capsys):
+        # The same parser reads REPRO_WORKLOADS: a list naming no
+        # workload is an error, not "all 0 workload(s) clean".
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            assert main(["check", "--workloads", workloads]) == 2
+        [record] = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert record.getMessage() == "--workloads selected no workloads"
+        assert capsys.readouterr().out == ""
 
     def test_rejects_nonpositive_fuzz_count(self):
         assert main(["check", "--fuzz", "0"]) == 2

@@ -74,7 +74,7 @@ def test_perfect_structures_never_increase_mispredicts(seed):
     program, stream = build(seed)
     real = Simulator(fast(), program, stream).run("r")
     oracle = Simulator(
-        fast().with_branch(perfect_btb=True, perfect_direction=True, perfect_indirect=True),
+        fast().with_branch(perfect_btb=True, direction_kind="perfect", perfect_indirect=True),
         program,
         stream,
     ).run("o")

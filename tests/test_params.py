@@ -11,7 +11,7 @@ from repro.common.params import (
     MemoryParams,
     SimParams,
 )
-from repro.experiments.cache import run_key
+from repro.experiments.cache import _canonical
 
 
 class TestHistoryPolicy:
@@ -182,11 +182,14 @@ class TestSimParams:
         assert p.branch.direction_kind is DirectionPredictorKind.GSHARE
 
     def test_perfect_kind_implies_perfect_direction(self):
+        # The kind is the one spelling, so one simulation has one
+        # configuration and one cache key.
         kind = SimParams().with_branch(direction_kind="perfect")
-        both = SimParams().with_branch(direction_kind="perfect", perfect_direction=True)
-        assert kind.branch.perfect_direction
-        assert kind == both
-        assert run_key("srv_web", kind) == run_key("srv_web", both)
+        assert kind.branch.direction_kind is DirectionPredictorKind.PERFECT
+        assert not hasattr(kind.branch, "perfect_direction")
+        with pytest.raises(TypeError, match="perfect_direction"):
+            SimParams().with_branch(perfect_direction=True)
+        assert "perfect_direction" not in _canonical(kind)["branch"]
 
     def test_rejects_unknown_warmup_mode(self):
         with pytest.raises(ValueError):

@@ -135,6 +135,20 @@ class TestResultCache:
         assert entry["key"] == key and entry["wall_seconds"] == 0.5
         assert entry["counters"] == {"l1i_miss": 42}
 
+    def test_failed_write_warns(self, tmp_path, caplog, repro_records):
+        # A sharded sweep's merge reads the entries back, so a lost
+        # write must show, though it does not fail the run.
+        stats = StatSet()
+        cache = ResultCache(tmp_path, stats=stats)
+        key = run_key("spc_fp", fast())
+        (tmp_path / f"{key}.json").mkdir()  # the rename onto it fails
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            cache.put(key, make_result())
+        assert stats.get("cache_store") == 0
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+        [record] = [r for r in caplog.records if r.name == "repro.experiments.cache"]
+        assert record.levelno == logging.WARNING and str(tmp_path) in record.getMessage()
+
     def test_schema_mismatch_is_stale(self, tmp_path):
         stats = StatSet()
         cache = ResultCache(tmp_path, stats=stats)
@@ -193,7 +207,6 @@ class TestResultCache:
         info = cache.info()
         assert info["entries"] == 0 and info["total_bytes"] == 0
         assert cache.manifests() == []
-        assert not cache.contains(key)
         assert cache.get(key) is None
         assert stats.get("cache_disk_miss") == 1 and stats.get("cache_stale") == 0
         assert cache.clear() == 0

@@ -80,7 +80,7 @@ class TestArchitecturalEffects:
     def test_perfect_all_has_no_mispredicts(self, trace):
         r = run(
             trace,
-            fast().with_branch(perfect_btb=True, perfect_direction=True, perfect_indirect=True),
+            fast().with_branch(perfect_btb=True, direction_kind="perfect", perfect_indirect=True),
         )
         assert r.stats.get("branch_mispredictions") == 0
 

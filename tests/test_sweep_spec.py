@@ -7,10 +7,11 @@ Covers the guarantees docs/SWEEPS.md advertises:
 * stable point IDs across processes and hash seeds;
 * shard partitions for several N: disjoint, complete, skew at most one;
 * shard-arg validation (``--shard 3/2`` exits 2 with a clear message);
-* resumable execution: a sweep interrupted after M points finishes
-  from the cache, the ledger shows exactly the remaining points
-  started, and the final table is byte-identical to an uninterrupted
-  run;
+* execution through the result cache: a sweep killed after M points
+  finishes from the cache when run again, the ledger shows exactly the
+  remaining points started, and the final table is byte-identical to
+  an uninterrupted run; shards write the table once the cache holds
+  every point, and ``--merge`` writes it from the cache alone;
 * the differential sweep-equivalence harness (``repro check --sweep``)
   end to end, and fuzz property 9's generator.
 """
@@ -36,7 +37,7 @@ from repro.cli import main
 from repro.common.ledger import read_ledger
 from repro.common.params import SimParams
 from repro.experiments import figures, runner
-from repro.experiments.cache import run_key
+from repro.experiments.cache import CACHE_STATS, run_key
 from repro.experiments.spec import (
     SweepSpecError,
     apply_setting,
@@ -47,7 +48,7 @@ from repro.experiments.spec import (
     shard_points,
     valid_setting_key,
 )
-from repro.experiments.sweep import MERGED_BASENAME, merge_sweep, run_sweep
+from repro.experiments.sweep import MERGED_BASENAME, SweepIncomplete, merge_sweep, run_sweep
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_sweep.yaml"
@@ -325,15 +326,24 @@ class TestSharding:
 # ----------------------------------------------------------------------
 # Execution, merge, resume
 # ----------------------------------------------------------------------
+@pytest.fixture
+def empty_cache(tmp_path, monkeypatch):
+    """A fresh result-cache directory and an empty in-process memo."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    runner.clear_cache()
+    yield tmp_path / "cache"
+    runner.clear_cache()
+
+
 class TestRunSweep:
-    def test_serial_run_writes_manifest_and_tables(self, tmp_path):
+    def test_serial_run_writes_tables(self, tmp_path):
         spec = parse_spec(spec_data())
         points = expand(spec)
         out = tmp_path / "out"
         outcome = run_sweep(spec, points, jobs=1, out_dir=out)
         assert outcome.points_shard == outcome.points_total == len(points)
-        assert outcome.shard_file is not None and outcome.shard_file.is_file()
         assert len(outcome.merged_files) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["table.csv", "table.json", "table.md"]
         table = json.loads((out / f"{MERGED_BASENAME}.json").read_text())
         assert table["points"] == len(points)
         assert table["columns"] == [
@@ -362,30 +372,49 @@ class TestRunSweep:
         for suffix in ("json", "csv", "md"):
             name = f"{MERGED_BASENAME}.{suffix}"
             assert (single / name).read_bytes() == (sharded / name).read_bytes()
+        assert not list(sharded.glob("shard-*.json"))
 
-    def test_merge_refuses_incomplete_and_duplicated_shards(self, tmp_path):
+    def test_merge_refuses_incomplete_cache(self, tmp_path, empty_cache):
         spec = parse_spec(spec_data())
         points = expand(spec)
         out = tmp_path / "out"
-        run_sweep(spec, points, shard=(1, 2), jobs=1, out_dir=out)
-        with pytest.raises(SweepSpecError, match="missing shard"):
+        first = run_sweep(spec, points, shard=(1, 2), jobs=1, out_dir=out)
+        assert first.merged_files == [] and not out.exists()
+        runner.clear_cache()  # the next shard models another process
+        missing = len(points) - first.points_shard
+        with pytest.raises(SweepIncomplete, match=f"{missing} of {len(points)} point"):
             merge_sweep(spec, points, out)
-        # A duplicated manifest (same rows, different shard file) must be
-        # caught as an overlap rather than silently double-counted.
-        first = json.loads((out / "shard-1-of-2.json").read_text())
-        forged = dict(first, shard=2)
-        (out / "shard-2-of-2.json").write_text(json.dumps(forged))
-        with pytest.raises(SweepSpecError, match="disjoint"):
-            merge_sweep(spec, points, out)
+        assert not out.exists()
+        second = run_sweep(spec, points, shard=(2, 2), jobs=1, out_dir=out)
+        assert second.executed == missing and len(second.merged_files) == 3
+        runner.clear_cache()
+        assert merge_sweep(spec, points, out) == second.merged_files
 
-    def test_stale_spec_fingerprint_rejected(self, tmp_path):
-        spec = parse_spec(spec_data())
-        points = expand(spec)
+    def test_edited_matrix_merges_only_its_points(self, tmp_path, empty_cache, capsys):
+        path = write_spec(tmp_path, spec_data())
         out = tmp_path / "out"
-        run_sweep(spec, points, jobs=1, out_dir=out)
-        edited = parse_spec(spec_data(sweep="tiny-edited"))
-        with pytest.raises(SweepSpecError, match="disagree with the spec"):
-            merge_sweep(edited, expand(edited), out)
+        assert main(["sweep", str(path), "--out", str(out)]) == 0
+        # Dropping an axis value leaves points the cache already holds:
+        # the table is exactly the edited expansion, with no stale row.
+        narrowed = spec_data(matrix={
+            "branch.btb_entries": [8192],
+            "frontend.pfc_enabled": [False, True],
+        }, exclude=[])
+        narrowed_path = write_spec(tmp_path, narrowed, "narrowed.json")
+        assert main(["sweep", str(narrowed_path), "--merge", "--out", str(out)]) == 0
+        table = json.loads((out / f"{MERGED_BASENAME}.json").read_text())
+        assert sorted(r["point"] for r in table["rows"]) == sorted(
+            p.point_id for p in expand(parse_spec(narrowed))
+        )
+        # A new axis value has no cached result: the merge writes nothing.
+        widened = spec_data(matrix={
+            "branch.btb_entries": [512, 2048, 8192],
+            "frontend.pfc_enabled": [False, True],
+        })
+        widened_path = write_spec(tmp_path, widened, "widened.json")
+        before = (out / f"{MERGED_BASENAME}.json").read_bytes()
+        assert main(["sweep", str(widened_path), "--merge", "--out", str(out)]) == 1
+        assert (out / f"{MERGED_BASENAME}.json").read_bytes() == before
 
     def test_cli_dry_run_and_merge(self, tmp_path, capsys):
         path = write_spec(tmp_path, spec_data())
@@ -396,43 +425,91 @@ class TestRunSweep:
         assert main(["sweep", str(path), "--out", str(out)]) == 0
         assert main(["sweep", str(path), "--merge", "--out", str(out)]) == 0
         assert (out / f"{MERGED_BASENAME}.csv").is_file()
-        assert main(["sweep", str(path), "--merge", "--out", str(tmp_path / "no")]) == 1
+        # The cache is the sweep's record, so a fresh directory merges too.
+        fresh = tmp_path / "fresh"
+        assert main(["sweep", str(path), "--merge", "--out", str(fresh)]) == 0
+        for suffix in ("json", "csv", "md"):
+            name = f"{MERGED_BASENAME}.{suffix}"
+            assert (fresh / name).read_bytes() == (out / name).read_bytes()
 
-    def test_resume_after_interruption(self, tmp_path, monkeypatch):
-        """Kill after M points; --resume finishes exactly the remainder."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_stale_shard_manifest_is_inert(self, tmp_path, capsys):
+        # Older versions wrote a manifest per shard beside the table; a
+        # stale one left in --out must not fail an unsharded re-run.
+        path = write_spec(tmp_path, spec_data())
+        out = tmp_path / "out"
+        out.mkdir()
+        stale = out / "shard-1-of-2.json"
+        stale.write_text(json.dumps({
+            "spec": "tiny",
+            "spec_fingerprint": load_spec(path).fingerprint(),
+            "shard": 1,
+            "shard_total": 2,
+            "points": [],
+            "rows": [],
+        }))
+        assert main(["sweep", str(path), "--out", str(out)]) == 0
+        assert f"wrote {out / 'table.csv'}" in capsys.readouterr().out
+        assert json.loads((out / f"{MERGED_BASENAME}.json").read_text())["points"] == 6
+        assert sorted(p.name for p in out.glob("shard-*.json")) == [stale.name]
+
+    @pytest.mark.parametrize("flag", [["--shard", "1/2"], ["--merge"]], ids=["shard", "merge"])
+    def test_cache_off_shard_exits_2(
+        self, tmp_path, monkeypatch, caplog, repro_records, flag
+    ):
+        # Both read results another process made, which only the disk
+        # cache carries; the merge would otherwise advise running shards
+        # that exit 2 themselves.
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        path = write_spec(tmp_path, spec_data())
+        out = tmp_path / "out"
+        sims = CACHE_STATS.get("sim_runs")
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            assert main(["sweep", str(path), *flag, "--out", str(out)]) == 2
+        [record] = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert "REPRO_CACHE" in record.getMessage() and "\n" not in record.getMessage()
+        assert CACHE_STATS.get("sim_runs") == sims and not out.exists()
+        # Unsharded, the run's own results are the whole table.
+        assert main(["sweep", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / f"{MERGED_BASENAME}.json").read_text())["points"] == 6
+
+    def test_cli_merge_with_empty_cache_exits_1(
+        self, tmp_path, empty_cache, caplog, repro_records
+    ):
+        path = write_spec(tmp_path, spec_data())
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            assert main(["sweep", str(path), "--merge", "--out", str(out)]) == 1
+        [record] = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert "6 of 6 point(s)" in record.getMessage()
+        assert not out.exists()
+
+    def test_resume_after_interruption(self, tmp_path, monkeypatch, empty_cache):
+        """Kill after M points; a plain re-run finishes exactly the remainder."""
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger"))
-        runner.clear_cache()
         spec = parse_spec(spec_data())
         points = expand(spec)
         out = tmp_path / "out"
 
-        interrupted = run_sweep(spec, points, jobs=1, out_dir=out, limit=2)
-        assert interrupted.interrupted
-        assert interrupted.executed == 2
-        assert interrupted.shard_file is None
-        assert not (out / f"{MERGED_BASENAME}.csv").exists()
-
+        runner.run_points([(p.workload, p.params) for p in points[:2]], jobs=1)
         runner.clear_cache()  # the killed process's memo is gone
-        resumed = run_sweep(spec, points, jobs=1, out_dir=out, resume=True)
-        assert not resumed.interrupted
-        assert resumed.cache_hits == 2
-        assert resumed.executed == len(points) - 2
-        assert len(resumed.merged_files) == 3
+        rerun = run_sweep(spec, points, jobs=1, out_dir=out)
+        assert rerun.cache_hits == 2
+        assert rerun.executed == len(points) - 2
+        assert len(rerun.merged_files) == 3
 
         ledgers = sorted((tmp_path / "ledger").glob("*.jsonl"))
         assert len(ledgers) == 2
         first, second = (read_ledger(p) for p in ledgers)
         started_first = {r["key"] for r in first if r["event"] == "started"}
         started_second = {r["key"] for r in second if r["event"] == "started"}
-        assert len(started_first) == 2
+        assert started_first == {p.point_id for p in points[:2]}
         assert started_second == {p.point_id for p in points} - started_first
         for record in second:
             if record["event"] not in ("sweep_begin", "sweep_end"):
                 assert record["shard"] == 1 and record["shard_total"] == 1
-                assert record["spec"] == "tiny" and record["resumed"] is True
+                assert record["spec"] == "tiny" and "resumed" not in record
 
-        # The resumed table must be byte-identical to an uninterrupted run.
+        # The re-run's table must be byte-identical to an uninterrupted run.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache2"))
         runner.clear_cache()
         clean_out = tmp_path / "clean"
@@ -440,7 +517,6 @@ class TestRunSweep:
         for suffix in ("json", "csv", "md"):
             name = f"{MERGED_BASENAME}.{suffix}"
             assert (out / name).read_bytes() == (clean_out / name).read_bytes()
-        runner.clear_cache()
 
 
 # ----------------------------------------------------------------------
@@ -476,10 +552,24 @@ class TestEquivalenceHarness:
         assert "bit-identical" in capsys.readouterr().out
         assert main(["check", "--sweep", str(tmp_path / "nope.json")]) == 2
 
+    def test_harness_turns_the_cache_on(self, tmp_path, monkeypatch):
+        # The shard and resume strategies read their own runs back from
+        # each strategy's private cache, whatever REPRO_CACHE says.
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        data = spec_data(
+            workloads=["srv_web"],
+            base={"warmup_instructions": 200, "sim_instructions": 900},
+            matrix={"branch.btb_entries": [512, 8192]},
+            exclude=[],
+        )
+        report = check_sweep_equivalence(parse_spec(data), workdir=tmp_path, jobs=1)
+        assert report.ok, report.all_problems()
+        assert os.environ["REPRO_CACHE"] == "0"
+
     def test_clean_check_logs_no_warning(self, tmp_path, caplog, repro_records):
-        # The resume strategy stops a sweep half-way on purpose; that
-        # requested stop logs at INFO, so a passing harness logs no
-        # WARNING that would read like a failed sweep.
+        # The shard and resume strategies leave the table to a later run
+        # on purpose; a passing harness logs no WARNING that would read
+        # like a failed sweep.
         data = spec_data(
             workloads=["srv_web"],
             base={"warmup_instructions": 200, "sim_instructions": 900},
@@ -490,17 +580,14 @@ class TestEquivalenceHarness:
         with caplog.at_level(logging.INFO, logger="repro"):
             assert main(["--log-level", "info", "check", "--sweep", str(path)]) == 0
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
-        stops = [r for r in caplog.records if "sweep interrupted after" in r.getMessage()]
-        assert [r.levelno for r in stops] == [logging.INFO]
 
-    def test_cli_limit_stops_with_status_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        runner.clear_cache()
+    @pytest.mark.parametrize("flag", [["--resume"], ["--limit", "2"]], ids=["resume", "limit"])
+    def test_cli_resume_and_limit_are_gone(self, tmp_path, flag, capsys):
         path = write_spec(tmp_path, spec_data())
-        out = tmp_path / "out"
-        assert main(["sweep", str(path), "--out", str(out), "--limit", "2"]) == 1
-        assert "interrupted before the shard completed" in capsys.readouterr().out
-        runner.clear_cache()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(path), "--out", str(tmp_path / "out"), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 EXAMPLE_SPECS = Path(__file__).resolve().parents[1] / "examples" / "sweeps"

@@ -24,7 +24,8 @@ import repro.core.simulator as simulator
 from repro.common.params import SimParams
 from repro.cli import main
 from repro.core.simulator import Simulator, simulate
-from repro.core.typed import backend_name, kernel_backend_for_params, supported
+from repro.core.typed import backend_name, supported
+from repro.experiments.cache import ResultCache, run_key
 from repro.experiments.configs import QUICK_WORKLOADS
 from repro.prefetch import Prefetcher, prefetcher_names
 from repro.trace.workloads import make_trace
@@ -86,26 +87,36 @@ class TestResolution:
 
 
 class TestEligibility:
+    """Each run records the backend it took (``RunResult.kernel_backend``):
+    plain and prefetcher runs the typed kernel, a checked run interp."""
+
     def test_plain_config_is_eligible(self):
-        assert kernel_backend_for_params(fast()) == backend_name()
-        assert kernel_backend_for_params(fast(prefetcher="perfect")) == backend_name()
+        assert simulate(WORKLOAD, fast()).kernel_backend == backend_name()
+        assert simulate(WORKLOAD, fast(prefetcher="perfect")).kernel_backend == backend_name()
 
     def test_checker_disables(self):
-        assert kernel_backend_for_params(fast(check_invariants=True)) == "interp"
+        assert simulate(WORKLOAD, fast(check_invariants=True)).kernel_backend == "interp"
 
     @pytest.mark.parametrize("prefetcher", prefetcher_names())
     def test_dedicated_prefetcher_disables(self, prefetcher):
         # It does not: the typed kernel lowers the prefetcher's hook
         # points, so only observers force the interpreted kernel.
-        assert kernel_backend_for_params(fast(prefetcher=prefetcher)) == backend_name()
+        assert simulate(WORKLOAD, fast(prefetcher=prefetcher)).kernel_backend == backend_name()
 
-    def test_backend_label_matches_eligibility(self):
-        # The label derived from params names the backend a run takes.
+    def test_backend_label_matches_eligibility(self, tmp_path):
+        # The result names the backend the simulator took, and a cache
+        # entry keeps it.
         program, stream = make_trace(WORKLOAD, 2_500)
+        cache = ResultCache(tmp_path)
         for params in (fast(), fast(prefetcher="djolt"), fast(check_invariants=True)):
             sim = Simulator(params, program, stream)
-            sim.run()
-            assert kernel_backend_for_params(params) == sim.kernel_backend
+            result = sim.run(WORKLOAD)
+            assert result.kernel_backend == sim.kernel_backend
+            key = run_key(WORKLOAD, params)
+            cache.put(key, result)
+            assert cache.get(key).kernel_backend == sim.kernel_backend
+        reference = Simulator(fast(), program, stream).run(WORKLOAD, reference=True)
+        assert reference.kernel_backend == "interp"
 
     def test_supported_mirrors_features(self):
         n = 2_500
@@ -131,9 +142,16 @@ class TestEligibility:
 
 class TestTypedInterpIdentity:
     def test_default_workload(self):
-        typed, interp, sim = run_pair(fast())
-        assert sim.kernel_backend == backend_name()
-        identity(typed, interp)
+        # Every quick workload, so the identity also covers a
+        # wrong-target fault: srv_db's window mispredicts indirect
+        # targets, srv_web's does not.
+        wrong_target = {}
+        for workload in QUICK_WORKLOADS:
+            typed, interp, sim = run_pair(fast(), workload)
+            assert sim.kernel_backend == backend_name()
+            identity(typed, interp)
+            wrong_target[workload] = interp.stats.get("mispredict_wrong_target")
+        assert wrong_target["srv_db"] > 0
 
     def test_simulate_uses_typed_by_default(self, monkeypatch):
         # The backend is derived, so the public entry point exercises
@@ -162,9 +180,7 @@ class TestTypedInterpIdentity:
 
     @pytest.mark.parametrize("direction", ["tage", "gshare", "perceptron", "perfect"])
     def test_every_direction_predictor(self, direction):
-        params = fast().with_branch(
-            direction_kind=direction, perfect_direction=direction == "perfect"
-        )
+        params = fast().with_branch(direction_kind=direction)
         typed, interp, sim = run_pair(params)
         assert sim.kernel_backend == backend_name()
         identity(typed, interp)
